@@ -7,10 +7,12 @@ populations from producing NaNs.
 """
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
+    "average_ranks",
     "centered_ranks",
+    "rows_centered_ranks",
+    "rows_z_score",
     "z_score",
     "fitness_features",
     "build_joint_fitness_features",
@@ -32,16 +34,98 @@ SIGMA_DIM = 2
 _VAR_GUARD = 1e-10
 
 
+def average_ranks(values):
+    """Ascending 1-based average ranks along the last axis.
+
+    Any number of leading axes is allowed. The result equals
+    ``scipy.stats.rankdata(values, method="average", axis=-1)`` exactly:
+    tied values (equal infinities included) share the mean of their
+    positions, which is a half-integer for an even-sized tie group, and a
+    row that holds a NaN comes out all NaN.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[-1]
+    if values.size == 0:
+        return np.empty(values.shape)
+    rows = values.reshape(-1, n)
+    # Sort every row, then work on the flat sorted sequence.
+    offsets = np.arange(0, rows.size, n)[:, None]
+    order = np.argsort(rows, axis=-1)
+    order += offsets
+    order = order.ravel()
+    ordered = rows.ravel()[order]
+    # A tie group starts at each row start and wherever the value changes.
+    starts = np.empty(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts[::n] = True
+    starts = np.flatnonzero(starts)
+    sizes = np.empty_like(starts)
+    sizes[-1] = ordered.size
+    sizes[:-1] = starts[1:]
+    sizes -= starts
+    # Flat positions s .. s+k-1 average to s + (k+1)/2; removing the row's
+    # offset leaves the 1-based rank in the row. All exact in floats.
+    mean_rank = (sizes + 1) * 0.5
+    mean_rank += starts
+    flat = np.repeat(mean_rank, sizes).reshape(rows.shape)
+    flat -= offsets
+    ranks = np.empty(ordered.size)
+    ranks[order] = flat.ravel()
+    ranks = ranks.reshape(values.shape)
+    # argsort puts NaN last in its row.
+    has_nan = np.isnan(ordered[n - 1::n]).reshape(values.shape[:-1])
+    if has_nan.any():
+        ranks[has_nan] = np.nan
+    return ranks
+
+
+def rows_centered_ranks(values, out=None):
+    """Average ranks along the last axis mapped linearly into [-0.5, 0.5].
+
+    Rows of one value map to zero.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[-1]
+    if out is None:
+        out = np.empty(values.shape)
+    if n == 1:
+        out.fill(0.0)
+        return out
+    ranks = average_ranks(values)
+    ranks -= 1.0
+    ranks /= n - 1.0
+    return np.subtract(ranks, 0.5, out=out)
+
+
 def centered_ranks(f):
     """Ascending average ranks mapped linearly into [-0.5, 0.5]."""
     f = np.asarray(f, dtype=np.float64)
     if not np.all(np.isfinite(f)):
         raise ValueError("centered_ranks requires finite values")
-    n = f.size
-    if n == 1:
-        return np.zeros(1)
-    ranks = rankdata(f, method="average")
-    return (ranks - 1.0) / (n - 1.0) - 0.5
+    return rows_centered_ranks(f.ravel())
+
+
+def rows_z_score(values, out=None):
+    """z-scores along the last axis; zero where the variance guard fires.
+
+    The steps are those of numpy's ``mean`` and ``std`` (sum/n, deviations,
+    squares, sum/n, sqrt), with the row sum taken once and shared, so the
+    result equals ``(values - mean) / std`` bit for bit.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    count = values.shape[-1]
+    mean = np.add.reduce(values, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    dev = np.subtract(values, mean)
+    std = np.add.reduce(np.square(dev), axis=-1, keepdims=True)
+    np.true_divide(std, count, out=std)
+    np.sqrt(std, out=std)
+    guard = std < _VAR_GUARD * np.maximum(1.0, np.abs(mean))
+    z = np.divide(dev, np.where(guard, 1.0, std),
+                  out=dev if out is None else out)
+    if guard.any():
+        z[np.broadcast_to(guard, z.shape)] = 0.0
+    return z
 
 
 def z_score(f):
@@ -49,11 +133,7 @@ def z_score(f):
     f = np.asarray(f, dtype=np.float64)
     if not np.all(np.isfinite(f)):
         raise ValueError("z_score requires finite values")
-    std = f.std()
-    mean = f.mean()
-    if std < _VAR_GUARD * max(1.0, abs(mean)):
-        return np.zeros_like(f)
-    return (f - mean) / std
+    return rows_z_score(f.ravel()).reshape(f.shape)
 
 
 def fitness_features(f, best_so_far):

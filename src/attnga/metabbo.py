@@ -19,11 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import engine
+from .attention import last_axis_first, softmax_last
 from .bbob import TaskFamily, sample_task
-from .features import z_score
+from .features import rows_centered_ranks, rows_z_score, z_score
 from .metaes import OpenAiEs
 from .params import FeatureConfig, LgaParams, weight_shapes
 from .tasks import make_task
@@ -146,28 +146,6 @@ def _stack_weights(theta_matrix, cfg):
     return stacked
 
 
-def _rows_z(values):
-    # Relative variance guard, matching features.z_score row by row.
-    std = values.std(axis=1, keepdims=True)
-    mean = values.mean(axis=1, keepdims=True)
-    guard = std < 1e-10 * np.maximum(1.0, np.abs(mean))
-    return np.where(guard, 0.0, (values - mean) / np.where(guard, 1.0, std))
-
-
-def _rows_centered_ranks(values):
-    n = values.shape[1]
-    if n == 1:
-        return np.zeros_like(values)
-    ranks = rankdata(values, method="average", axis=1)
-    return (ranks - 1.0) / (n - 1.0) - 0.5
-
-
-def _rows_softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
-
-
 def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
                                 inner_popsize, inner_generations,
                                 objective):
@@ -176,11 +154,15 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
     Mirrors ``engine.run`` with learned selection + MRA, uniform sampling
     and elite_ratio 1; the random draw order matches the engine contract
     documented in :mod:`attnga.engine`.
+
+    Features are written into buffers allocated once per call. Sums keep
+    the layout and call of the engine's operators, which fixes their bits;
+    order-free reductions (max, min, counts) run over a leading axis.
     """
     w = _stack_weights(theta_matrix, feature_cfg)
     m = theta_matrix.shape[0]
     n, t, d = inner_popsize, inner_generations, task.dim
-    d_k = feature_cfg.d_k
+    scale = np.sqrt(feature_cfg.d_k)
     rng = np.random.default_rng(seed)
     clip = engine.FITNESS_CLIP
 
@@ -190,6 +172,17 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
     sigma_p = np.full((m, n), task.sigma0)
     best = np.full(m, np.inf)
     fitness_log = np.empty((m, t, n))
+    rows = np.arange(m)[:, None]
+
+    # Per-generation buffers: MRA features [z, rank, flag, z(sigma), minmax]
+    # of the sampled parents, the joint child+parent fitness (children
+    # first) and its features [z, rank, flag], and the selection logits
+    # whose last column is the fixed keep logit.
+    f_m = np.empty((m, n, 5))
+    joint = np.empty((m, 2 * n))
+    j_feat = np.empty((m, 2 * n, 3))
+    feats_c, feats_p = j_feat[:, :n], j_feat[:, n:]
+    sel_logits = np.ones((m, n, n + 1))
 
     # Single-head weights, squeezed to (M, d_in, d_k).
     sel_q, sel_k, sel_v = w["sel_q"][:, 0], w["sel_k"][:, 0], w["sel_v"][:, 0]
@@ -201,20 +194,29 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
 
         # MRA features of the sampled parents.
         f_feat = np.minimum(f_s, clip)
-        flags = (f_feat < best[:, None]).astype(np.float64)
-        lo = sigma_s.min(axis=1, keepdims=True)
-        hi = sigma_s.max(axis=1, keepdims=True)
+        rows_z_score(f_feat, out=f_m[:, :, 0])
+        rows_centered_ranks(f_feat, out=f_m[:, :, 1])
+        np.less(f_feat, best[:, None], out=f_m[:, :, 2])
+        rows_z_score(sigma_s, out=f_m[:, :, 3])
+        sigma_t = last_axis_first(sigma_s)
+        lo, hi = sigma_t.min(axis=0)[:, None], sigma_t.max(axis=0)[:, None]
         span = hi - lo
-        minmax = np.where(span < 1e-10, 0.0,
-                          2.0 * (sigma_s - lo) / np.where(span < 1e-10, 1.0,
-                                                          span) - 1.0)
-        f_m = np.stack([_rows_z(f_feat), _rows_centered_ranks(f_feat), flags,
-                        _rows_z(sigma_s), minmax], axis=2)
+        flat = span < 1e-10
+        span[flat] = 1.0
+        minmax = np.subtract(sigma_s, lo)
+        minmax *= 2.0
+        minmax /= span
+        np.subtract(minmax, 1.0, out=f_m[:, :, 4])
+        f_m[flat[:, 0], :, 4] = 0.0
 
-        attn = _rows_softmax((f_m @ mra_q) @ np.swapaxes(f_m @ mra_k, 1, 2)
-                             / np.sqrt(d_k)) @ (f_m @ mra_v)
-        log_delta = 0.5 * (attn @ w["mra_sigma"])[:, :, 0]
-        sigma_c = np.exp(np.clip(log_delta, -10.0, 10.0)) * sigma_s
+        logits = (f_m @ mra_q) @ np.swapaxes(f_m @ mra_k, 1, 2)
+        logits /= scale
+        attn = softmax_last(logits) @ (f_m @ mra_v)
+        log_delta = (attn @ w["mra_sigma"])[:, :, 0]
+        log_delta *= 0.5
+        np.clip(log_delta, -10.0, 10.0, out=log_delta)
+        sigma_c = np.exp(log_delta, out=log_delta)
+        sigma_c *= sigma_s
 
         eps = rng.standard_normal((n, d))
         x_c = x_s + sigma_c[:, :, None] * eps
@@ -226,31 +228,31 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
         fitness_log[:, gen] = f_c
 
         # Joint child+parent fitness features, children first.
-        joint = np.concatenate([f_c, np.minimum(f_p, clip)], axis=1)
-        j_feat = np.stack([_rows_z(joint), _rows_centered_ranks(joint),
-                           (joint < best[:, None]).astype(np.float64)],
-                          axis=2)
-        feats_c, feats_p = j_feat[:, :n], j_feat[:, n:]
+        joint[:, :n] = f_c
+        np.minimum(f_p, clip, out=joint[:, n:])
+        rows_z_score(joint, out=j_feat[:, :, 0])
+        rows_centered_ranks(joint, out=j_feat[:, :, 1])
+        np.less(joint, best[:, None], out=j_feat[:, :, 2])
 
-        a_s = _rows_softmax(
-            (feats_p @ sel_q) @ np.swapaxes(feats_c @ sel_k, 1, 2)
-            / np.sqrt(d_k)) @ (feats_c @ sel_v)
-        logits = ((a_s @ w["sel_q2"]) @ np.swapaxes(feats_c @ w["sel_k2"],
-                                                    1, 2) / np.sqrt(d_k))
-        logits = np.concatenate([logits, np.ones((m, n, 1))], axis=2)
-        probs = _rows_softmax(logits)
+        logits = (feats_p @ sel_q) @ np.swapaxes(feats_c @ sel_k, 1, 2)
+        logits /= scale
+        a_s = softmax_last(logits) @ (feats_c @ sel_v)
+        logits = (a_s @ w["sel_q2"]) @ np.swapaxes(feats_c @ w["sel_k2"],
+                                                   1, 2)
+        np.divide(logits, scale, out=sel_logits[:, :, :n])
+        probs = softmax_last(sel_logits)
 
         u = rng.random(n)
         cdf = np.cumsum(probs, axis=2)
-        sel = np.minimum(np.sum(cdf < u[None, :, None], axis=2), n)
+        below = last_axis_first(cdf) < u
+        sel = np.minimum(below.sum(axis=0), n)
         keep = sel == n
         child = np.minimum(sel, n - 1)
-        rows = np.arange(m)[:, None]
         x_p = np.where(keep[:, :, None], x_p, x_c[rows, child])
         f_p = np.where(keep, f_p, f_c[rows, child])
         sigma_p = np.where(keep, sigma_p, sigma_c[rows, child])
 
-        best = np.minimum(best, f_c.min(axis=1))
+        best = np.minimum(best, last_axis_first(f_c).min(axis=0))
 
     return reduce_scores(fitness_log, objective)
 

@@ -59,8 +59,19 @@ class MlpTask:
         w2 = x[:, i:i + d_h * d_out].reshape(-1, d_h, d_out); i += d_h * d_out
         b2 = x[:, i:i + d_out]
 
-        hidden = np.tanh(np.einsum("pi,nih->nph", self._inputs, w1)
-                         + b1[:, None, :])
+        # First layer: einsum("pi,nih->nph") spelled as d_in broadcast
+        # multiply-adds in einsum's order of i, laid out (n, h, p) so the
+        # inner loops run over the data points; the sums are the same.
+        # (einsum starts from +0.0, so an all -0.0 sum may differ in sign;
+        # the squared error below cannot.) The second einsum reads the
+        # (n, p, h) layout, which fixes its summation order.
+        columns = self._inputs.T
+        hidden = w1[:, 0, :, None] * columns[0]
+        for k in range(1, d_in):
+            hidden += w1[:, k, :, None] * columns[k]
+        hidden += b1[:, :, None]
+        np.tanh(hidden, out=hidden)
+        hidden = np.ascontiguousarray(np.swapaxes(hidden, 1, 2))
         pred = np.einsum("nph,nho->npo", hidden, w2)[:, :, 0] + b2
         mse = np.mean((pred - self._targets) ** 2, axis=1)
         return mse[0] if squeeze else mse

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnga.attention import multi_head_sdpa, row_softmax, sdpa
+from attnga.attention import (last_axis_first, multi_head_sdpa, row_softmax,
+                              sdpa, softmax_last)
 
 
 def _softmax_oracle(row):
@@ -106,3 +107,30 @@ def test_output_rows_in_value_convex_hull():
     out = sdpa(q, k, v)
     assert np.all(out <= v.max(axis=0) + 1e-12)
     assert np.all(out >= v.min(axis=0) - 1e-12)
+
+
+def _softmax_textbook(logits):
+    exps = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 16), (2, 16), (64, 16),
+                                   (64, 16, 17)])
+def test_softmax_fast_path_equals_textbook_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    for scale in (1e-3, 1.0, 30.0):
+        logits = scale * rng.standard_normal(shape)
+        expected = _softmax_textbook(logits).tobytes()
+        assert row_softmax(logits).tobytes() == expected
+        assert softmax_last(logits).tobytes() == expected
+    # Order-free row max: a non-finite row behaves as in the formula.
+    logits[..., 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(softmax_last(logits)).all()
+
+
+def test_last_axis_first_is_a_contiguous_transpose():
+    a = np.arange(24.0).reshape(2, 3, 4)
+    moved = last_axis_first(a)
+    assert moved.flags.c_contiguous and moved.shape == (4, 2, 3)
+    np.testing.assert_array_equal(moved.max(axis=0), a.max(axis=-1))

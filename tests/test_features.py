@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
-from attnga.features import (build_joint_fitness_features,
+from attnga.features import (average_ranks, build_joint_fitness_features,
                              build_sampled_parent_features, centered_ranks,
-                             fitness_features, sigma_features, z_score)
+                             fitness_features, rows_z_score, sigma_features,
+                             z_score)
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3,
                           allow_nan=False, allow_infinity=False)
@@ -115,3 +117,74 @@ def test_sampled_parent_features_concatenation():
     assert feats.shape == (2, 5)
     np.testing.assert_array_equal(feats[:, :3], fitness_features(f, 5.0))
     np.testing.assert_array_equal(feats[:, 3:], sigma_features(sigma))
+
+
+# -- exact fast paths ---------------------------------------------------------
+
+RANK_SIZES = (1, 2, 3, 16, 17, 32, 128)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+def _rank_inputs(rng, shape):
+    """Distinct values, heavy ties and rows half full of the 1e30 sentinel."""
+    yield rng.standard_normal(shape)
+    yield rng.integers(0, 3, size=shape).astype(np.float64)
+    sentinel = rng.standard_normal(shape)
+    sentinel[..., shape[-1] // 2:] = 1e30
+    yield sentinel
+
+
+@pytest.mark.parametrize("n", RANK_SIZES)
+def test_average_ranks_equal_rankdata_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (5, n)):
+        for values in _rank_inputs(rng, shape):
+            expected = rankdata(values, method="average", axis=-1)
+            assert _same_bits(average_ranks(values), expected)
+
+
+def test_average_ranks_infinities_and_nan_rows():
+    values = np.array([[np.inf, 1.0, np.inf, -np.inf, -np.inf, 0.0],
+                       [np.nan, np.nan, np.nan, np.nan, np.nan, np.nan],
+                       [2.0, np.nan, 1.0, 2.0, 0.5, np.inf],
+                       [-0.0, 0.0, 1e30, 1e30, 1e30, -1.0]])
+    with np.errstate(invalid="ignore"):
+        expected = rankdata(values, method="average", axis=-1)
+    assert np.isnan(expected[1:3]).all()
+    assert _same_bits(average_ranks(values), expected)
+    assert _same_bits(average_ranks(values[:, None, :]),
+                      expected[:, None, :])
+
+
+def _z_textbook(values):
+    std = values.std(axis=-1, keepdims=True)
+    mean = values.mean(axis=-1, keepdims=True)
+    guard = std < 1e-10 * np.maximum(1.0, np.abs(mean))
+    return np.where(guard, 0.0, (values - mean) / np.where(guard, 1.0, std))
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 16), (2, 16), (64, 16),
+                                   (64, 32), (64, 16, 17)])
+def test_rows_z_score_equals_textbook_formula(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    for scale in (1e-3, 1.0, 1e6, 1e30):
+        values = scale * rng.standard_normal(shape) + scale
+        values[..., :1] = values[..., 1:2]     # a tie does not matter
+        assert _same_bits(rows_z_score(values), _z_textbook(values))
+    converged = np.full(shape, 1e30)
+    assert _same_bits(rows_z_score(converged), np.zeros(shape))
+    out = np.empty(shape + (2,))[..., 0]
+    assert rows_z_score(values, out=out) is out
+    assert _same_bits(out.copy(), _z_textbook(values))
+
+
+def test_z_score_equals_textbook_formula():
+    rng = np.random.default_rng(5)
+    for n in RANK_SIZES[1:]:
+        f = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 20)
+        assert _same_bits(z_score(f), (f - f.mean()) / f.std())

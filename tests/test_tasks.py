@@ -19,6 +19,21 @@ def _mlp_oracle(task, w):
     return np.mean((pred - task._targets) ** 2)
 
 
+def _mlp_einsum_oracle(task, x):
+    """The batched forward pass as two einsums, as first written."""
+    x = np.atleast_2d(x)
+    d_in, d_h, d_out = task.layers
+    i = 0
+    w1 = x[:, i:i + d_in * d_h].reshape(-1, d_in, d_h); i += d_in * d_h
+    b1 = x[:, i:i + d_h]; i += d_h
+    w2 = x[:, i:i + d_h * d_out].reshape(-1, d_h, d_out); i += d_h * d_out
+    b2 = x[:, i:i + d_out]
+    hidden = np.tanh(np.einsum("pi,nih->nph", task._inputs, w1)
+                     + b1[:, None, :])
+    pred = np.einsum("nph,nho->npo", hidden, w2)[:, :, 0] + b2
+    return np.mean((pred - task._targets) ** 2, axis=1)
+
+
 def test_mlp_dimension_and_metadata():
     task = MlpTask()
     assert task.dim == 2 * 8 + 8 + 8 * 1 + 1 == 33
@@ -75,3 +90,16 @@ def test_make_task_registry():
         make_task("unknown-task", dim=2)
     with pytest.raises(ValueError):
         make_task("sphere")       # BBOB tasks need a dimension
+
+
+@pytest.mark.parametrize("layers", [(2, 8, 1), (3, 5, 1)])
+def test_mlp_fast_path_equals_einsum_oracle_bit_for_bit(layers):
+    task = MlpTask(layers=layers, seed=4)
+    rng = np.random.default_rng(51)
+    for rows, scale in ((1, 1.0), (7, 0.1), (64, 1.0), (256, 5.0)):
+        x = scale * rng.standard_normal((rows, task.dim))
+        expected = _mlp_einsum_oracle(task, x)
+        assert task.core_values(x).tobytes() == expected.tobytes()
+        single = task.core_values(x[0])
+        assert np.isscalar(single) and single == expected[0]
+        assert np.float64(single).tobytes() == expected[:1].tobytes()
