@@ -105,14 +105,13 @@ def centered_ranks(f):
     return rows_centered_ranks(f.ravel())
 
 
-def rows_z_score(values, out=None):
-    """z-scores along the last axis; zero where the variance guard fires.
+def _row_moments(values):
+    """Row mean, deviations and std in the steps of numpy's mean and std.
 
-    The steps are those of numpy's ``mean`` and ``std`` (sum/n, deviations,
-    squares, sum/n, sqrt), with the row sum taken once and shared, so the
-    result equals ``(values - mean) / std`` bit for bit.
+    Those are sum/n, deviations, squares, sum/n and sqrt; the row sum is
+    taken once and shared, so mean and std equal ``values.mean(-1)`` and
+    ``values.std(-1)`` bit for bit.
     """
-    values = np.asarray(values, dtype=np.float64)
     count = values.shape[-1]
     mean = np.add.reduce(values, axis=-1, keepdims=True)
     np.true_divide(mean, count, out=mean)
@@ -120,9 +119,37 @@ def rows_z_score(values, out=None):
     std = np.add.reduce(np.square(dev), axis=-1, keepdims=True)
     np.true_divide(std, count, out=std)
     np.sqrt(std, out=std)
-    guard = std < _VAR_GUARD * np.maximum(1.0, np.abs(mean))
-    z = np.divide(dev, np.where(guard, 1.0, std),
-                  out=dev if out is None else out)
+    return mean, dev, std
+
+
+def rows_z_score(values, out=None):
+    """z-scores along the last axis; zero where the variance guard fires.
+
+    Equals ``(values - mean) / std`` bit for bit wherever the std is
+    finite. Finite rows whose sum or squares overflow (values beyond
+    ~1e154) are recomputed from the row scaled by an exact power of two,
+    which the z-score does not see; rows holding inf or NaN are left to
+    come out non-finite, without floating-point warnings.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    unit = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, dev, std = _row_moments(values)
+        # A non-finite mean makes every deviation, hence the std, non-finite.
+        lost = ~np.isfinite(std)
+        if lost.any():
+            top = np.abs(values).max(axis=-1, keepdims=True)
+            lost &= np.isfinite(top)    # rows holding inf or NaN stay lost
+            _, exponent = np.frexp(top)
+            exponent[~lost] = 0
+            rescued = _row_moments(np.ldexp(values, -exponent))
+            for kept, new in zip((mean, dev, std), rescued):
+                np.copyto(kept, new, where=lost)
+            # The guard's floor of 1, in the units of the scaled rows.
+            unit = np.ldexp(1.0, -exponent)
+        guard = std < _VAR_GUARD * np.maximum(unit, np.abs(mean))
+        z = np.divide(dev, np.where(guard, 1.0, std),
+                      out=dev if out is None else out)
     if guard.any():
         z[np.broadcast_to(guard, z.shape)] = 0.0
     return z

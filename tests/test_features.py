@@ -1,5 +1,7 @@
 """Unit tests for the scale-invariant fitness / mutation-rate features."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,3 +190,25 @@ def test_z_score_equals_textbook_formula():
     for n in RANK_SIZES[1:]:
         f = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 20)
         assert _same_bits(z_score(f), (f - f.mean()) / f.std())
+
+
+def test_z_score_survives_overflowing_rows():
+    """Rows beyond ~1e154 would overflow the squares; z is scale-free."""
+    small = np.array([[3.0, 1.0, 2.0, 2.0], [1.0, 0.5, -4.0, 1e-3],
+                      [7.0, 7.0, 7.0, 7.0], [1.0, -1.0, 0.25, 8.0]])
+    huge = small.copy()
+    huge[:3] *= 2.0 ** 1000          # exact; the last row stays as it is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = rows_z_score(huge)
+        single = z_score(huge[0])
+        mixed = z_score([1e160, 1.0, 2.0])
+    assert _same_bits(z, rows_z_score(small))
+    assert _same_bits(single, z_score(small[0]))
+    assert np.all(np.isfinite(mixed)) and mixed[0] > 1.0
+    np.testing.assert_allclose(mixed, [np.sqrt(2.0), -np.sqrt(0.5),
+                                       -np.sqrt(0.5)])
+    # A row holding inf stays non-finite, quietly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(rows_z_score(np.array([[np.inf, 1.0, 2.0]]))).all()
