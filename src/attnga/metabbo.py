@@ -155,9 +155,10 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
     and elite_ratio 1; the random draw order matches the engine contract
     documented in :mod:`attnga.engine`.
 
-    Features are written into buffers allocated once per call. Sums keep
-    the layout and call of the engine's operators, which fixes their bits;
-    order-free reductions (max, min, counts) run over a leading axis.
+    Features are written into buffers allocated once per call. Sums (row
+    moments, softmax denominators, the selection CDF) run along contiguous
+    rows, which fixes their bits; order-free reductions (max, min, counts)
+    run over a leading axis.
     """
     w = _stack_weights(theta_matrix, feature_cfg)
     m = theta_matrix.shape[0]

@@ -1,0 +1,128 @@
+"""Check that two checkouts of attnga produce byte-identical outputs.
+
+    python tools/ab_identity.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout is a directory holding ``src/attnga`` and ``bench/`` (a
+``git archive`` of a commit will do). The script runs itself once per
+checkout in a fresh interpreter with that checkout's ``src`` on
+``PYTHONPATH`` and single-threaded BLAS, records the outputs below, and
+reports every one that differs. It exits non-zero if any does.
+
+- Sweep scores (``metabbo.evaluate_candidates_on_task``) of the first 64,
+  3 and 1 candidates on the 32 desk tasks of meta-generations 0 and 1
+  (config seed 0; weights drawn with seed 1 from N(0, 0.5^2)), plus a noisy
+  rastrigin-3D and a diverging rosenbrock-5D sweep at N in {16, 5, 1}.
+- The CSV bytes of ``attnga evaluate`` at the ``evaluate-mlp`` benchmark
+  settings and on ``sphere:10,rastrigin:10``, with the desk checkpoint.
+- The ``meta_log.csv`` and final checkpoint bytes of a 3-meta-generation
+  desk ``meta_train``.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+M_VALUES = (64, 3, 1)
+
+
+def record(checkout, tmp):
+    """All outputs of the checkout that this process imported."""
+    import numpy as np
+
+    sys.path.insert(0, os.path.join(checkout, "bench"))
+    from workload import desk_meta_config, evaluate_argv
+
+    from attnga import cli, metabbo
+    from attnga.bbob import TaskSpec, sample_task
+    from attnga.params import LgaParams
+    from attnga.tasks import make_task
+
+    out = {}
+    cfg = desk_meta_config(0, 3, eval_every=1, workers=1)
+    n_params = LgaParams.zeros(cfg.feature_cfg).n_params
+    theta = np.random.default_rng(1).normal(
+        0.0, 0.5, (64, n_params)).astype(np.float32)
+    for gen in (0, 1):
+        task_rng = np.random.default_rng([cfg.seed, gen, 0x7A5])
+        tasks = [sample_task(cfg.family, task_rng)
+                 for _ in range(cfg.n_tasks)]
+        for l, task in enumerate(tasks):
+            for m in M_VALUES:
+                scores = metabbo.evaluate_candidates_on_task(
+                    theta[:m], cfg.feature_cfg, task,
+                    [cfg.seed, gen, 0x1AEA, l], cfg.inner_popsize,
+                    cfg.inner_generations, cfg.objective)
+                out[f"sweep gen={gen} task={l} M={m}"] = scores.tobytes()
+    extra = (TaskSpec(function="rastrigin", dim=3,
+                      offset=np.array([1.0, -2.0, 0.5]), sigma0=0.2,
+                      noise=True),
+             make_task("rosenbrock", dim=5, seed=2, sigma0=2.0))
+    for j, task in enumerate(extra):
+        for m in M_VALUES:
+            for n_pop in (16, 5, 1):
+                scores = metabbo.evaluate_candidates_on_task(
+                    4.0 * theta[:m], cfg.feature_cfg, task, [7, j], n_pop,
+                    20, "minN-finalT")
+                out[f"sweep {task.function} M={m} N={n_pop}"] = \
+                    scores.tobytes()
+
+    checkpoint = os.path.join(checkout, "bench", "lga_desk.txt")
+    for tasks in ("mlp-sine", "sphere:10,rastrigin:10"):
+        path = os.path.join(tmp, "eval.csv")
+        argv = evaluate_argv(0, 2, path)
+        argv[argv.index("--tasks") + 1] = tasks
+        argv[argv.index("--checkpoint") + 1] = checkpoint
+        if cli.main(argv) != 0:
+            raise SystemExit(f"attnga evaluate --tasks {tasks} failed")
+        with open(path, "rb") as fh:
+            out[f"evaluate {tasks}"] = fh.read()
+
+    run_dir = os.path.join(tmp, "meta")
+    metabbo.meta_train(cfg, out_dir=run_dir)
+    for name in ("meta_log.csv", "checkpoint_final.txt"):
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            out[f"meta_train {name}"] = fh.read()
+    return out
+
+
+def run_checkout(checkout, tmp):
+    dump = os.path.join(tmp, "outputs.pkl")
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--record",
+                    checkout, tmp], env=env, check=True)
+    with open(dump, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(argv):
+    if argv[:1] == ["--record"]:
+        checkout, tmp = argv[1:]
+        import attnga
+        if not os.path.abspath(attnga.__file__).startswith(
+                os.path.abspath(checkout)):
+            raise SystemExit(f"imported {attnga.__file__}, not {checkout}")
+        with open(os.path.join(tmp, "outputs.pkl"), "wb") as fh:
+            pickle.dump(record(checkout, tmp), fh)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (os.path.abspath(a) for a in argv)
+    with tempfile.TemporaryDirectory() as tmp_old, \
+            tempfile.TemporaryDirectory() as tmp_new:
+        a, b = run_checkout(old, tmp_old), run_checkout(new, tmp_new)
+    differ = [key for key in a if a[key] != b.get(key)]
+    sweeps = sum(len(v) // 8 for k, v in a.items() if k.startswith("sweep"))
+    print(f"{len(a)} outputs ({sweeps} sweep scores); "
+          f"{len(differ)} differ")
+    for key in differ:
+        print(f"DIFFERS: {key}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
