@@ -23,11 +23,16 @@ def last_axis_first(a):
 def softmax_last(logits):
     """Unchecked softmax along the last axis of a float64 array.
 
-    The row max is exact in any order, so it is taken over the leading
+    The row max is exact in any order. Over many short rows (at least four
+    times as many rows as columns, as in the batched sweep) numpy's per-row
+    reduction overhead dominates, so the max is then taken over the leading
     axis of a transposed copy. The denominators are summed along the rows
     as they are laid out, which fixes their bits.
     """
-    top = last_axis_first(logits).max(axis=0)
+    if logits.size >= 4 * logits.shape[-1] ** 2:
+        top = last_axis_first(logits).max(axis=0)
+    else:
+        top = logits.max(axis=-1)
     shifted = np.subtract(logits, top[..., None])
     np.exp(shifted, out=shifted)
     return np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)

@@ -133,7 +133,7 @@ def rows_z_score(values, out=None):
     """
     values = np.asarray(values, dtype=np.float64)
     unit = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean, dev, std = _row_moments(values)
         # A non-finite mean makes every deviation, hence the std, non-finite.
         lost = ~np.isfinite(std)
@@ -147,9 +147,8 @@ def rows_z_score(values, out=None):
                 np.copyto(kept, new, where=lost)
             # The guard's floor of 1, in the units of the scaled rows.
             unit = np.ldexp(1.0, -exponent)
-        guard = std < _VAR_GUARD * np.maximum(unit, np.abs(mean))
-        z = np.divide(dev, np.where(guard, 1.0, std),
-                      out=dev if out is None else out)
+        z = np.divide(dev, std, out=dev if out is None else out)
+    guard = std < _VAR_GUARD * np.maximum(unit, np.abs(mean))
     if guard.any():
         z[np.broadcast_to(guard, z.shape)] = 0.0
     return z
