@@ -187,6 +187,13 @@ def core_function(name):
                          f"{', '.join(FUNCTION_NAMES)}") from None
 
 
+def rows_values(core_values, x):
+    """``core_values`` of an (..., N, D) batch as one (rows, D) call."""
+    x = np.asarray(x, dtype=np.float64)
+    return core_values(x.reshape(-1, x.shape[-1])).reshape(
+        x.shape[:-1] or (1,))
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One concrete optimization task instance."""
@@ -222,12 +229,15 @@ class TaskSpec:
         return np.atleast_1d(core_function(self.function)(z))
 
     def evaluate(self, x, rng=None):
-        """Fitness of each row; multiplicative log-normal noise if enabled."""
-        values = self.core_values(x)
+        """Fitness of (..., N, D) rows, with log-normal noise if enabled.
+
+        The noise is one (N,) draw, shared by any leading axes.
+        """
+        values = rows_values(self.core_values, x)
         if self.noise:
             if rng is None:
                 raise ValueError("noisy task needs an rng")
-            noise = rng.standard_normal(values.shape[0])
+            noise = rng.standard_normal(values.shape[-1])
             values = np.maximum(values, _NOISE_FLOOR) * np.exp(
                 self.noise_beta * noise)
         return values

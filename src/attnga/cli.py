@@ -12,6 +12,7 @@ import argparse
 import configparser
 import csv
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -77,25 +78,28 @@ def build_task(name, dim, offset_seed):
     return make_task(name, dim=dim, seed=offset_seed)
 
 
-def build_config(algo, n_pop, generations, rho, sigma0, seed):
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; one of "
-                         f"{sorted(ALGORITHMS)}")
-    slots = ALGORITHMS[algo]
-    return engine.GaConfig(n_pop=n_pop, elite_ratio=rho, sigma0=sigma0,
-                           selection=slots["selection"], mra=slots["mra"],
-                           generations=generations, seed=seed)
+# One GA run of an evaluate, sweep or transfer grid: its engine.GaConfig,
+# the task as (name, dim, offset seed) and the learned weights, if any.
+Job = namedtuple("Job", "config task params")
 
 
-def _run_job(args):
+def _job(opts, slots, params, task_idx, name, dim, rep, run_seed=None,
+         rho=None, sigma0=None):
+    """One run of ``slots``; seed, rho and sigma0 default to the options'."""
+    config = engine.GaConfig(
+        n_pop=opts["n_pop"], generations=opts["generations"],
+        elite_ratio=opts["rho"] if rho is None else rho,
+        sigma0=opts["sigma0"] if sigma0 is None else sigma0,
+        seed=[opts["seed"], task_idx, rep] if run_seed is None else run_seed,
+        **slots)
+    return Job(config, (name, dim, _offset_seed(opts["seed"], task_idx, rep)),
+               params if "learned" in slots.values() else None)
+
+
+def _run_job(job):
     """Top-level worker: one GA run, returns the final best-so-far."""
-    (algo_slots, n_pop, generations, rho, sigma0, run_seed, task_name,
-     dim, offset_seed, params) = args
-    config = engine.GaConfig(n_pop=n_pop, elite_ratio=rho, sigma0=sigma0,
-                             selection=algo_slots[0], mra=algo_slots[1],
-                             generations=generations, seed=run_seed)
-    task = build_task(task_name, dim, offset_seed)
-    trajectory = engine.run(config, task, params=params)
+    trajectory = engine.run(job.config, build_task(*job.task),
+                            params=job.params)
     return float(trajectory.best_so_far[-1])
 
 
@@ -135,14 +139,7 @@ def cmd_evaluate(opts):
     tasks = parse_task_list(opts["tasks"])
     algos = _parse_algorithms(opts["algorithms"])
     params = _load_params(opts, required="lga" in algos)
-    seed, reps = opts["seed"], opts["repetitions"]
-
-    def job(task_idx, name, dim, algo, rep):
-        slots = (ALGORITHMS[algo]["selection"], ALGORITHMS[algo]["mra"])
-        return (slots, opts["n_pop"], opts["generations"], opts["rho"],
-                opts["sigma0"], [seed, task_idx, rep],
-                name, dim, _offset_seed(seed, task_idx, rep),
-                params if algo == "lga" else None)
+    reps = opts["repetitions"]
 
     # The Gaussian baseline is always run: it is the normalization
     # denominator even when not among the requested algorithms.
@@ -151,7 +148,8 @@ def cmd_evaluate(opts):
     for task_idx, (name, dim) in enumerate(tasks):
         for algo in denom_algos:
             for rep in range(reps):
-                jobs.append(job(task_idx, name, dim, algo, rep))
+                jobs.append(_job(opts, ALGORITHMS[algo], params, task_idx,
+                                 name, dim, rep))
                 keys.append((task_idx, algo, rep))
     results = dict(zip(keys, _map_jobs(jobs, opts["workers"])))
 
@@ -183,15 +181,13 @@ def cmd_sweep(opts):
     jobs, keys = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for algo in algos:
-            slots = (ALGORITHMS[algo]["selection"], ALGORITHMS[algo]["mra"])
             for gi, rho in enumerate(rho_grid):
                 for gj, sigma0 in enumerate(sigma_grid):
                     for rep in range(reps):
-                        jobs.append((slots, opts["n_pop"],
-                                     opts["generations"], rho, sigma0,
-                                     [seed, task_idx, gi, gj, rep], name, dim,
-                                     _offset_seed(seed, task_idx, rep),
-                                     params if algo == "lga" else None))
+                        jobs.append(_job(
+                            opts, ALGORITHMS[algo], params, task_idx, name,
+                            dim, rep, run_seed=[seed, task_idx, gi, gj, rep],
+                            rho=rho, sigma0=sigma0))
                         keys.append((name, dim, algo, rho, sigma0, rep))
     results = _map_jobs(jobs, opts["workers"])
     rows = [[name if dim is None else f"{name}:{dim}", algo, rho, sigma0,
@@ -205,18 +201,15 @@ def cmd_sweep(opts):
 def cmd_transfer(opts):
     tasks = parse_task_list(opts["tasks"])
     params = _load_params(opts, required=True)
-    seed, reps = opts["seed"], opts["repetitions"]
+    reps = opts["repetitions"]
 
     jobs, keys = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for selection, mra in TRANSFER_COMPOSITIONS:
             for rep in range(reps):
-                needs_params = selection == "learned" or mra == "learned"
-                jobs.append(((selection, mra), opts["n_pop"],
-                             opts["generations"], opts["rho"],
-                             opts["sigma0"], [seed, task_idx, rep], name,
-                             dim, _offset_seed(seed, task_idx, rep),
-                             params if needs_params else None))
+                slots = {"selection": selection, "mra": mra}
+                jobs.append(_job(opts, slots, params, task_idx, name, dim,
+                                 rep))
                 keys.append((name, dim, selection, mra, rep))
     results = _map_jobs(jobs, opts["workers"])
     rows = [[name if dim is None else f"{name}:{dim}", selection, mra, rep,

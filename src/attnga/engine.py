@@ -155,7 +155,8 @@ class GeneticAlgorithm:
         arch = self.archive
 
         if cfg.sampling == "learned":
-            feats = self._archive_fitness_features()
+            feats = fitness_features(np.minimum(arch.f, FITNESS_CLIP),
+                                     self.best_f)
             probs = ops.learned_sampling_probs(self.params, feats, arch.age)
             idx = ops.categorical_indices(np.tile(probs, (n, 1)),
                                           self.rng.random(n))
@@ -251,10 +252,6 @@ class GeneticAlgorithm:
         self.generation += 1
         self._pending = None
         return record
-
-    def _archive_fitness_features(self):
-        return fitness_features(np.minimum(self.archive.f, FITNESS_CLIP),
-                                self.best_f)
 
 
 def run(config, task, params=None, debug=False, x0=None):

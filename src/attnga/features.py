@@ -8,6 +8,8 @@ populations from producing NaNs.
 
 import numpy as np
 
+from .attention import reduce_rows
+
 __all__ = [
     "average_ranks",
     "centered_ranks",
@@ -18,6 +20,10 @@ __all__ = [
     "build_joint_fitness_features",
     "sigma_features",
     "build_sampled_parent_features",
+    "rows_fitness_features",
+    "rows_sigma_features",
+    "rows_parent_features",
+    "rows_joint_features",
     "FITNESS_DIM",
     "SIGMA_DIM",
 ]
@@ -97,12 +103,23 @@ def rows_centered_ranks(values, out=None):
     return np.subtract(ranks, 0.5, out=out)
 
 
+def _finite(values, name):
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} requires finite values")
+    return values
+
+
+def _rates(sigma):
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
+        raise ValueError("mutation rates must be positive and finite")
+    return sigma
+
+
 def centered_ranks(f):
     """Ascending average ranks mapped linearly into [-0.5, 0.5]."""
-    f = np.asarray(f, dtype=np.float64)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("centered_ranks requires finite values")
-    return rows_centered_ranks(f.ravel())
+    return rows_centered_ranks(_finite(f, "centered_ranks").ravel())
 
 
 def _row_moments(values):
@@ -156,17 +173,56 @@ def rows_z_score(values, out=None):
 
 def z_score(f):
     """Population z-score; all zeros when the variance guard fires."""
-    f = np.asarray(f, dtype=np.float64)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("z_score requires finite values")
+    f = _finite(f, "z_score")
     return rows_z_score(f.ravel()).reshape(f.shape)
+
+
+# Feature blocks: each rows_* core writes its columns into ``out`` for any
+# leading candidate axes, unchecked; the checked names below validate first.
+
+def rows_fitness_features(f, best_so_far, out):
+    """[z-score, centered rank, strict-improvement flag] of ``f``."""
+    rows_z_score(f, out=out[..., 0])
+    rows_centered_ranks(f, out=out[..., 1])
+    np.less(f, best_so_far, out=out[..., 2])
+    return out
+
+
+def rows_sigma_features(sigma, out):
+    """[z-score, min-max map to [-1, 1]] of the mutation rates ``sigma``."""
+    rows_z_score(sigma, out=out[..., 0])
+    lo = reduce_rows(np.minimum, sigma)[..., None]
+    span = reduce_rows(np.maximum, sigma)[..., None] - lo
+    flat = span < _VAR_GUARD
+    span[flat] = 1.0
+    minmax = np.subtract(sigma, lo, out=out[..., 1])
+    minmax *= 2.0
+    minmax /= span
+    minmax -= 1.0
+    np.copyto(minmax, 0.0, where=flat)
+    return out
+
+
+def rows_parent_features(f, sigma, best_so_far, out):
+    """Fitness then mutation-rate features of the sampled parents."""
+    rows_fitness_features(f, best_so_far, out[..., :FITNESS_DIM])
+    rows_sigma_features(sigma, out[..., FITNESS_DIM:])
+    return out
+
+
+def rows_joint_features(f_children, f_parents, best_so_far, out):
+    """Features of ``[children, parents]``; returns their rows of ``out``."""
+    n = f_children.shape[-1]
+    rows_fitness_features(np.concatenate((f_children, f_parents), axis=-1),
+                          best_so_far, out)
+    return out[..., :n, :], out[..., n:, :]
 
 
 def fitness_features(f, best_so_far):
     """(n, 3) matrix of [z-score, centered rank, strict-improvement flag]."""
-    f = np.asarray(f, dtype=np.float64)
-    flags = (f < best_so_far).astype(np.float64)
-    return np.column_stack([z_score(f), centered_ranks(f), flags])
+    f = _finite(f, "fitness_features")
+    return rows_fitness_features(f, best_so_far,
+                                 np.empty(f.shape + (FITNESS_DIM,)))
 
 
 def build_joint_fitness_features(f_children, f_parents, best_so_far):
@@ -176,27 +232,19 @@ def build_joint_fitness_features(f_children, f_parents, best_so_far):
     ``[children, parents]`` vector so the two groups live on one common
     scale; the children occupy the first N rows of the joint matrix.
     """
-    f_children = np.asarray(f_children, dtype=np.float64)
-    f_parents = np.asarray(f_parents, dtype=np.float64)
+    f_children = _finite(f_children, "fitness_features")
+    f_parents = _finite(f_parents, "fitness_features")
     if f_children.size == 0 or f_parents.size == 0:
         raise ValueError("need at least one child and one parent")
-    n = f_children.size
-    joint = fitness_features(np.concatenate([f_children, f_parents]),
-                             best_so_far)
-    return joint, joint[:n], joint[n:]
+    joint = np.empty((f_children.size + f_parents.size, FITNESS_DIM))
+    return (joint,) + rows_joint_features(f_children, f_parents, best_so_far,
+                                          joint)
 
 
 def sigma_features(sigma):
     """(n, 2) matrix of [z-score, min-max map to [-1, 1]] of mutation rates."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-        raise ValueError("mutation rates must be positive and finite")
-    lo, hi = sigma.min(), sigma.max()
-    if hi - lo < _VAR_GUARD:
-        minmax = np.zeros_like(sigma)
-    else:
-        minmax = 2.0 * (sigma - lo) / (hi - lo) - 1.0
-    return np.column_stack([z_score(sigma), minmax])
+    sigma = _rates(sigma)
+    return rows_sigma_features(sigma, np.empty(sigma.shape + (SIGMA_DIM,)))
 
 
 def build_sampled_parent_features(f_sampled, sigma_sampled, best_so_far):
@@ -206,8 +254,9 @@ def build_sampled_parent_features(f_sampled, sigma_sampled, best_so_far):
     the archive they were drawn from), so duplicated parents shift the
     normalization accordingly.
     """
-    fit = fitness_features(f_sampled, best_so_far)
-    sig = sigma_features(sigma_sampled)
-    if fit.shape[0] != sig.shape[0]:
+    f = _finite(f_sampled, "fitness_features")
+    sigma = _rates(sigma_sampled)
+    if f.shape != sigma.shape:
         raise ValueError("fitness/sigma length mismatch")
-    return np.column_stack([fit, sig])
+    return rows_parent_features(
+        f, sigma, best_so_far, np.empty(f.shape + (FITNESS_DIM + SIGMA_DIM,)))

@@ -7,10 +7,11 @@ stream (shared-randomness trick: candidates differ only through their
 weights), z-scores each task column across candidates and feeds the
 per-candidate median to the strategy.
 
-The candidate sweep is evaluated by a vectorized rollout that carries all M
-candidates through the inner loop simultaneously; it reproduces the engine's
-draw order, so a single-candidate batch matches ``engine.run`` on the same
-seed (covered by tests).
+The candidate sweep carries all M candidates through the inner loop at
+once with the engine's own feature, attention and operator cores, so the
+engine is the M=1 case: a one-candidate sweep equals ``engine.run`` bit for
+bit. At M>1 the sampled-parent gather lays rows out column-major, which
+reorders the z-score sums, so scores are not yet bit-equal to the engine's.
 """
 
 import csv
@@ -21,16 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .attention import last_axis_first, softmax_last
+from . import operators as ops
+from .attention import reduce_rows, softmax_last
 from .bbob import TaskFamily, sample_task
-from .features import rows_centered_ranks, rows_z_score, z_score
+from .features import (FITNESS_DIM, SIGMA_DIM, rows_joint_features,
+                       rows_parent_features, z_score)
 from .metaes import OpenAiEs
-from .params import FeatureConfig, LgaParams, weight_shapes
+from .params import FeatureConfig, LgaParams, unflatten
 from .tasks import make_task
 
 __all__ = ["MetaConfig", "MetaTrainResult", "OBJECTIVES", "reduce_scores",
-           "inner_score", "meta_fitness", "evaluate_candidates_on_task",
-           "meta_train", "write_meta_log"]
+           "meta_fitness", "evaluate_candidates_on_task", "meta_train",
+           "write_meta_log"]
 
 OBJECTIVES = ("minN-minT", "minN-finalT", "meanN-minT", "meanN-finalT")
 
@@ -75,8 +78,6 @@ class MetaConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; one of "
                              f"{OBJECTIVES}")
-        if self.feature_cfg.heads != 1:
-            raise ValueError("meta-training supports single-head operators")
 
 
 @dataclass
@@ -100,25 +101,12 @@ def reduce_scores(fitness, objective):
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def _inner_config(cfg, seed):
+def _inner_config(n_pop, generations, sigma0, seed):
+    """The inner GA that meta-training scores and the held-out evals run."""
     return engine.GaConfig(
-        n_pop=cfg.inner_popsize, elite_ratio=1.0, sigma0=0.1,
-        selection="learned", mra="learned", sampling="uniform",
-        crossover="none", generations=cfg.inner_generations, seed=seed)
-
-
-def inner_score(params, tasks, objective, inner_popsize, inner_generations,
-                seeds):
-    """Score one candidate on each task via full engine rollouts."""
-    scores = np.empty(len(tasks))
-    for l, (task, seed) in enumerate(zip(tasks, seeds)):
-        config = engine.GaConfig(
-            n_pop=inner_popsize, elite_ratio=1.0, sigma0=task.sigma0,
-            selection="learned", mra="learned",
-            generations=inner_generations, seed=seed)
-        trajectory = engine.run(config, task, params=params)
-        scores[l] = reduce_scores(trajectory.fitness, objective)
-    return scores
+        n_pop=n_pop, elite_ratio=1.0, sigma0=sigma0, selection="learned",
+        mra="learned", sampling="uniform", crossover="none",
+        generations=generations, seed=seed)
 
 
 def meta_fitness(scores):
@@ -132,128 +120,58 @@ def meta_fitness(scores):
 
 # -- vectorized candidate sweep ---------------------------------------------
 
-def _stack_weights(theta_matrix, cfg):
-    """(M, P) candidate matrix -> dict of (M, ...) stacked weight arrays."""
-    theta_matrix = np.asarray(theta_matrix, dtype=np.float32)
-    stacked, offset = {}, 0
-    for name, shape in weight_shapes(cfg).items():
-        size = int(np.prod(shape))
-        block = theta_matrix[:, offset:offset + size]
-        stacked[name] = block.reshape((-1,) + shape).astype(np.float64)
-        offset += size
-    if offset != theta_matrix.shape[1]:
-        raise ValueError("candidate vector length mismatch")
-    return stacked
-
-
 def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
                                 inner_popsize, inner_generations,
                                 objective):
-    """Inner rollouts of all candidates on one task with shared randomness.
+    """``engine.run`` with ``_inner_config`` for the M rows of ``theta_matrix``.
 
-    Mirrors ``engine.run`` with learned selection + MRA, uniform sampling
-    and elite_ratio 1; the random draw order matches the engine contract
-    documented in :mod:`attnga.engine`.
-
-    Features are written into buffers allocated once per call. Sums (row
-    moments, softmax denominators, the selection CDF) run along contiguous
-    rows, which fixes their bits; order-free reductions (max, min, counts)
-    run over a leading axis.
+    One archive per candidate; each random draw is shared by all of them.
     """
-    w = _stack_weights(theta_matrix, feature_cfg)
-    m = theta_matrix.shape[0]
-    n, t, d = inner_popsize, inner_generations, task.dim
-    scale = np.sqrt(feature_cfg.d_k)
-    rng = np.random.default_rng(seed)
+    config = _inner_config(inner_popsize, inner_generations, task.sigma0,
+                           seed)
+    w = unflatten(feature_cfg, np.asarray(theta_matrix, dtype=np.float32)
+                  .astype(np.float64))
+    sel, mra = ops.attention_heads(w, "sel"), ops.attention_heads(w, "mra")
+    m, n, t = theta_matrix.shape[0], config.n_pop, config.generations
+    rng = np.random.default_rng(config.seed)
     clip = engine.FITNESS_CLIP
 
-    x0 = rng.uniform(-5.0, 5.0, size=(n, d))
-    x_p = np.broadcast_to(x0, (m, n, d)).copy()
+    x0 = rng.uniform(config.init_low, config.init_high, size=(n, task.dim))
+    x_p = np.broadcast_to(x0, (m,) + x0.shape).copy()
     f_p = np.full((m, n), np.inf)
-    sigma_p = np.full((m, n), task.sigma0)
+    sigma_p = np.full((m, n), config.sigma0)
     best = np.full(m, np.inf)
     fitness_log = np.empty((m, t, n))
     rows = np.arange(m)[:, None]
-
-    # Per-generation buffers: MRA features [z, rank, flag, z(sigma), minmax]
-    # of the sampled parents, the joint child+parent fitness (children
-    # first) and its features [z, rank, flag], and the selection logits
-    # whose last column is the fixed keep logit.
-    f_m = np.empty((m, n, 5))
-    joint = np.empty((m, 2 * n))
-    j_feat = np.empty((m, 2 * n, 3))
-    feats_c, feats_p = j_feat[:, :n], j_feat[:, n:]
+    f_m = np.empty((m, n, FITNESS_DIM + SIGMA_DIM))
+    j_feat = np.empty((m, 2 * n, FITNESS_DIM))
     sel_logits = np.ones((m, n, n + 1))
-
-    # Single-head weights, squeezed to (M, d_in, d_k).
-    sel_q, sel_k, sel_v = w["sel_q"][:, 0], w["sel_k"][:, 0], w["sel_v"][:, 0]
-    mra_q, mra_k, mra_v = w["mra_q"][:, 0], w["mra_k"][:, 0], w["mra_v"][:, 0]
 
     for gen in range(t):
         idx = rng.integers(0, n, size=n)
         x_s, f_s, sigma_s = x_p[:, idx], f_p[:, idx], sigma_p[:, idx]
 
-        # MRA features of the sampled parents.
-        f_feat = np.minimum(f_s, clip)
-        rows_z_score(f_feat, out=f_m[:, :, 0])
-        rows_centered_ranks(f_feat, out=f_m[:, :, 1])
-        np.less(f_feat, best[:, None], out=f_m[:, :, 2])
-        rows_z_score(sigma_s, out=f_m[:, :, 3])
-        sigma_t = last_axis_first(sigma_s)
-        lo, hi = sigma_t.min(axis=0)[:, None], sigma_t.max(axis=0)[:, None]
-        span = hi - lo
-        flat = span < 1e-10
-        span[flat] = 1.0
-        minmax = np.subtract(sigma_s, lo)
-        minmax *= 2.0
-        minmax /= span
-        np.subtract(minmax, 1.0, out=f_m[:, :, 4])
-        f_m[flat[:, 0], :, 4] = 0.0
-
-        logits = (f_m @ mra_q) @ np.swapaxes(f_m @ mra_k, 1, 2)
-        logits /= scale
-        attn = softmax_last(logits) @ (f_m @ mra_v)
-        log_delta = (attn @ w["mra_sigma"])[:, :, 0]
-        log_delta *= 0.5
-        np.clip(log_delta, -10.0, 10.0, out=log_delta)
-        sigma_c = np.exp(log_delta, out=log_delta)
+        rows_parent_features(np.minimum(f_s, clip), sigma_s, best[:, None],
+                             f_m)
+        sigma_c = ops.mra_core(mra, w["mra_sigma"], f_m)
         sigma_c *= sigma_s
-
-        eps = rng.standard_normal((n, d))
-        x_c = x_s + sigma_c[:, :, None] * eps
-
-        f_c = task.core_values(x_c.reshape(m * n, d)).reshape(m, n)
-        if task.noise:
-            noise = rng.standard_normal(n)
-            f_c = np.maximum(f_c, 1e-12) * np.exp(task.noise_beta * noise)
+        x_c = ops.gaussian_mutate(x_s, sigma_c, rng)
+        f_c = task.evaluate(x_c, rng)
         fitness_log[:, gen] = f_c
 
-        # Joint child+parent fitness features, children first.
-        joint[:, :n] = f_c
-        np.minimum(f_p, clip, out=joint[:, n:])
-        rows_z_score(joint, out=j_feat[:, :, 0])
-        rows_centered_ranks(joint, out=j_feat[:, :, 1])
-        np.less(joint, best[:, None], out=j_feat[:, :, 2])
-
-        logits = (feats_p @ sel_q) @ np.swapaxes(feats_c @ sel_k, 1, 2)
-        logits /= scale
-        a_s = softmax_last(logits) @ (feats_c @ sel_v)
-        logits = (a_s @ w["sel_q2"]) @ np.swapaxes(feats_c @ w["sel_k2"],
-                                                   1, 2)
-        np.divide(logits, scale, out=sel_logits[:, :, :n])
-        probs = softmax_last(sel_logits)
-
-        u = rng.random(n)
-        cdf = np.cumsum(probs, axis=2)
-        below = last_axis_first(cdf) < u
-        sel = np.minimum(below.sum(axis=0), n)
-        keep = sel == n
-        child = np.minimum(sel, n - 1)
+        feats_c, feats_p = rows_joint_features(f_c, np.minimum(f_p, clip),
+                                               best[:, None], j_feat)
+        ops.selection_core(sel, w["sel_q2"], w["sel_k2"], feats_p, feats_c,
+                           sel_logits)
+        chosen = ops.categorical_indices(softmax_last(sel_logits),
+                                         rng.random(n))
+        keep = chosen == n
+        child = np.minimum(chosen, n - 1)
         x_p = np.where(keep[:, :, None], x_p, x_c[rows, child])
         f_p = np.where(keep, f_p, f_c[rows, child])
         sigma_p = np.where(keep, sigma_p, sigma_c[rows, child])
 
-        best = np.minimum(best, last_axis_first(f_c).min(axis=0))
+        best = np.minimum(best, reduce_rows(np.minimum, f_c))
 
     return reduce_scores(fitness_log, objective)
 
@@ -275,19 +193,17 @@ def _winsorize_columns(scores, pct):
 
 def _patch_non_finite(scores):
     """Replace non-finite entries by their column's worst finite score."""
-    scores = np.array(scores, dtype=np.float64)
-    for j in range(scores.shape[1]):
-        col = scores[:, j]
-        bad = ~np.isfinite(col)
-        if bad.any():
-            finite = col[~bad]
-            col[bad] = finite.max() if finite.size else 0.0
-    return scores
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = ~np.isfinite(scores)
+    worst = np.where(bad, -np.inf, scores).max(axis=0)
+    worst[np.isneginf(worst)] = 0.0     # no finite score in the column
+    return np.where(bad, worst, scores)
 
 
 def _held_out_score(params, cfg, name, dim, seed):
     task = make_task(name, dim=dim, seed=seed)
-    config = _inner_config(cfg, seed=(cfg.seed, 0xE7A1, seed))
+    config = _inner_config(cfg.inner_popsize, cfg.inner_generations,
+                           task.sigma0, (cfg.seed, 0xE7A1, seed))
     trajectory = engine.run(config, task, params=params)
     return float(trajectory.best_so_far[-1])
 
@@ -321,10 +237,8 @@ def meta_train(cfg, out_dir=None, progress=None):
                      [cfg.seed, gen, 0x1AEA, l], cfg.inner_popsize,
                      cfg.inner_generations, cfg.objective)
                     for l, task in enumerate(tasks)]
-            if executor is not None:
-                columns = list(executor.map(_task_job, jobs, chunksize=1))
-            else:
-                columns = [_task_job(job) for job in jobs]
+            run = executor.map if executor is not None else map
+            columns = list(run(_task_job, jobs))
             scores = _patch_non_finite(np.stack(columns, axis=1))
             scores = _winsorize_columns(scores, cfg.winsor_pct)
 

@@ -1,18 +1,23 @@
 """Genetic operators: learned attention modules and white-box baselines.
 
 All operators are pure given an explicit ``numpy.random.Generator``; the GA
-engine composes them and owns the draw order.
+engine composes them and owns the draw order. The learned-operator cores
+take any leading candidate axes; the engine calls them via checked names.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import multi_head_sdpa, row_softmax, sdpa
-from .features import z_score
+from .attention import attend, multi_head_attend, reduce_rows, row_softmax, \
+    sdpa
 
 __all__ = [
     "ParentArchive",
+    "attention_heads",
+    "selection_core",
+    "mra_core",
     "selection_logits",
     "learned_selection_probs",
     "sample_selection",
@@ -65,30 +70,55 @@ class ParentArchive:
                              self.sigma.copy(), self.age.copy())
 
 
-def _attention_block(params, prefix, feat_q, feat_kv):
-    """Shared per-head projection + attention for the selection/MRA blocks."""
-    w = params.weights
-    wq, wk, wv = w[f"{prefix}_q"], w[f"{prefix}_k"], w[f"{prefix}_v"]
-    heads = [(feat_q @ wq[h], feat_kv @ wk[h], feat_kv @ wv[h])
-             for h in range(wq.shape[0])]
-    w_out = w.get(f"{prefix}_out")
-    return multi_head_sdpa(heads, w_out)
+def attention_heads(weights, prefix):
+    """Per-head (q, k, v) weight views of block ``prefix``, and ``w_out``."""
+    wq, wk, wv = (weights[f"{prefix}_{p}"] for p in ("q", "k", "v"))
+    heads = [(wq[..., h, :, :], wk[..., h, :, :], wv[..., h, :, :])
+             for h in range(wq.shape[-3])]
+    return heads, weights.get(f"{prefix}_out")
+
+
+def _attention_block(block, feat_q, feat_kv):
+    heads, w_out = block
+    return multi_head_attend([(feat_q @ wq, feat_kv @ wk, feat_kv @ wv)
+                              for wq, wk, wv in heads], w_out)
+
+
+def selection_core(block, w_q2, w_k2, feats_parents, feats_children, out):
+    """Unchecked :func:`selection_logits` into ``out``, keep column preset."""
+    attn = _attention_block(block, feats_parents, feats_children)
+    keys = np.swapaxes(feats_children @ w_k2, -1, -2)
+    logits = (attn @ w_q2) @ keys
+    np.divide(logits, math.sqrt(keys.shape[-2]), out=out[..., :-1])
+    return out
+
+
+def mra_core(block, w_sigma, mra_feats):
+    """Unchecked core of :func:`mra_multiplier`."""
+    attn = _attention_block(block, mra_feats, mra_feats)
+    log_delta = (attn @ w_sigma)[..., 0]
+    log_delta *= 0.5
+    np.clip(log_delta, -LOG_DELTA_CLAMP, LOG_DELTA_CLAMP, out=log_delta)
+    return np.exp(log_delta, out=log_delta)
+
+
+def _checked_features(feats, width, what):
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.shape[1] != width:
+        raise ValueError(f"{what} feature width {feats.shape[1]} != {width}")
+    if not np.all(np.isfinite(feats)):
+        raise ValueError(f"{what} features must be finite")
+    return feats
 
 
 def selection_logits(params, feats_parents, feats_children):
     """E x (N+1) selection logits; the last column is the fixed keep offset."""
-    feats_parents = np.asarray(feats_parents, dtype=np.float64)
-    feats_children = np.asarray(feats_children, dtype=np.float64)
-    if feats_parents.shape[1] != params.cfg.d_fit:
-        raise ValueError("parent feature width mismatch")
-    if feats_children.shape[1] != params.cfg.d_fit:
-        raise ValueError("child feature width mismatch")
-    attn = _attention_block(params, "sel", feats_parents, feats_children)
-    queries = attn @ params.weights["sel_q2"]
-    keys = feats_children @ params.weights["sel_k2"]
-    logits = queries @ keys.T / np.sqrt(params.cfg.d_k)
-    keep = np.ones((logits.shape[0], 1))
-    return np.concatenate([logits, keep], axis=1)
+    d_fit, w = params.cfg.d_fit, params.weights
+    feats_parents = _checked_features(feats_parents, d_fit, "parent")
+    feats_children = _checked_features(feats_children, d_fit, "child")
+    out = np.ones((feats_parents.shape[0], feats_children.shape[0] + 1))
+    return selection_core(attention_heads(w, "sel"), w["sel_q2"],
+                          w["sel_k2"], feats_parents, feats_children, out)
 
 
 def learned_selection_probs(params, feats_parents, feats_children):
@@ -98,11 +128,13 @@ def learned_selection_probs(params, feats_parents, feats_children):
 
 
 def categorical_indices(probs, u):
-    """Row-wise inverse-CDF categorical draw from row-stochastic ``probs``."""
-    probs = np.asarray(probs, dtype=np.float64)
+    """Row-wise inverse-CDF categorical draw from row-stochastic ``probs``.
+
+    ``u`` holds one uniform per row; leading candidate axes may share it.
+    """
     cdf = np.cumsum(probs, axis=-1)
-    idx = np.sum(cdf < np.expand_dims(u, -1), axis=-1)
-    return np.minimum(idx, probs.shape[-1] - 1)
+    below = cdf < np.expand_dims(u, -1)
+    return np.minimum(reduce_rows(np.add, below), cdf.shape[-1] - 1)
 
 
 def sample_selection(probs, rng):
@@ -141,14 +173,10 @@ def apply_selection(sample, child_x, child_f, child_sigma, archive):
 
 def mra_multiplier(params, mra_feats):
     """Per-member multiplicative mutation-rate change from self-attention."""
-    mra_feats = np.asarray(mra_feats, dtype=np.float64)
-    expected = params.cfg.d_fit + params.cfg.d_sigma
-    if mra_feats.shape[1] != expected:
-        raise ValueError(f"MRA feature width {mra_feats.shape[1]} != "
-                         f"{expected}")
-    attn = _attention_block(params, "mra", mra_feats, mra_feats)
-    log_delta = 0.5 * (attn @ params.weights["mra_sigma"])[:, 0]
-    return np.exp(np.clip(log_delta, -LOG_DELTA_CLAMP, LOG_DELTA_CLAMP))
+    w = params.weights
+    mra_feats = _checked_features(
+        mra_feats, params.cfg.d_fit + params.cfg.d_sigma, "MRA")
+    return mra_core(attention_heads(w, "mra"), w["mra_sigma"], mra_feats)
 
 
 def learned_mra(params, mra_feats, sigma_sampled):
@@ -202,8 +230,7 @@ def learned_crossover(params, feats_parents, x_parents):
     q = feats_d @ np.asarray(w["co_q"], dtype=np.float64)
     k = feats_d @ np.asarray(w["co_k"], dtype=np.float64)
     v = feats_d @ np.asarray(w["co_v"], dtype=np.float64)
-    logits = q @ np.swapaxes(k, 1, 2) / np.sqrt(params.cfg.d_k)
-    attn = row_softmax(logits) @ v
+    attn = attend(q, k, v, row_softmax)
     delta = (attn @ np.asarray(w["co_dx"], dtype=np.float64))[:, :, 0]
     return x_parents + delta.T
 
@@ -217,12 +244,15 @@ def uniform_sample_parents(archive, n, rng):
 
 
 def gaussian_mutate(x, sigma, rng):
-    """Isotropic Gaussian perturbation, one rate per row."""
+    """Isotropic Gaussian perturbation, one rate per row of (..., N, D) x.
+
+    One (N, D) noise draw serves any leading candidate axes.
+    """
     x = np.asarray(x, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0):
         raise ValueError("mutation rates must be non-negative")
-    return x + sigma[:, None] * rng.standard_normal(x.shape)
+    return x + sigma[..., None] * rng.standard_normal(x.shape[-2:])
 
 
 def truncation_selection(child_x, child_f, child_sigma, archive):

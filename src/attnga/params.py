@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["FeatureConfig", "LgaParams", "weight_shapes"]
+__all__ = ["FeatureConfig", "LgaParams", "unflatten", "weight_shapes"]
 
 CHECKPOINT_VERSION = 1
 
@@ -69,6 +69,18 @@ def weight_shapes(cfg):
     return shapes
 
 
+def unflatten(cfg, vectors):
+    """Flat weight vectors (..., P) -> name -> (..., *shape) views."""
+    shapes = weight_shapes(cfg)
+    sizes = [int(np.prod(s)) for s in shapes.values()]
+    if vectors.shape[-1] != sum(sizes):
+        raise ValueError(f"expected {sum(sizes)} scalars, "
+                         f"got {vectors.shape[-1]}")
+    blocks = np.split(vectors, np.cumsum(sizes)[:-1], axis=-1)
+    return {name: block.reshape(vectors.shape[:-1] + shape)
+            for (name, shape), block in zip(shapes.items(), blocks)}
+
+
 @dataclass
 class LgaParams:
     """A concrete learned-GA instance: config plus named weight matrices."""
@@ -119,16 +131,8 @@ class LgaParams:
     @classmethod
     def from_vector(cls, cfg, vec):
         vec = np.asarray(vec, dtype=np.float32).ravel()
-        shapes = weight_shapes(cfg)
-        total = sum(int(np.prod(s)) for s in shapes.values())
-        if vec.size != total:
-            raise ValueError(f"expected {total} scalars, got {vec.size}")
-        weights, offset = {}, 0
-        for name, shape in shapes.items():
-            size = int(np.prod(shape))
-            weights[name] = vec[offset:offset + size].reshape(shape).copy()
-            offset += size
-        return cls(cfg, weights)
+        return cls(cfg, {name: w.copy()
+                         for name, w in unflatten(cfg, vec).items()})
 
     def with_extra_operators(self, sampling=False, crossover=False, rng=None,
                              scale=0.1):

@@ -28,11 +28,6 @@ def test_parse_task_list():
         cli.parse_task_list(" , ")
 
 
-def test_build_config_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        cli.build_config("simulated-annealing", 8, 10, 0.5, 0.1, 0)
-
-
 def test_evaluate_writes_normalized_csv(tmp_path):
     out = tmp_path / "eval.csv"
     rc = cli.main(["evaluate", "--tasks", "sphere:3",

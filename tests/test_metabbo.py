@@ -10,12 +10,39 @@ from attnga import engine, metabbo
 from attnga.bbob import TaskFamily, TaskSpec
 from attnga.features import z_score
 from attnga.params import FeatureConfig, LgaParams
+from attnga.tasks import make_task
 
 
-def _theta(m, seed=42, scale=0.1):
-    n = LgaParams.zeros().n_params
+def _theta(m, seed=42, scale=0.1, cfg=None):
+    n = LgaParams.zeros(cfg).n_params
     rng = np.random.default_rng(seed)
     return (scale * rng.standard_normal((m, n))).astype(np.float32)
+
+
+def _engine_fitness(cfg, theta, task, seed, n, t):
+    config = engine.GaConfig(n_pop=n, elite_ratio=1.0, sigma0=task.sigma0,
+                             selection="learned", mra="learned",
+                             generations=t, seed=seed)
+    return engine.run(config, task,
+                      params=LgaParams.from_vector(cfg, theta)).fitness
+
+
+def _sweep_fitness(cfg, theta, task, seed, n, t):
+    """The sweep's (M, T, N) child fitness log, captured at its reduction."""
+    captured = {}
+    original = metabbo.reduce_scores
+
+    def capture(fitness, objective):
+        captured["log"] = np.array(fitness)
+        return original(fitness, objective)
+
+    metabbo.reduce_scores = capture
+    try:
+        metabbo.evaluate_candidates_on_task(theta, cfg, task, seed, n, t,
+                                            "minN-finalT")
+    finally:
+        metabbo.reduce_scores = original
+    return captured["log"]
 
 
 def test_objective_reductions_on_hand_tensor():
@@ -60,13 +87,15 @@ def test_meta_config_validation():
         metabbo.MetaConfig(n_tasks=0)
     with pytest.raises(ValueError):
         metabbo.MetaConfig(objective="bestN")
-    with pytest.raises(ValueError):
-        metabbo.MetaConfig(feature_cfg=FeatureConfig(heads=2))
 
 
 @pytest.mark.parametrize("noise", [False, True])
 def test_batched_sweep_matches_engine_rollouts(noise):
-    """The vectorized M-candidate evaluator is the engine, candidate-wise."""
+    """The vectorized M-candidate evaluator is the engine, candidate-wise.
+
+    A one-candidate sweep is ``engine.run`` bit for bit; in a batch of four
+    the z-score sums run in another order, so those agree to rounding.
+    """
     cfg = FeatureConfig()
     theta = _theta(4)
     task = TaskSpec(function="rastrigin", dim=3,
@@ -74,44 +103,31 @@ def test_batched_sweep_matches_engine_rollouts(noise):
                     noise=noise)
     seed, t, n = [9, 0, int(noise)], 30, 16
 
-    captured = {}
-    original = metabbo.reduce_scores
-
-    def capture(fitness, objective):
-        captured["log"] = np.array(fitness)
-        return original(fitness, objective)
-
-    metabbo.reduce_scores = capture
-    try:
-        scores = metabbo.evaluate_candidates_on_task(
-            theta, cfg, task, seed, n, t, "minN-finalT")
-    finally:
-        metabbo.reduce_scores = original
-
+    batch = _sweep_fitness(cfg, theta, task, seed, n, t)
     for i in range(4):
-        params = LgaParams.from_vector(cfg, theta[i])
-        config = engine.GaConfig(n_pop=n, elite_ratio=1.0,
-                                 sigma0=task.sigma0, selection="learned",
-                                 mra="learned", generations=t, seed=seed)
-        trajectory = engine.run(config, task, params=params)
-        np.testing.assert_allclose(captured["log"][i], trajectory.fitness,
-                                   rtol=1e-6, atol=1e-9)
-        ref = metabbo.reduce_scores(trajectory.fitness, "minN-finalT")
-        np.testing.assert_allclose(scores[i], ref, rtol=1e-6, atol=1e-9)
+        ref = _engine_fitness(cfg, theta[i], task, seed, n, t)
+        np.testing.assert_allclose(batch[i], ref, rtol=1e-6, atol=1e-9)
+        single = _sweep_fitness(cfg, theta[i:i + 1], task, seed, n, t)
+        assert single[0].tobytes() == ref.tobytes()
 
 
-def test_batched_sweep_matches_inner_score_helper():
+def test_mlp_sine_one_candidate_sweep_equals_engine_run():
     cfg = FeatureConfig()
-    theta = _theta(2, seed=7)
-    task = TaskSpec(function="sphere", dim=2, offset=np.array([1.5, -0.5]),
-                    sigma0=0.1)
-    scores = metabbo.evaluate_candidates_on_task(
-        theta, cfg, task, seed=[3, 1], inner_popsize=8,
-        inner_generations=10, objective="minN-finalT")
-    for i in range(2):
-        ref = metabbo.inner_score(LgaParams.from_vector(cfg, theta[i]),
-                                  [task], "minN-finalT", 8, 10, [[3, 1]])
-        np.testing.assert_allclose(scores[i], ref[0], rtol=1e-6)
+    theta = _theta(1, seed=3)
+    task = make_task("mlp-sine")
+    single = _sweep_fitness(cfg, theta, task, [4, 2], 8, 12)
+    ref = _engine_fitness(cfg, theta[0], task, [4, 2], 8, 12)
+    assert single[0].tobytes() == ref.tobytes()
+
+
+def test_two_head_one_candidate_sweep_equals_engine_run():
+    cfg = FeatureConfig(heads=2)
+    theta = _theta(1, seed=5, scale=0.5, cfg=cfg)
+    task = TaskSpec(function="sphere", dim=4,
+                    offset=np.array([1.5, -0.5, 2.0, 0.0]), sigma0=0.3)
+    single = _sweep_fitness(cfg, theta, task, [6, 1], 12, 20)
+    ref = _engine_fitness(cfg, theta[0], task, [6, 1], 12, 20)
+    assert single[0].tobytes() == ref.tobytes()
 
 
 def test_duplicate_candidates_score_identically():
