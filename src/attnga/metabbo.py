@@ -155,7 +155,7 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
                              f_m)
         sigma_c = ops.mra_core(mra, w["mra_sigma"], f_m)
         sigma_c *= sigma_s
-        x_c = ops.gaussian_mutate(x_s, sigma_c, rng)
+        x_c = x_s + sigma_c[:, :, None] * rng.standard_normal(x0.shape)
         f_c = task.evaluate(x_c, rng)
         fitness_log[:, gen] = f_c
 

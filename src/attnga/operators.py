@@ -244,15 +244,12 @@ def uniform_sample_parents(archive, n, rng):
 
 
 def gaussian_mutate(x, sigma, rng):
-    """Isotropic Gaussian perturbation, one rate per row of (..., N, D) x.
-
-    One (N, D) noise draw serves any leading candidate axes.
-    """
+    """Isotropic Gaussian perturbation, one rate per row."""
     x = np.asarray(x, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0):
         raise ValueError("mutation rates must be non-negative")
-    return x + sigma[..., None] * rng.standard_normal(x.shape[-2:])
+    return x + sigma[:, None] * rng.standard_normal(x.shape)
 
 
 def truncation_selection(child_x, child_f, child_sigma, archive):
