@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 __all__ = ["row_softmax", "softmax_last", "last_axis_first", "reduce_rows",
-           "attend", "sdpa", "multi_head_attend", "multi_head_sdpa"]
+           "attend", "sdpa", "multi_head_sdpa"]
 
 
 def last_axis_first(a):
@@ -66,32 +66,36 @@ def sdpa(q, k, v):
     operation is equivariant to permutations of the query rows and invariant
     to joint permutations of key/value rows.
     """
-    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    q = np.asarray(q, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ValueError("sdpa expects 2-D arrays")
-    # A query/key width or key/value row mismatch fails in matmul.
+    if q.shape[1] != k.shape[1]:
+        raise ValueError(
+            f"query/key width mismatch: {q.shape[1]} vs {k.shape[1]}"
+        )
+    if k.shape[0] != v.shape[0]:
+        raise ValueError(
+            f"key/value row mismatch: {k.shape[0]} vs {v.shape[0]}"
+        )
     return attend(q, k, v, row_softmax)
-
-
-def multi_head_attend(heads, w_out, attention=attend):
-    """Unchecked core of :func:`multi_head_sdpa`, over any leading axes."""
-    outputs = [attention(q, k, v) for q, k, v in heads]
-    if w_out is None:
-        return outputs[0]
-    return np.concatenate(outputs, axis=-1) @ w_out
 
 
 def multi_head_sdpa(heads, w_out=None):
     """Multi-head attention over explicit per-head (Q, K, V) triples.
 
-    Per-head outputs are concatenated column-wise and projected by ``w_out``.
-    With a single head and ``w_out=None`` this reduces exactly to
-    :func:`sdpa`.
+    Works over any leading axes, unchecked but for the head count. Per-head
+    outputs are concatenated along the last axis and projected by
+    ``w_out``; with a single head and ``w_out=None`` this reduces exactly
+    to :func:`sdpa`.
     """
     heads = list(heads)
     if len(heads) < 1:
         raise ValueError("multi_head_sdpa needs at least one head")
-    if w_out is None and len(heads) > 1:
-        raise ValueError("w_out is required for more than one head")
-    # A w_out whose rows miss the concatenated width fails in matmul.
-    return multi_head_attend(heads, w_out, sdpa)
+    outputs = [attend(q, k, v) for q, k, v in heads]
+    if w_out is None:
+        if len(heads) > 1:
+            raise ValueError("w_out is required for more than one head")
+        return outputs[0]
+    return np.concatenate(outputs, axis=-1) @ w_out

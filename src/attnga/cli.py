@@ -83,16 +83,14 @@ def build_task(name, dim, offset_seed):
 Job = namedtuple("Job", "config task params")
 
 
-def _job(opts, slots, params, task_idx, name, dim, rep, run_seed=None,
-         rho=None, sigma0=None):
-    """One run of ``slots``; seed, rho and sigma0 default to the options'."""
-    config = engine.GaConfig(
-        n_pop=opts["n_pop"], generations=opts["generations"],
-        elite_ratio=opts["rho"] if rho is None else rho,
-        sigma0=opts["sigma0"] if sigma0 is None else sigma0,
-        seed=[opts["seed"], task_idx, rep] if run_seed is None else run_seed,
-        **slots)
-    return Job(config, (name, dim, _offset_seed(opts["seed"], task_idx, rep)),
+def _job(opts, slots, params, task_idx, name, dim, rep, **settings):
+    """One run of ``slots``; ``settings`` override the options' GaConfig."""
+    config = dict(n_pop=opts["n_pop"], generations=opts["generations"],
+                  elite_ratio=opts["rho"], sigma0=opts["sigma0"],
+                  seed=[opts["seed"], task_idx, rep], **slots)
+    config.update(settings)
+    return Job(engine.GaConfig(**config),
+               (name, dim, _offset_seed(opts["seed"], task_idx, rep)),
                params if "learned" in slots.values() else None)
 
 
@@ -186,8 +184,8 @@ def cmd_sweep(opts):
                     for rep in range(reps):
                         jobs.append(_job(
                             opts, ALGORITHMS[algo], params, task_idx, name,
-                            dim, rep, run_seed=[seed, task_idx, gi, gj, rep],
-                            rho=rho, sigma0=sigma0))
+                            dim, rep, seed=[seed, task_idx, gi, gj, rep],
+                            elite_ratio=rho, sigma0=sigma0))
                         keys.append((name, dim, algo, rho, sigma0, rep))
     results = _map_jobs(jobs, opts["workers"])
     rows = [[name if dim is None else f"{name}:{dim}", algo, rho, sigma0,

@@ -1,7 +1,8 @@
 """Composable ask/tell genetic-algorithm loop with pluggable operator slots.
 
-Random-draw order per generation (relied on by the batched meta-training
-evaluator, do not reorder):
+With learned selection and MRA this is the M=1 case of the meta-training
+sweep, which runs the same feature, attention and operator cores over M
+candidates and shares each draw below among them (do not reorder):
 
   ask:  1. parent sampling indices     (uniform ints or categorical uniforms)
         2. self-adaptive rate draws    (samr slot only)
@@ -155,8 +156,7 @@ class GeneticAlgorithm:
         arch = self.archive
 
         if cfg.sampling == "learned":
-            feats = fitness_features(np.minimum(arch.f, FITNESS_CLIP),
-                                     self.best_f)
+            feats = self._archive_fitness_features()
             probs = ops.learned_sampling_probs(self.params, feats, arch.age)
             idx = ops.categorical_indices(np.tile(probs, (n, 1)),
                                           self.rng.random(n))
@@ -252,6 +252,10 @@ class GeneticAlgorithm:
         self.generation += 1
         self._pending = None
         return record
+
+    def _archive_fitness_features(self):
+        return fitness_features(np.minimum(self.archive.f, FITNESS_CLIP),
+                                self.best_f)
 
 
 def run(config, task, params=None, debug=False, x0=None):

@@ -105,8 +105,7 @@ def _inner_config(n_pop, generations, sigma0, seed):
     """The inner GA that meta-training scores and the held-out evals run."""
     return engine.GaConfig(
         n_pop=n_pop, elite_ratio=1.0, sigma0=sigma0, selection="learned",
-        mra="learned", sampling="uniform", crossover="none",
-        generations=generations, seed=seed)
+        mra="learned", generations=generations, seed=seed)
 
 
 def meta_fitness(scores):
@@ -193,11 +192,14 @@ def _winsorize_columns(scores, pct):
 
 def _patch_non_finite(scores):
     """Replace non-finite entries by their column's worst finite score."""
-    scores = np.asarray(scores, dtype=np.float64)
-    bad = ~np.isfinite(scores)
-    worst = np.where(bad, -np.inf, scores).max(axis=0)
-    worst[np.isneginf(worst)] = 0.0     # no finite score in the column
-    return np.where(bad, worst, scores)
+    scores = np.array(scores, dtype=np.float64)
+    for j in range(scores.shape[1]):
+        col = scores[:, j]
+        bad = ~np.isfinite(col)
+        if bad.any():
+            finite = col[~bad]
+            col[bad] = finite.max() if finite.size else 0.0
+    return scores
 
 
 def _held_out_score(params, cfg, name, dim, seed):
@@ -237,8 +239,10 @@ def meta_train(cfg, out_dir=None, progress=None):
                      [cfg.seed, gen, 0x1AEA, l], cfg.inner_popsize,
                      cfg.inner_generations, cfg.objective)
                     for l, task in enumerate(tasks)]
-            run = executor.map if executor is not None else map
-            columns = list(run(_task_job, jobs))
+            if executor is not None:
+                columns = list(executor.map(_task_job, jobs, chunksize=1))
+            else:
+                columns = [_task_job(job) for job in jobs]
             scores = _patch_non_finite(np.stack(columns, axis=1))
             scores = _winsorize_columns(scores, cfg.winsor_pct)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attend, multi_head_attend, reduce_rows, row_softmax, \
+from .attention import attend, multi_head_sdpa, reduce_rows, row_softmax, \
     sdpa
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "sample_selection",
     "apply_selection",
     "mra_multiplier",
-    "learned_mra",
     "learned_sampling_probs",
     "learned_crossover",
     "uniform_sample_parents",
@@ -80,8 +79,8 @@ def attention_heads(weights, prefix):
 
 def _attention_block(block, feat_q, feat_kv):
     heads, w_out = block
-    return multi_head_attend([(feat_q @ wq, feat_kv @ wk, feat_kv @ wv)
-                              for wq, wk, wv in heads], w_out)
+    return multi_head_sdpa([(feat_q @ wq, feat_kv @ wk, feat_kv @ wv)
+                            for wq, wk, wv in heads], w_out)
 
 
 def selection_core(block, w_q2, w_k2, feats_parents, feats_children, out):
@@ -177,14 +176,6 @@ def mra_multiplier(params, mra_feats):
     mra_feats = _checked_features(
         mra_feats, params.cfg.d_fit + params.cfg.d_sigma, "MRA")
     return mra_core(attention_heads(w, "mra"), w["mra_sigma"], mra_feats)
-
-
-def learned_mra(params, mra_feats, sigma_sampled):
-    """Children mutation rates: clamped multiplier times the sampled rates."""
-    sigma_sampled = np.asarray(sigma_sampled, dtype=np.float64)
-    if np.any(sigma_sampled <= 0):
-        raise ValueError("sampled mutation rates must be positive")
-    return mra_multiplier(params, mra_feats) * sigma_sampled
 
 
 def learned_sampling_probs(params, feats_parents, age):

@@ -149,17 +149,6 @@ def test_mra_multiplier_is_clamped():
     assert np.all(delta >= np.exp(-10.0) - 1e-30)
 
 
-def test_learned_mra_scales_sampled_rates():
-    params = _params(20)
-    feats = np.random.default_rng(21).standard_normal((5, 5))
-    sigma = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-    np.testing.assert_allclose(
-        ops.learned_mra(params, feats, sigma),
-        ops.mra_multiplier(params, feats) * sigma)
-    with pytest.raises(ValueError):
-        ops.learned_mra(params, feats, -sigma)
-
-
 def test_learned_sampling_probs_is_distribution():
     params = _params(22, with_sampling=True)
     rng = np.random.default_rng(23)

@@ -13,7 +13,13 @@ reports every one that differs. It exits non-zero if any does.
   (config seed 0; weights drawn with seed 1 from N(0, 0.5^2)), plus a noisy
   rastrigin-3D and a diverging rosenbrock-5D sweep at N in {16, 5, 1}.
 - The CSV bytes of ``attnga evaluate`` at the ``evaluate-mlp`` benchmark
-  settings and on ``sphere:10,rastrigin:10``, with the desk checkpoint.
+  settings and on ``sphere:10,rastrigin:10``, and of small ``attnga
+  analyze`` (debug records), ``transfer`` and ``sweep`` (rho x sigma0 grid)
+  runs, all with the desk checkpoint.
+- The CSV bytes of an ``attnga evaluate`` run with a random 2-head
+  checkpoint that carries sampling and cross-over weights, and the
+  trajectory of an ``engine.run`` that uses those weights (learned
+  sampling and cross-over).
 - The ``meta_log.csv`` and final checkpoint bytes of a 3-meta-generation
   desk ``meta_train``.
 """
@@ -34,9 +40,9 @@ def record(checkout, tmp):
     sys.path.insert(0, os.path.join(checkout, "bench"))
     from workload import desk_meta_config, evaluate_argv
 
-    from attnga import cli, metabbo
+    from attnga import cli, engine, metabbo
     from attnga.bbob import TaskSpec, sample_task
-    from attnga.params import LgaParams
+    from attnga.params import FeatureConfig, LgaParams
     from attnga.tasks import make_task
 
     out = {}
@@ -68,16 +74,46 @@ def record(checkout, tmp):
                 out[f"sweep {task.function} M={m} N={n_pop}"] = \
                     scores.tobytes()
 
+    def cli_csv(key, argv):
+        path = os.path.join(tmp, "out.csv")
+        if cli.main(argv + ["--out", path]) != 0:
+            raise SystemExit(f"attnga {' '.join(argv)} failed")
+        with open(path, "rb") as fh:
+            out[f"attnga {key}"] = fh.read()
+
     checkpoint = os.path.join(checkout, "bench", "lga_desk.txt")
     for tasks in ("mlp-sine", "sphere:10,rastrigin:10"):
-        path = os.path.join(tmp, "eval.csv")
-        argv = evaluate_argv(0, 2, path)
+        argv = evaluate_argv(0, 2, "unused")[:-2]     # drop its --out
         argv[argv.index("--tasks") + 1] = tasks
         argv[argv.index("--checkpoint") + 1] = checkpoint
-        if cli.main(argv) != 0:
-            raise SystemExit(f"attnga evaluate --tasks {tasks} failed")
-        with open(path, "rb") as fh:
-            out[f"evaluate {tasks}"] = fh.read()
+        cli_csv(f"evaluate {tasks}", argv)
+    small = ["--n-pop", "12", "--generations", "20", "--rho", "0.5",
+             "--sigma0", "0.25", "--repetitions", "2", "--seed", "3",
+             "--checkpoint", checkpoint]
+    cli_csv("analyze", ["analyze", "--tasks", "rastrigin:5"] + small)
+    cli_csv("transfer", ["transfer", "--tasks", "sphere:5,mlp-sine"] + small)
+    cli_csv("sweep", ["sweep", "--tasks", "rosenbrock:4",
+                      "--algorithms", "lga,gaussian",
+                      "--rho-grid", "0.25,1.0", "--sigma0-grid", "0.1,0.5"]
+            + small)
+
+    wide = LgaParams.random(
+        FeatureConfig(heads=2, with_sampling=True, with_crossover=True),
+        np.random.default_rng(8), scale=0.5)
+    wide_path = os.path.join(tmp, "wide.txt")
+    wide.save(wide_path)
+    cli_csv("evaluate 2-head", ["evaluate", "--tasks", "sphere:6,mlp-sine",
+                                "--algorithms", "lga,gaussian"]
+            + small[:-1] + [wide_path])
+    config = engine.GaConfig(
+        n_pop=16, elite_ratio=0.5, sigma0=0.2, selection="learned",
+        mra="learned", sampling="learned", crossover="learned",
+        generations=30, seed=[7])
+    trajectory = engine.run(config, make_task("rastrigin", dim=5, seed=7),
+                            params=wide)
+    out["engine.run learned sampling+cross-over"] = b"".join(
+        a.tobytes() for a in (trajectory.fitness, trajectory.best_so_far,
+                              trajectory.mean_sigma))
 
     run_dir = os.path.join(tmp, "meta")
     metabbo.meta_train(cfg, out_dir=run_dir)
