@@ -148,6 +148,7 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
 
     for gen in range(t):
         idx = rng.integers(0, n, size=n)
+        # Column-major at M>1, which fixes the z-score sums' order.
         x_s, f_s, sigma_s = x_p[:, idx], f_p[:, idx], sigma_p[:, idx]
 
         rows_parent_features(np.minimum(f_s, clip), sigma_s, best[:, None],

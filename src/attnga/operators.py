@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attend, multi_head_sdpa, reduce_rows, row_softmax, \
-    sdpa
+from .attention import (attend, multi_head_sdpa, reduce_rows, row_softmax,
+                        sdpa)
 
 __all__ = [
     "ParentArchive",
