@@ -51,8 +51,8 @@ def row_softmax(logits, out=None):
 def attend(q, k, v, softmax=softmax_last):
     """softmax(Q K^T / sqrt(D_K)) V, unchecked; the core of :func:`sdpa`.
 
-    The softmax runs in place: in the sweep every (M, N, N) temporary is a
-    fresh 128 KiB allocation, and one more per call costs page faults.
+    The softmax runs in place: in the desk sweep each (M, N, N) temporary
+    is 128 KiB, glibc's mmap threshold, and one more costs page faults.
     """
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= math.sqrt(q.shape[-1])

@@ -14,6 +14,7 @@ __all__ = [
     "TaskSpec",
     "TaskFamily",
     "core_function",
+    "rows_values",
     "sample_task",
     "FUNCTION_NAMES",
     "META_TRAIN_FUNCTIONS",
