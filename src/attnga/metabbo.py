@@ -122,9 +122,9 @@ def meta_fitness(scores):
 def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
                                 inner_popsize, inner_generations,
                                 objective):
-    """``engine.run`` with ``_inner_config`` for the M rows of ``theta_matrix``.
+    """``engine.run`` with ``_inner_config`` for M candidates at once.
 
-    One archive per candidate; each random draw is shared by all of them.
+    One archive per row of ``theta_matrix``; all share each random draw.
     """
     config = _inner_config(inner_popsize, inner_generations, task.sigma0,
                            seed)
