@@ -219,7 +219,11 @@ class TaskSpec:
             raise ValueError("invalid task spec")
 
     def core_values(self, x):
-        """Noiseless fitness of each row of ``x``."""
+        """Noiseless fitness of each row of ``x``.
+
+        Overflowing points score ``+inf`` and raise no overflow warning:
+        the sweep patches such scores and ``engine.run`` rejects them.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, "
@@ -227,7 +231,8 @@ class TaskSpec:
         z = x - self.offset
         if self.function == "rosenbrock":
             z = z + 1.0  # core optimum at the all-ones point
-        return np.atleast_1d(core_function(self.function)(z))
+        with np.errstate(over="ignore"):
+            return np.atleast_1d(core_function(self.function)(z))
 
     def evaluate(self, x, rng=None):
         """Fitness of (..., N, D) rows, with log-normal noise if enabled.

@@ -1,8 +1,9 @@
 """Composable ask/tell genetic-algorithm loop with pluggable operator slots.
 
 With learned selection and MRA this is the M=1 case of the meta-training
-sweep, which runs the same feature, attention and operator cores over M
-candidates and shares each draw below among them (do not reorder):
+sweep: ``ask`` and ``tell`` run the sweep's unchecked feature, attention
+and operator cores on weight views and buffers built once per run, and
+share each draw below with it (do not reorder):
 
   ask:  1. parent sampling indices     (uniform ints or categorical uniforms)
         2. self-adaptive rate draws    (samr slot only)
@@ -10,6 +11,13 @@ candidates and shares each draw below among them (do not reorder):
   eval: task noise, shape (N,)         (noisy tasks only)
   tell: 4. selection uniforms, shape (E,)   (learned selection only)
         5. group rate draws, shape (K,)     (gesmr slot only)
+
+Validation happens once, at the engine's boundary, and raises
+``ValueError`` in the call that meets the fault: ``tell`` checks the child
+fitness; with learned MRA, ``ask`` checks the sampled rates (positive and
+finite) and their features (finite), and selection checks the archive
+rates (positive) where it forms an archive. Arrays the engine produced
+itself are not checked again.
 """
 
 import csv
@@ -19,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .attention import row_softmax
-from .features import (build_joint_fitness_features,
-                       build_sampled_parent_features, fitness_features)
+from .attention import softmax_last
+from .features import (FITNESS_DIM, SIGMA_DIM, fitness_features,
+                       rows_joint_features, rows_parent_features)
 
 __all__ = ["GaConfig", "GeneticAlgorithm", "Trajectory", "run",
            "trajectory_to_csv", "SELECTION_SLOTS", "MRA_SLOTS",
@@ -98,6 +106,16 @@ class Trajectory:
         return self.best_so_far.size
 
 
+def _check_archive_rates(sigma):
+    """Raise unless every rate of an archive that selection formed is > 0.
+
+    Only learned MRA leaves its rates unclamped, so only it checks: the
+    archive learned replacement writes into and the one truncation keeps.
+    """
+    if np.any(sigma <= 0):
+        raise ValueError("archive mutation rates must be positive")
+
+
 class GeneticAlgorithm:
     """Single-owner ask/tell state machine; one instance per run."""
 
@@ -122,6 +140,19 @@ class GeneticAlgorithm:
         self._sigma_scalar = config.sigma0          # one_fifth state
         self._sigma_groups = np.full(config.gesmr_groups, config.sigma0)
         self._init_archive()
+        # Learned selection and MRA run the sweep's cores on weight views
+        # and feature and logit buffers built once per run.
+        n, e = config.n_pop, config.n_elite
+        if config.selection == "learned" or config.mra == "learned":
+            self._w = {k: np.asarray(v, dtype=np.float64)
+                       for k, v in params.weights.items()}
+        if config.mra == "learned":
+            self._mra = ops.attention_heads(self._w, "mra")
+            self._mra_feats = np.empty((n, FITNESS_DIM + SIGMA_DIM))
+        if config.selection == "learned":
+            self._sel = ops.attention_heads(self._w, "sel")
+            self._joint = np.empty((n + e, FITNESS_DIM))
+            self._logits = np.ones((e, n + 1))       # keep column preset
 
     def _init_archive(self, x0=None):
         cfg = self.config
@@ -156,13 +187,15 @@ class GeneticAlgorithm:
         arch = self.archive
 
         if cfg.sampling == "learned":
-            feats = self._archive_fitness_features()
+            feats = fitness_features(np.minimum(arch.f, FITNESS_CLIP),
+                                     self.best_f)
             probs = ops.learned_sampling_probs(self.params, feats, arch.age)
             idx = ops.categorical_indices(np.tile(probs, (n, 1)),
                                           self.rng.random(n))
+            x_s, f_s, sigma_s = arch.x[idx], arch.f[idx], arch.sigma[idx]
         else:
-            idx, _, _, _ = ops.uniform_sample_parents(arch, n, self.rng)
-        x_s, f_s, sigma_s = arch.x[idx], arch.f[idx], arch.sigma[idx]
+            _, x_s, f_s, sigma_s = ops.uniform_sample_parents(arch, n,
+                                                              self.rng)
 
         if cfg.crossover == "learned":
             feats = fitness_features(np.minimum(f_s, FITNESS_CLIP),
@@ -171,9 +204,7 @@ class GeneticAlgorithm:
 
         delta = None
         if cfg.mra == "learned":
-            feats = build_sampled_parent_features(
-                np.minimum(f_s, FITNESS_CLIP), sigma_s, self.best_f)
-            delta = ops.mra_multiplier(self.params, feats)
+            delta = self._mra_multiplier(f_s, sigma_s)
             sigma_c = delta * sigma_s
         elif cfg.mra == "fixed":
             sigma_c = np.full(n, cfg.sigma0)
@@ -187,10 +218,26 @@ class GeneticAlgorithm:
             sigma_c = self._sigma_groups[groups]
 
         x_c = ops.gaussian_mutate(x_s, sigma_c, self.rng)
-        self._pending = {"idx": idx, "f_sampled": f_s,
-                         "sigma_sampled": sigma_s, "sigma_child": sigma_c,
-                         "delta": delta}
+        self._pending = {"f_sampled": f_s, "delta": delta}
         return x_c, sigma_c
+
+    def _mra_multiplier(self, f_s, sigma_s):
+        """Learned MRA multipliers of the sampled parents, checked here.
+
+        The rates must be positive and finite, and so must the features
+        built from them: the min-max column overflows, which the check
+        reports instead of a warning, once the rates span more than half
+        the float range.
+        """
+        if not (sigma_s.min() > 0 and sigma_s.max() < np.inf):
+            raise ValueError("mutation rates must be positive and finite")
+        with np.errstate(over="ignore"):
+            feats = rows_parent_features(np.minimum(f_s, FITNESS_CLIP),
+                                         sigma_s, self.best_f,
+                                         self._mra_feats)
+        if not np.isfinite(feats).all():
+            raise ValueError("MRA features must be finite")
+        return ops.mra_core(self._mra, self._w["mra_sigma"], feats)
 
     # -- tell --------------------------------------------------------------
 
@@ -202,29 +249,21 @@ class GeneticAlgorithm:
         f_child = np.asarray(f_child, dtype=np.float64)
         if f_child.shape != (cfg.n_pop,):
             raise ValueError("fitness vector shape mismatch")
-        if not np.all(np.isfinite(f_child)):
+        if not np.isfinite(f_child).all():
             raise ValueError("non-finite fitness; map failures to large "
                              "finite penalties in the task")
         x_child = np.asarray(x_child, dtype=np.float64)
         sigma_child = np.asarray(sigma_child, dtype=np.float64)
-        prev_best = self.best_f
         record = None
 
         if cfg.selection == "learned":
-            f_arch = np.minimum(self.archive.f, FITNESS_CLIP)
-            _, f_c, f_p = build_joint_fitness_features(f_child, f_arch,
-                                                       prev_best)
-            logits = ops.selection_logits(self.params, f_p, f_c)
-            probs = row_softmax(logits)
-            sample = ops.sample_selection(probs, self.rng)
-            self.archive = ops.apply_selection(sample, x_child, f_child,
-                                               sigma_child, self.archive)
-            if self.debug:
-                record = {"child_features": f_c, "parent_features": f_p,
-                          "logits": logits, "probs": probs, "sample": sample}
+            record = self._learned_selection(x_child, f_child, sigma_child)
         else:
-            self.archive = ops.truncation_selection(x_child, f_child,
-                                                    sigma_child, self.archive)
+            kept = ops.truncation_selection(x_child, f_child, sigma_child,
+                                            self.archive)
+            if cfg.mra == "learned":
+                _check_archive_rates(kept.sigma)
+            self.archive = kept
 
         if cfg.mra == "one_fifth":
             successes = int(np.sum(f_child < self._pending["f_sampled"]))
@@ -245,7 +284,7 @@ class GeneticAlgorithm:
         if f_child[gen_best] < self.best_f:
             self.best_f = float(f_child[gen_best])
             self.best_x = x_child[gen_best].copy()
-        if self.debug and record is not None:
+        if record is not None:
             record["delta_sigma"] = self._pending["delta"]
             record["sigma_child"] = sigma_child.copy()
             record["generation"] = self.generation
@@ -253,9 +292,30 @@ class GeneticAlgorithm:
         self._pending = None
         return record
 
-    def _archive_fitness_features(self):
-        return fitness_features(np.minimum(self.archive.f, FITNESS_CLIP),
-                                self.best_f)
+    def _learned_selection(self, x_child, f_child, sigma_child):
+        """Replace archive rows by one categorical draw per parent.
+
+        Column N of the selection logits keeps the parent (its age grows);
+        any other column copies that child. Returns the debug record.
+        """
+        arch = self.archive
+        feats_c, feats_p = rows_joint_features(
+            f_child, np.minimum(arch.f, FITNESS_CLIP), self.best_f,
+            self._joint)
+        ops.selection_core(self._sel, self._w["sel_q2"], self._w["sel_k2"],
+                           feats_p, feats_c, self._logits)
+        probs = softmax_last(self._logits)
+        chosen = ops.categorical_indices(probs, self.rng.random(arch.size))
+        if self.config.mra == "learned":
+            _check_archive_rates(arch.sigma)
+        self.archive = ops.replacement_core(chosen, x_child, f_child,
+                                            sigma_child, arch)
+        if not self.debug:
+            return None
+        return {"child_features": feats_c.copy(),
+                "parent_features": feats_p.copy(),
+                "logits": self._logits.copy(), "probs": probs,
+                "chosen": chosen}
 
 
 def run(config, task, params=None, debug=False, x0=None):

@@ -2,9 +2,11 @@
 
 All operators are pure given an explicit ``numpy.random.Generator``; the GA
 engine composes them and owns the draw order. The learned-operator cores
-take any leading candidate axes; the engine calls them via checked names.
+take any leading candidate axes and check nothing; the engine and the sweep
+call them directly, and the checked names validate and then run them.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ __all__ = [
     "learned_selection_probs",
     "sample_selection",
     "apply_selection",
+    "replacement_core",
     "mra_multiplier",
     "learned_sampling_probs",
     "learned_crossover",
@@ -156,16 +159,22 @@ def apply_selection(sample, child_x, child_f, child_sigma, archive):
     n = np.asarray(child_f).size
     if sample.shape != (archive.size, n + 1):
         raise ValueError("selection matrix shape mismatch")
-    idx = sample.argmax(axis=1)
-    keep = idx == n
-    child_idx = np.minimum(idx, n - 1)
-    new = archive.copy()
-    new.x = np.where(keep[:, None], archive.x,
-                     np.asarray(child_x, dtype=np.float64)[child_idx])
-    new.f = np.where(keep, archive.f, np.asarray(child_f,
-                                                 dtype=np.float64)[child_idx])
-    new.sigma = np.where(keep, archive.sigma,
-                         np.asarray(child_sigma, dtype=np.float64)[child_idx])
+    return replacement_core(sample.argmax(axis=1),
+                            np.asarray(child_x, dtype=np.float64),
+                            np.asarray(child_f, dtype=np.float64),
+                            np.asarray(child_sigma, dtype=np.float64),
+                            archive.copy())
+
+
+def replacement_core(chosen, child_x, child_f, child_sigma, archive):
+    """Unchecked :func:`apply_selection` by the chosen column of each row."""
+    n = child_f.size
+    keep = chosen == n
+    child = np.minimum(chosen, n - 1)
+    new = copy.copy(archive)
+    new.x = np.where(keep[:, None], archive.x, child_x[child])
+    new.f = np.where(keep, archive.f, child_f[child])
+    new.sigma = np.where(keep, archive.sigma, child_sigma[child])
     new.age = np.where(keep, archive.age + 1, 0)
     return new
 
@@ -247,22 +256,23 @@ def truncation_selection(child_x, child_f, child_sigma, archive):
     """Keep the top-E of the joint child+parent pool (minimization).
 
     Ties resolve in favour of children, then lower index, so fresh
-    solutions win and the sort is fully deterministic.
+    solutions win and the sort is fully deterministic: the pool lists the
+    children first and the sort is stable. The kept rates are not checked
+    again; callers whose rates may be non-positive check them.
     """
     child_x = np.asarray(child_x, dtype=np.float64)
     child_f = np.asarray(child_f, dtype=np.float64)
     child_sigma = np.asarray(child_sigma, dtype=np.float64)
-    n, e = child_f.size, archive.size
+    n = child_f.size
     pool_f = np.concatenate([child_f, archive.f])
-    is_parent = np.concatenate([np.zeros(n), np.ones(e)])
-    index = np.concatenate([np.arange(n), np.arange(e)])
-    order = np.lexsort((index, is_parent, pool_f))[:e]
-
-    pool_x = np.concatenate([child_x, archive.x], axis=0)
-    pool_sigma = np.concatenate([child_sigma, archive.sigma])
-    pool_age = np.concatenate([np.zeros(n, dtype=np.int64), archive.age + 1])
-    return ParentArchive(pool_x[order], pool_f[order], pool_sigma[order],
-                         pool_age[order])
+    order = np.argsort(pool_f, kind="stable")[:archive.size]
+    kept = copy.copy(archive)
+    kept.x = np.concatenate([child_x, archive.x], axis=0)[order]
+    kept.f = pool_f[order]
+    kept.sigma = np.concatenate([child_sigma, archive.sigma])[order]
+    kept.age = np.concatenate([np.zeros(n, dtype=np.int64),
+                               archive.age + 1])[order]
+    return kept
 
 
 def mr_one_fifth(sigma, successes, trials):

@@ -14,6 +14,11 @@ from . import bbob
 __all__ = ["MlpTask", "make_task", "task_names"]
 
 
+# Rows per block of MlpTask.core_values: bounds its work buffers (256 KiB
+# each at the default sizes) for any batch size.
+_BLOCK_ROWS = 64
+
+
 @dataclass(frozen=True)
 class MlpTask:
     """Fit a tiny tanh MLP to a fixed sample of sin(pi*x1) + x2^2."""
@@ -29,7 +34,19 @@ class MlpTask:
         inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, self.layers[0]))
         targets = np.sin(np.pi * inputs[:, 0]) + inputs[:, 1] ** 2
         object.__setattr__(self, "_inputs", inputs)
+        object.__setattr__(self, "_columns", np.ascontiguousarray(inputs.T))
         object.__setattr__(self, "_targets", targets)
+        # Work buffers for one block of rows, reused by every call: freeing
+        # fresh 256 KiB temporaries each call makes glibc return them to
+        # the system and fault them back in on the next call.
+        d_h, p = self.layers[1], self.n_points
+        object.__setattr__(self, "_hidden", np.empty((_BLOCK_ROWS, d_h, p)))
+        object.__setattr__(self, "_scratch", np.empty(_BLOCK_ROWS * d_h * p))
+        object.__setattr__(self, "_pred", np.empty((_BLOCK_ROWS, p, 1)))
+
+    def __reduce__(self):
+        # The dataset and the buffers are rebuilt from the fields.
+        return type(self), (self.layers, self.n_points, self.seed)
 
     @property
     def dim(self):
@@ -52,7 +69,16 @@ class MlpTask:
         if x.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, "
                              f"got {x.shape[1]}")
+        mse = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            self._block_values(x[start:stop], mse[start:stop])
+        return mse[0] if squeeze else mse
+
+    def _block_values(self, x, out):
+        """:meth:`core_values` of at most ``_BLOCK_ROWS`` rows into ``out``."""
         d_in, d_h, d_out = self.layers
+        n, p = x.shape[0], self.n_points
         i = 0
         w1 = x[:, i:i + d_in * d_h].reshape(-1, d_in, d_h); i += d_in * d_h
         b1 = x[:, i:i + d_h]; i += d_h
@@ -63,18 +89,29 @@ class MlpTask:
         # multiply-adds in einsum's order of i, laid out (n, h, p) so the
         # inner loops run over the data points; the sums are the same.
         # (einsum starts from +0.0, so an all -0.0 sum may differ in sign;
-        # the squared error below cannot.) The second einsum reads the
-        # (n, p, h) layout, which fixes its summation order.
-        columns = self._inputs.T
-        hidden = w1[:, 0, :, None] * columns[0]
+        # the squared error below cannot.) Each product is a column copy
+        # scaled in place, so no ufunc call broadcasts two operands (each
+        # one gets its own 64 KiB iterator buffer). The second einsum reads
+        # the (n, p, h) layout, which fixes its summation order.
+        hidden = self._hidden[:n]
+        scratch = self._scratch[:n * d_h * p]
+        term = scratch.reshape(n, d_h, p)
+        np.copyto(hidden, self._columns[0])
+        hidden *= w1[:, 0, :, None]
         for k in range(1, d_in):
-            hidden += w1[:, k, :, None] * columns[k]
+            np.copyto(term, self._columns[k])
+            term *= w1[:, k, :, None]
+            hidden += term
         hidden += b1[:, :, None]
         np.tanh(hidden, out=hidden)
-        hidden = np.ascontiguousarray(np.swapaxes(hidden, 1, 2))
-        pred = np.einsum("nph,nho->npo", hidden, w2)[:, :, 0] + b2
-        mse = np.mean((pred - self._targets) ** 2, axis=1)
-        return mse[0] if squeeze else mse
+        hidden_t = scratch.reshape(n, p, d_h)
+        np.copyto(hidden_t, np.swapaxes(hidden, 1, 2))
+        pred = np.einsum("nph,nho->npo", hidden_t, w2,
+                         out=self._pred[:n])[:, :, 0]
+        pred += b2
+        pred -= self._targets
+        np.square(pred, out=pred)
+        np.mean(pred, axis=1, out=out)
 
     def evaluate(self, x, rng=None):
         """Noiseless fitness of each row of an (..., N, D) batch."""

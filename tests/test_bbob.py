@@ -1,5 +1,7 @@
 """Unit tests for the benchmark function suite and task sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,11 @@ def test_batched_rows_match_single_rows():
         batched = task.core_values(x)
         singles = np.array([task.core_values(row[None, :])[0] for row in x])
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
+
+
+def test_overflowing_row_scores_inf_without_warning():
+    task = bbob.TaskSpec(function="rosenbrock", dim=4, offset=np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = task.core_values(np.full((2, 4), 1e160))
+    assert np.all(values == np.inf)

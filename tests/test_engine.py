@@ -13,6 +13,7 @@ from attnga.bbob import TaskSpec
 from attnga.features import (build_joint_fitness_features,
                              build_sampled_parent_features)
 from attnga.params import FeatureConfig, LgaParams
+from attnga.tasks import make_task
 
 
 def _sphere_task(dim=3, offset=None):
@@ -209,6 +210,10 @@ def test_debug_records_expose_selection_internals():
     assert rec["child_features"].shape == (5, 3)
     assert rec["delta_sigma"].shape == (5,)
     assert rec["generation"] == 0
+    assert rec["chosen"].shape == (2,) and np.all(rec["chosen"] <= 5)
+    # Each record holds its own generation's arrays, not a reused buffer.
+    for key in ("child_features", "parent_features", "logits"):
+        assert not np.array_equal(traj.debug[0][key], traj.debug[3][key])
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -224,3 +229,103 @@ def test_trajectory_csv_round_trip(tmp_path):
     for gen, row in enumerate(rows[1:]):
         assert float(row[1]) == traj.best_of_gen[gen]
         assert float(row[4]) == traj.fitness[gen, 0]
+
+
+# -- errors: raised once, at the engine's boundary ---------------------------
+
+SLOTS = [("learned", "learned"), ("truncation", "fixed"),
+         ("truncation", "one_fifth"), ("truncation", "samr"),
+         ("truncation", "gesmr"), ("truncation", "learned"),
+         ("learned", "fixed")]
+
+
+def _first_error(ga, task, generations):
+    """(call, generation) of the first ValueError of a manual ask/tell loop."""
+    for gen in range(generations):
+        try:
+            x, sigma = ga.ask()
+        except ValueError:
+            return "ask", gen
+        f = task.evaluate(x, ga.rng)
+        try:
+            ga.tell(x, f, sigma)
+        except ValueError:
+            return "tell", gen
+    return None
+
+
+@pytest.mark.parametrize("selection, mra", SLOTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_child_fitness_raises_in_that_tell(selection, mra, bad):
+    config = engine.GaConfig(n_pop=8, elite_ratio=0.5, selection=selection,
+                             mra=mra, seed=14)
+    ga = engine.GeneticAlgorithm(config, dim=3, params=_params())
+    task = _sphere_task()
+    for _ in range(3):
+        x, sigma = ga.ask()
+        ga.tell(x, task.evaluate(x), sigma)
+    x, sigma = ga.ask()
+    f = task.evaluate(x)
+    f[5] = bad
+    with pytest.raises(ValueError, match="non-finite fitness"):
+        ga.tell(x, f, sigma)
+
+
+@pytest.mark.parametrize("selection, n_pop, elite_ratio, seed, expected", [
+    ("learned", 8, 0.5, 2, ("ask", 1)),
+    ("learned", 8, 1.0, 5, ("ask", 9)),
+    ("learned", 2, 1.0, 1, ("tell", 9)),
+    ("truncation", 8, 0.5, 2, ("tell", 0)),
+    ("truncation", 8, 0.5, 0, ("tell", 3)),
+])
+def test_learned_mra_rate_underflow_raises_in_the_same_call(
+        selection, n_pop, elite_ratio, seed, expected):
+    """A rate at the denormal floor rounds to 0 under a multiplier < 1/2.
+
+    A sampled zero rate raises in ``ask``; one that only sits in the archive
+    raises in the ``tell`` whose selection forms that archive. The expected
+    calls were observed with the per-block checks the engine used to make.
+    """
+    params = LgaParams.random(FeatureConfig(), np.random.default_rng(seed),
+                              scale=3.0)
+    config = engine.GaConfig(n_pop=n_pop, elite_ratio=elite_ratio,
+                             sigma0=1e-320, selection=selection,
+                             mra="learned", seed=seed)
+    task = make_task("sphere", dim=3, seed=0, noise=True)
+    ga = engine.GeneticAlgorithm(config, task.dim, params=params)
+    assert _first_error(ga, task, 30) == expected
+
+
+def test_zero_archive_rate_raises_in_learned_selection_tell():
+    config = engine.GaConfig(n_pop=6, elite_ratio=0.5, selection="learned",
+                             mra="learned", seed=15)
+    ga = engine.GeneticAlgorithm(config, dim=3, params=_params())
+    x, sigma = ga.ask()
+    ga.archive.sigma[1] = 0.0
+    with pytest.raises(ValueError, match="archive mutation rates"):
+        ga.tell(x, _sphere_task().evaluate(x), sigma)
+
+
+def test_truncation_tell_raises_only_when_a_zero_rate_is_kept():
+    config = engine.GaConfig(n_pop=6, elite_ratio=0.5, selection="truncation",
+                             mra="learned", seed=16)
+    ga = engine.GeneticAlgorithm(config, dim=3, params=_params())
+    x, sigma = ga.ask()
+    sigma = sigma.copy()
+    sigma[5] = 0.0                       # worst child: not kept
+    ga.tell(x, np.arange(6.0), sigma)
+    x, sigma = ga.ask()
+    sigma = sigma.copy()
+    sigma[0] = 0.0                       # best child: kept
+    with pytest.raises(ValueError, match="archive mutation rates"):
+        ga.tell(x, np.full(6, -1.0), sigma)
+
+
+def test_learned_mra_rates_spanning_the_float_range_raise_in_ask():
+    """Finite rates whose min-max feature overflows are rejected."""
+    config = engine.GaConfig(n_pop=8, elite_ratio=1.0, selection="truncation",
+                             mra="learned", seed=17)
+    ga = engine.GeneticAlgorithm(config, dim=3, params=_params())
+    ga.archive.sigma[:] = np.tile([1e-3, 1.7e308], 4)
+    with pytest.raises(ValueError, match="MRA features must be finite"):
+        ga.ask()

@@ -249,6 +249,38 @@ def test_truncation_selection_matches_oracle_and_tie_breaks():
         np.testing.assert_array_equal(new.age, oage)
 
 
+def _lexsort_truncation(child_x, child_f, child_sigma, archive):
+    """Truncation by the 3-key sort (fitness, parent flag, index)."""
+    n, e = child_f.size, archive.size
+    pool_f = np.concatenate([child_f, archive.f])
+    is_parent = np.concatenate([np.zeros(n), np.ones(e)])
+    index = np.concatenate([np.arange(n), np.arange(e)])
+    order = np.lexsort((index, is_parent, pool_f))[:e]
+    return (np.concatenate([child_x, archive.x])[order], pool_f[order],
+            np.concatenate([child_sigma, archive.sigma])[order],
+            np.concatenate([np.zeros(n, dtype=np.int64),
+                            archive.age + 1])[order])
+
+
+def test_truncation_selection_matches_lexsort_reference():
+    """Heavy ties, +inf (never evaluated) parents and +-0.0 fitness."""
+    rng = np.random.default_rng(32)
+    values = np.array([-0.0, 0.0, 1.0, -1.0, np.inf])
+    for _ in range(300):
+        e, n, d = (int(rng.integers(1, 10)), int(rng.integers(1, 10)),
+                   int(rng.integers(1, 4)))
+        arch = _archive(rng, e=e, d=d)
+        arch.f[:] = rng.choice(values, e)
+        child_f = rng.choice(values[:4], n)
+        child_x = rng.standard_normal((n, d))
+        child_sigma = rng.uniform(0.1, 1.0, n)
+        new = ops.truncation_selection(child_x, child_f, child_sigma, arch)
+        want = _lexsort_truncation(child_x, child_f, child_sigma, arch)
+        for got, expected in zip((new.x, new.f, new.sigma, new.age), want):
+            assert got.tobytes() == expected.tobytes()
+            assert got.dtype == expected.dtype
+
+
 def test_mr_one_fifth_threshold_and_clamps():
     assert ops.mr_one_fifth(0.1, successes=2, trials=10) == 0.2  # ratio 0.2
     assert ops.mr_one_fifth(0.1, successes=1, trials=10) == 0.05

@@ -1,5 +1,8 @@
 """Unit tests for the task registry and the synthetic MLP-fitting task."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,10 +99,44 @@ def test_make_task_registry():
 def test_mlp_fast_path_equals_einsum_oracle_bit_for_bit(layers):
     task = MlpTask(layers=layers, seed=4)
     rng = np.random.default_rng(51)
-    for rows, scale in ((1, 1.0), (7, 0.1), (64, 1.0), (256, 5.0)):
+    # Row counts below, at and across the 64-row block, and many blocks.
+    for rows, scale in ((1, 1.0), (3, 1.0), (7, 0.1), (64, 1.0), (65, 1.0),
+                        (256, 5.0), (1000, 1.0)):
         x = scale * rng.standard_normal((rows, task.dim))
         expected = _mlp_einsum_oracle(task, x)
         assert task.core_values(x).tobytes() == expected.tobytes()
         single = task.core_values(x[0])
         assert np.isscalar(single) and single == expected[0]
         assert np.float64(single).tobytes() == expected[:1].tobytes()
+
+
+def test_mlp_call_allocates_no_large_block():
+    """Work buffers are reused: no call allocates a block of 128 KiB.
+
+    glibc serves blocks of 128 KiB and more with mmap and returns them on
+    free, so each such temporary costs page faults on every call. Numpy
+    reports its allocations to tracemalloc; the peak bounds any block.
+    """
+    task = MlpTask()
+    x = np.random.default_rng(52).standard_normal((64, task.dim))
+    task.core_values(x)                      # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        task.core_values(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+def test_mlp_pickles_and_compares_by_fields():
+    task = MlpTask(seed=5)
+    x = np.random.default_rng(53).standard_normal((3, task.dim))
+    task.core_values(x)
+    data = pickle.dumps(task)
+    assert len(data) < 1024                  # no dataset, no buffers
+    clone = pickle.loads(data)
+    assert clone == task and hash(clone) == hash(task)
+    assert clone.core_values(x).tobytes() == task.core_values(x).tobytes()

@@ -20,6 +20,11 @@ reports every one that differs. It exits non-zero if any does.
   checkpoint that carries sampling and cross-over weights, and the
   trajectory of an ``engine.run`` that uses those weights (learned
   sampling and cross-over).
+- The trajectories (fitness, best-so-far and mean-sigma bytes) of
+  ``engine.run`` for the five ``evaluate`` algorithms at the
+  ``evaluate-mlp`` settings, for the four ``transfer`` slot compositions
+  on sphere-10, and of one ``debug=True`` run, whose debug arrays are
+  recorded too (the evaluate CSV keeps only the final best).
 - The ``meta_log.csv`` and final checkpoint bytes of a 3-meta-generation
   desk ``meta_train``.
 """
@@ -38,7 +43,8 @@ def record(checkout, tmp):
     import numpy as np
 
     sys.path.insert(0, os.path.join(checkout, "bench"))
-    from workload import desk_meta_config, evaluate_argv
+    from workload import (ALGORITHMS, GENERATIONS, N_POP, RHO, SIGMA0,
+                          desk_meta_config, evaluate_argv)
 
     from attnga import cli, engine, metabbo
     from attnga.bbob import TaskSpec, sample_task
@@ -111,9 +117,36 @@ def record(checkout, tmp):
         generations=30, seed=[7])
     trajectory = engine.run(config, make_task("rastrigin", dim=5, seed=7),
                             params=wide)
-    out["engine.run learned sampling+cross-over"] = b"".join(
-        a.tobytes() for a in (trajectory.fitness, trajectory.best_so_far,
-                              trajectory.mean_sigma))
+    out["engine.run learned sampling+cross-over"] = trajectory_bytes(
+        trajectory)
+
+    desk = LgaParams.load(checkpoint)
+    mlp = make_task("mlp-sine")
+    for algo in ALGORITHMS:
+        slots = cli.ALGORITHMS[algo]
+        config = engine.GaConfig(n_pop=N_POP, elite_ratio=RHO, sigma0=SIGMA0,
+                                 generations=GENERATIONS, seed=[0, 0, 0],
+                                 **slots)
+        trajectory = engine.run(config, mlp, params=desk)
+        out[f"engine.run {algo} mlp-sine"] = trajectory_bytes(trajectory)
+    sphere = make_task("sphere", dim=10, seed=5)
+    for selection, mra in cli.TRANSFER_COMPOSITIONS:
+        config = engine.GaConfig(n_pop=16, elite_ratio=0.5, sigma0=0.25,
+                                 selection=selection, mra=mra,
+                                 generations=50, seed=[5, 0, 0])
+        trajectory = engine.run(config, sphere, params=desk)
+        out[f"engine.run {selection}/{mra} sphere-10"] = trajectory_bytes(
+            trajectory)
+    config = engine.GaConfig(n_pop=12, elite_ratio=0.25, sigma0=0.25,
+                             selection="learned", mra="learned",
+                             generations=20, seed=[6])
+    trajectory = engine.run(config, make_task("rastrigin", dim=5, seed=6),
+                            params=desk, debug=True)
+    out["engine.run debug"] = trajectory_bytes(trajectory)
+    for name in ("child_features", "parent_features", "logits", "probs",
+                 "delta_sigma", "sigma_child"):
+        out[f"engine.run debug {name}"] = b"".join(
+            record[name].tobytes() for record in trajectory.debug)
 
     run_dir = os.path.join(tmp, "meta")
     metabbo.meta_train(cfg, out_dir=run_dir)
@@ -121,6 +154,12 @@ def record(checkout, tmp):
         with open(os.path.join(run_dir, name), "rb") as fh:
             out[f"meta_train {name}"] = fh.read()
     return out
+
+
+def trajectory_bytes(trajectory):
+    return b"".join(a.tobytes() for a in (trajectory.fitness,
+                                          trajectory.best_so_far,
+                                          trajectory.mean_sigma))
 
 
 def run_checkout(checkout, tmp):
