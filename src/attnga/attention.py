@@ -18,7 +18,7 @@ def last_axis_first(a):
 
 
 def reduce_rows(ufunc, a):
-    """Order-free reduction (max, min, a count of booleans) along the rows.
+    """Order-free reduction (max or min) along the rows.
 
     Over many short rows (at least four times as many rows as columns, as
     in the sweep) it runs over the leading axis of a transposed copy.
@@ -51,8 +51,7 @@ def row_softmax(logits, out=None):
 def attend(q, k, v, softmax=softmax_last):
     """softmax(Q K^T / sqrt(D_K)) V, unchecked; the core of :func:`sdpa`.
 
-    The softmax runs in place: in the desk sweep each (M, N, N) temporary
-    is 128 KiB, glibc's mmap threshold, and one more costs page faults.
+    The softmax runs in place on the logits.
     """
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= math.sqrt(q.shape[-1])
@@ -85,6 +84,8 @@ def sdpa(q, k, v):
 def multi_head_sdpa(heads, w_out=None):
     """Multi-head attention over explicit per-head (Q, K, V) triples.
 
+    The unfolded form of the learned selection and MRA attention, which
+    ``operators.fold_selection``/``fold_mra`` fold into bilinear forms.
     Works over any leading axes, unchecked but for the head count. Per-head
     outputs are concatenated along the last axis and projected by
     ``w_out``; with a single head and ``w_out=None`` this reduces exactly

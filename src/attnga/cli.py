@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import engine
+from . import operators as ops
 from .bbob import TaskFamily, META_TRAIN_FUNCTIONS
 from .metabbo import MetaConfig, meta_train
 from .params import FeatureConfig, LgaParams
@@ -218,8 +219,28 @@ def cmd_transfer(opts):
                              "best_final"], rows)
 
 
+def _print_folded(params):
+    """Print the checkpoint's folded selection and MRA operators.
+
+    Per head the 3x3 selection form A and the 5x5 MRA form A', then the
+    stacked 3H x 3 selection value map B and the 5H-vector u (as a row):
+    48 numbers for one head, the learned operator pair up to its features.
+    """
+    sel = ops.fold_selection(params.weights)
+    mra = ops.fold_mra(params.weights)
+    blocks = ([(f"selection A[{h}]", a) for h, a in enumerate(sel.forms)]
+              + [("selection B", sel.value)]
+              + [(f"mra A'[{h}]", a) for h, a in enumerate(mra.forms)]
+              + [("mra u^T", mra.value.T)])
+    for name, matrix in blocks:
+        print(f"{name} ({matrix.shape[0]}x{matrix.shape[1]}):")
+        for row in matrix:
+            print("  " + " ".join(f"{v:12.5g}" for v in row))
+
+
 def cmd_analyze(opts):
     params = _load_params(opts, required=True)
+    _print_folded(params)
     tasks = parse_task_list(opts["tasks"])
     name, dim = tasks[0]
     task = build_task(name, dim, _offset_seed(opts["seed"], 0, 0))

@@ -2,8 +2,9 @@
 
 With learned selection and MRA this is the M=1 case of the meta-training
 sweep: ``ask`` and ``tell`` run the sweep's unchecked feature, attention
-and operator cores on weight views and buffers built once per run, and
-share each draw below with it (do not reorder):
+and operator cores on weights folded into their bilinear forms
+(``operators.fold_selection``/``fold_mra``) and buffers built once per
+run, and share each draw below with it (do not reorder):
 
   ask:  1. parent sampling indices     (uniform ints or categorical uniforms)
         2. self-adaptive rate draws    (samr slot only)
@@ -140,17 +141,14 @@ class GeneticAlgorithm:
         self._sigma_scalar = config.sigma0          # one_fifth state
         self._sigma_groups = np.full(config.gesmr_groups, config.sigma0)
         self._init_archive()
-        # Learned selection and MRA run the sweep's cores on weight views
-        # and feature and logit buffers built once per run.
+        # Learned selection and MRA run the sweep's cores on weights folded,
+        # and feature and logit buffers built, once per run.
         n, e = config.n_pop, config.n_elite
-        if config.selection == "learned" or config.mra == "learned":
-            self._w = {k: np.asarray(v, dtype=np.float64)
-                       for k, v in params.weights.items()}
         if config.mra == "learned":
-            self._mra = ops.attention_heads(self._w, "mra")
+            self._mra = ops.fold_mra(params.weights)
             self._mra_feats = np.empty((n, FITNESS_DIM + SIGMA_DIM))
         if config.selection == "learned":
-            self._sel = ops.attention_heads(self._w, "sel")
+            self._sel = ops.fold_selection(params.weights)
             self._joint = np.empty((n + e, FITNESS_DIM))
             self._logits = np.ones((e, n + 1))       # keep column preset
 
@@ -237,7 +235,7 @@ class GeneticAlgorithm:
                                          self._mra_feats)
         if not np.isfinite(feats).all():
             raise ValueError("MRA features must be finite")
-        return ops.mra_core(self._mra, self._w["mra_sigma"], feats)
+        return ops.mra_core(self._mra, feats)
 
     # -- tell --------------------------------------------------------------
 
@@ -302,8 +300,7 @@ class GeneticAlgorithm:
         feats_c, feats_p = rows_joint_features(
             f_child, np.minimum(arch.f, FITNESS_CLIP), self.best_f,
             self._joint)
-        ops.selection_core(self._sel, self._w["sel_q2"], self._w["sel_k2"],
-                           feats_p, feats_c, self._logits)
+        ops.selection_core(self._sel, feats_p, feats_c, self._logits)
         probs = softmax_last(self._logits)
         chosen = ops.categorical_indices(probs, self.rng.random(arch.size))
         if self.config.mra == "learned":

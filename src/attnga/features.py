@@ -122,18 +122,27 @@ def centered_ranks(f):
     return rows_centered_ranks(_finite(f, "centered_ranks").ravel())
 
 
+def _row_sums(values):
+    """Row sums added in sequence, so every memory layout gives one result.
+
+    numpy's own sum is pairwise along a contiguous row but sequential along
+    a strided one, which would make a row's z-score depend on how a batch
+    lays it out; an accumulate adds in sequence either way.
+    """
+    return np.add.accumulate(values, axis=-1)[..., -1:]
+
+
 def _row_moments(values):
     """Row mean, deviations and std in the steps of numpy's mean and std.
 
-    Those are sum/n, deviations, squares, sum/n and sqrt; the row sum is
-    taken once and shared, so mean and std equal ``values.mean(-1)`` and
-    ``values.std(-1)`` bit for bit.
+    Those are sum/n, deviations, squares, sum/n and sqrt, with the sums
+    taken in sequence (:func:`_row_sums`).
     """
     count = values.shape[-1]
-    mean = np.add.reduce(values, axis=-1, keepdims=True)
+    mean = _row_sums(values)
     np.true_divide(mean, count, out=mean)
     dev = np.subtract(values, mean)
-    std = np.add.reduce(np.square(dev), axis=-1, keepdims=True)
+    std = _row_sums(np.square(dev))
     np.true_divide(std, count, out=std)
     np.sqrt(std, out=std)
     return mean, dev, std
@@ -142,11 +151,12 @@ def _row_moments(values):
 def rows_z_score(values, out=None):
     """z-scores along the last axis; zero where the variance guard fires.
 
-    Equals ``(values - mean) / std`` bit for bit wherever the std is
-    finite. Finite rows whose sum or squares overflow (values beyond
-    ~1e154) are recomputed from the row scaled by an exact power of two,
-    which the z-score does not see; rows holding inf or NaN are left to
-    come out non-finite, without floating-point warnings.
+    Equals ``(values - mean) / std`` with sequentially summed moments, bit
+    for bit and in any layout, wherever the std is finite. Finite rows
+    whose sum or squares overflow (values beyond ~1e154) are recomputed
+    from the row scaled by an exact power of two, which the z-score does
+    not see; rows holding inf or NaN are left to come out non-finite,
+    without floating-point warnings.
     """
     values = np.asarray(values, dtype=np.float64)
     unit = 1.0

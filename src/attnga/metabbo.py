@@ -9,9 +9,12 @@ per-candidate median to the strategy.
 
 The candidate sweep carries all M candidates through the inner loop at
 once with the engine's own feature, attention and operator cores, so the
-engine is the M=1 case: a one-candidate sweep equals ``engine.run`` bit for
-bit. At M>1 the sampled-parent gather lays rows out column-major, which
-reorders the z-score sums, so scores are not yet bit-equal to the engine's.
+engine is the M=1 case. It folds each candidate's selection and MRA
+weights once per call into their small bilinear forms
+(``operators.fold_selection``/``fold_mra``), as the engine does once per
+run. Row sums are taken in sequence in every memory layout, so a
+candidate's rollout does not depend on M: each row of a sweep equals that
+candidate's ``engine.run`` bit for bit.
 """
 
 import csv
@@ -125,12 +128,14 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
     """``engine.run`` with ``_inner_config`` for M candidates at once.
 
     One archive per row of ``theta_matrix``; all share each random draw.
+    The weights are folded once here; the attention logits and features
+    go to buffers built once per call.
     """
     config = _inner_config(inner_popsize, inner_generations, task.sigma0,
                            seed)
     w = unflatten(feature_cfg, np.asarray(theta_matrix, dtype=np.float32)
                   .astype(np.float64))
-    sel, mra = ops.attention_heads(w, "sel"), ops.attention_heads(w, "mra")
+    sel, mra = ops.fold_selection(w), ops.fold_mra(w)
     m, n, t = theta_matrix.shape[0], config.n_pop, config.generations
     rng = np.random.default_rng(config.seed)
     clip = engine.FITNESS_CLIP
@@ -148,12 +153,12 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
 
     for gen in range(t):
         idx = rng.integers(0, n, size=n)
-        # Column-major at M>1, which fixes the z-score sums' order.
+        # Column-major at M>1; the feature row sums do not depend on it.
         x_s, f_s, sigma_s = x_p[:, idx], f_p[:, idx], sigma_p[:, idx]
 
         rows_parent_features(np.minimum(f_s, clip), sigma_s, best[:, None],
                              f_m)
-        sigma_c = ops.mra_core(mra, w["mra_sigma"], f_m)
+        sigma_c = ops.mra_core(mra, f_m)
         sigma_c *= sigma_s
         x_c = x_s + sigma_c[:, :, None] * rng.standard_normal(x0.shape)
         f_c = task.evaluate(x_c, rng)
@@ -161,8 +166,7 @@ def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
 
         feats_c, feats_p = rows_joint_features(f_c, np.minimum(f_p, clip),
                                                best[:, None], j_feat)
-        ops.selection_core(sel, w["sel_q2"], w["sel_k2"], feats_p, feats_c,
-                           sel_logits)
+        ops.selection_core(sel, feats_p, feats_c, sel_logits)
         chosen = ops.categorical_indices(softmax_last(sel_logits),
                                          rng.random(n))
         keep = chosen == n

@@ -4,6 +4,12 @@ All operators are pure given an explicit ``numpy.random.Generator``; the GA
 engine composes them and owns the draw order. The learned-operator cores
 take any leading candidate axes and check nothing; the engine and the sweep
 call them directly, and the checked names validate and then run them.
+
+Learned selection and MRA attend over a few fitness features (3 and 5
+columns) with d_k = 16, so their projections fold into small bilinear
+forms: Q_h K_h^T = F A_h F^T with a 3x3 or 5x5 A_h, and the value path
+after the softmax into a 3H x 3 matrix B or a 5H-vector u. The sweep folds
+once per call and the engine once per run, and both run the same cores.
 """
 
 import copy
@@ -12,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (attend, multi_head_sdpa, reduce_rows, row_softmax,
-                        sdpa)
+from .attention import attend, row_softmax, sdpa, softmax_last
 
 __all__ = [
     "ParentArchive",
-    "attention_heads",
+    "FoldedAttention",
+    "fold_selection",
+    "fold_mra",
     "selection_core",
     "mra_core",
     "selection_logits",
@@ -72,33 +79,97 @@ class ParentArchive:
                              self.sigma.copy(), self.age.copy())
 
 
-def attention_heads(weights, prefix):
-    """Per-head (q, k, v) weight views of block ``prefix``, and ``w_out``."""
-    wq, wk, wv = (weights[f"{prefix}_{p}"] for p in ("q", "k", "v"))
-    heads = [(wq[..., h, :, :], wk[..., h, :, :], wv[..., h, :, :])
-             for h in range(wq.shape[-3])]
-    return heads, weights.get(f"{prefix}_out")
+class FoldedAttention:
+    """An attention operator folded into bilinear forms of its features.
+
+    With features F (a few columns) and per-head projections, the scores
+    Q_h K_h^T / sqrt(d_k) are F_q A_h F_kv^T with the small form
+    ``forms[h]`` = A_h, and everything after the attention is linear, so it
+    folds into ``value``: the heads' value maps stacked along rows,
+    (..., H * d, c). Leading candidate axes are allowed. The object also
+    keeps the logits and mixed-feature buffers of the last shape it ran
+    on, so a sweep or run that folds once allocates them once.
+    """
+
+    def __init__(self, forms, value):
+        self.forms = forms
+        self.value = value
+        self._scratch = None
+
+    def attend(self, feats_q, feats_kv):
+        """concat_h softmax((F_q A_h) F_kv^T) F_kv, into a reused buffer."""
+        d = feats_kv.shape[-1]
+        shape = feats_q.shape[:-1] + feats_kv.shape[-2:-1]
+        if self._scratch is None or self._scratch[0].shape != shape:
+            self._scratch = (np.empty(shape),
+                             np.empty(shape[:-1] + (d * len(self.forms),)))
+        logits, mixed = self._scratch
+        keys = np.swapaxes(feats_kv, -1, -2)
+        for h, form in enumerate(self.forms):
+            np.matmul(feats_q @ form, keys, out=logits)
+            softmax_last(logits, out=logits)
+            np.matmul(logits, feats_kv, out=mixed[..., h * d:(h + 1) * d])
+        return mixed
 
 
-def _attention_block(block, feat_q, feat_kv):
-    heads, w_out = block
-    return multi_head_sdpa([(feat_q @ wq, feat_kv @ wk, feat_kv @ wv)
-                            for wq, wk, wv in heads], w_out)
+def _fold(w, prefix, tail):
+    """Fold attention block ``prefix`` and the linear map ``tail`` after it.
+
+    ``tail`` is T for selection and w_sigma for MRA. The weights are cast
+    to float64 before any product, so float32 checkpoints fold exactly as
+    the sweep's float64 candidate rows do.
+    """
+    wq, wk, wv = (np.asarray(w[f"{prefix}_{p}"], dtype=np.float64)
+                  for p in ("q", "k", "v"))
+    heads, d, d_k = wv.shape[-3:]
+    forms = wq @ np.swapaxes(wk, -1, -2)
+    forms /= math.sqrt(d_k)
+    tail = tail[..., None, :, :]
+    w_out = w.get(f"{prefix}_out")
+    if w_out is not None:
+        w_out = np.asarray(w_out, dtype=np.float64)
+        tail = w_out.reshape(w_out.shape[:-2] + (heads, d_k, d_k)) @ tail
+    value = wv @ tail
+    return FoldedAttention(
+        tuple(forms[..., h, :, :] for h in range(heads)),
+        value.reshape(value.shape[:-3] + (heads * d, value.shape[-1])))
 
 
-def selection_core(block, w_q2, w_k2, feats_parents, feats_children, out):
+def fold_selection(w):
+    """Selection attention as A_h = W_q,h W_k,h^T / sqrt(d_k) and B.
+
+    The logits are softmax(F_p A_h F_c^T) F_c B_h F_c^T summed over heads,
+    with B_h = W_v,h (W_out,h T) (W_v,h T for one head) and
+    T = W_q2 W_k2^T / sqrt(d_k); B stacks the B_h along rows, (3H, 3).
+    """
+    w_q2 = np.asarray(w["sel_q2"], dtype=np.float64)
+    w_k2 = np.asarray(w["sel_k2"], dtype=np.float64)
+    tail = w_q2 @ np.swapaxes(w_k2, -1, -2)
+    tail /= math.sqrt(w_q2.shape[-1])
+    return _fold(w, "sel", tail)
+
+
+def fold_mra(w):
+    """MRA attention as A'_h and u_h = W_v,h (W_out,h w_sigma), (5H, 1).
+
+    The log-multiplier is 1/2 softmax(F_m A'_h F_m^T) F_m u_h summed over
+    heads (u_h = W_v,h w_sigma for one head).
+    """
+    return _fold(w, "mra", np.asarray(w["mra_sigma"], dtype=np.float64))
+
+
+def selection_core(folded, feats_parents, feats_children, out):
     """Unchecked :func:`selection_logits` into ``out``, keep column preset."""
-    attn = _attention_block(block, feats_parents, feats_children)
-    keys = np.swapaxes(feats_children @ w_k2, -1, -2)
-    logits = (attn @ w_q2) @ keys
-    np.divide(logits, math.sqrt(keys.shape[-2]), out=out[..., :-1])
+    mixed = folded.attend(feats_parents, feats_children)
+    np.matmul(mixed @ folded.value, np.swapaxes(feats_children, -1, -2),
+              out=out[..., :-1])
     return out
 
 
-def mra_core(block, w_sigma, mra_feats):
+def mra_core(folded, mra_feats):
     """Unchecked core of :func:`mra_multiplier`."""
-    attn = _attention_block(block, mra_feats, mra_feats)
-    log_delta = (attn @ w_sigma)[..., 0]
+    mixed = folded.attend(mra_feats, mra_feats)
+    log_delta = (mixed @ folded.value)[..., 0]
     log_delta *= 0.5
     np.clip(log_delta, -LOG_DELTA_CLAMP, LOG_DELTA_CLAMP, out=log_delta)
     return np.exp(log_delta, out=log_delta)
@@ -119,8 +190,8 @@ def selection_logits(params, feats_parents, feats_children):
     feats_parents = _checked_features(feats_parents, d_fit, "parent")
     feats_children = _checked_features(feats_children, d_fit, "child")
     out = np.ones((feats_parents.shape[0], feats_children.shape[0] + 1))
-    return selection_core(attention_heads(w, "sel"), w["sel_q2"],
-                          w["sel_k2"], feats_parents, feats_children, out)
+    return selection_core(fold_selection(w), feats_parents, feats_children,
+                          out)
 
 
 def learned_selection_probs(params, feats_parents, feats_children):
@@ -133,10 +204,11 @@ def categorical_indices(probs, u):
     """Row-wise inverse-CDF categorical draw from row-stochastic ``probs``.
 
     ``u`` holds one uniform per row; leading candidate axes may share it.
+    The CDF is summed in sequence over the leading axis of a transposed
+    view, which gives the bits of a cumulative sum along each row.
     """
-    cdf = np.cumsum(probs, axis=-1)
-    below = cdf < np.expand_dims(u, -1)
-    return np.minimum(reduce_rows(np.add, below), cdf.shape[-1] - 1)
+    cdf = np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0)
+    return np.minimum(np.add.reduce(cdf < u, axis=0), cdf.shape[0] - 1)
 
 
 def sample_selection(probs, rng):
@@ -181,10 +253,9 @@ def replacement_core(chosen, child_x, child_f, child_sigma, archive):
 
 def mra_multiplier(params, mra_feats):
     """Per-member multiplicative mutation-rate change from self-attention."""
-    w = params.weights
     mra_feats = _checked_features(
         mra_feats, params.cfg.d_fit + params.cfg.d_sigma, "MRA")
-    return mra_core(attention_heads(w, "mra"), w["mra_sigma"], mra_feats)
+    return mra_core(fold_mra(params.weights), mra_feats)
 
 
 def learned_sampling_probs(params, feats_parents, age):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from attnga import cli
+from attnga import operators as ops
 from attnga.params import FeatureConfig, LgaParams
 
 
@@ -87,6 +88,27 @@ def test_transfer_covers_compositions(tmp_path, checkpoint):
     assert rows[0] == ["task", "selection", "mra", "seed", "best_final"]
     assert {(r[1], r[2]) for r in rows[1:]} \
         == set(cli.TRANSFER_COMPOSITIONS)
+
+
+def test_analyze_prints_the_folded_operators(tmp_path, checkpoint, capsys):
+    out = tmp_path / "analyze.csv"
+    argv = ["analyze", "--tasks", "sphere:2", "--checkpoint", checkpoint,
+            "--n-pop", "4", "--rho", "0.5", "--generations", "2"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if not line.startswith(" ")] == [
+        "selection A[0] (3x3):", "selection B (3x3):", "mra A'[0] (5x5):",
+        "mra u^T (1x5):"]
+    numbers = [float(v) for line in printed if line.startswith(" ")
+               for v in line.split()]
+    params = LgaParams.load(checkpoint)
+    sel = ops.fold_selection(params.weights)
+    mra = ops.fold_mra(params.weights)
+    expected = np.concatenate([sel.forms[0].ravel(), sel.value.ravel(),
+                               mra.forms[0].ravel(), mra.value.ravel()])
+    assert len(numbers) == 48
+    np.testing.assert_allclose(numbers, expected, rtol=1e-4)
+    assert _read(out)[0][:4] == ["kind", "generation", "parent", "child"]
 
 
 def test_analyze_dumps_operator_internals(tmp_path, checkpoint):

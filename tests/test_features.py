@@ -163,9 +163,18 @@ def test_average_ranks_infinities_and_nan_rows():
                       expected[:, None, :])
 
 
+def _sequential_mean(values):
+    """Row means with the terms added one after another, left to right."""
+    total = values[..., 0].copy()
+    for j in range(1, values.shape[-1]):
+        total += values[..., j]
+    return (total / values.shape[-1])[..., None]
+
+
 def _z_textbook(values):
-    std = values.std(axis=-1, keepdims=True)
-    mean = values.mean(axis=-1, keepdims=True)
+    """(values - mean) / std with sequentially summed moments."""
+    mean = _sequential_mean(values)
+    std = np.sqrt(_sequential_mean(np.square(values - mean)))
     guard = std < 1e-10 * np.maximum(1.0, np.abs(mean))
     return np.where(guard, 0.0, (values - mean) / np.where(guard, 1.0, std))
 
@@ -189,7 +198,9 @@ def test_z_score_equals_textbook_formula():
     rng = np.random.default_rng(5)
     for n in RANK_SIZES[1:]:
         f = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 20)
-        assert _same_bits(z_score(f), (f - f.mean()) / f.std())
+        mean = _sequential_mean(f)
+        std = np.sqrt(_sequential_mean(np.square(f - mean)))
+        assert _same_bits(z_score(f), (f - mean) / std)
 
 
 def test_z_score_survives_overflowing_rows():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from attnga import engine, metabbo
-from attnga.bbob import TaskFamily, TaskSpec
+from attnga.bbob import TaskFamily, TaskSpec, sample_task
 from attnga.features import z_score
 from attnga.params import FeatureConfig, LgaParams
 from attnga.tasks import make_task
@@ -93,8 +93,8 @@ def test_meta_config_validation():
 def test_batched_sweep_matches_engine_rollouts(noise):
     """The vectorized M-candidate evaluator is the engine, candidate-wise.
 
-    A one-candidate sweep is ``engine.run`` bit for bit; in a batch of four
-    the z-score sums run in another order, so those agree to rounding.
+    In a batch of four and alone, each candidate's rollout is
+    ``engine.run`` bit for bit.
     """
     cfg = FeatureConfig()
     theta = _theta(4)
@@ -106,7 +106,7 @@ def test_batched_sweep_matches_engine_rollouts(noise):
     batch = _sweep_fitness(cfg, theta, task, seed, n, t)
     for i in range(4):
         ref = _engine_fitness(cfg, theta[i], task, seed, n, t)
-        np.testing.assert_allclose(batch[i], ref, rtol=1e-6, atol=1e-9)
+        assert batch[i].tobytes() == ref.tobytes()
         single = _sweep_fitness(cfg, theta[i:i + 1], task, seed, n, t)
         assert single[0].tobytes() == ref.tobytes()
 
@@ -128,6 +128,65 @@ def test_two_head_one_candidate_sweep_equals_engine_run():
     single = _sweep_fitness(cfg, theta, task, [6, 1], 12, 20)
     ref = _engine_fitness(cfg, theta[0], task, [6, 1], 12, 20)
     assert single[0].tobytes() == ref.tobytes()
+
+
+def _desk_tasks(count):
+    family = TaskFamily(functions=("sphere", "rosenbrock", "rastrigin"),
+                        dim_range=(2, 4))
+    rng = np.random.default_rng([0, 0, 0x7A5])
+    return [sample_task(family, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("case", ["desk-0", "desk-1", "mlp-sine",
+                                  "two-head"])
+def test_batched_sweep_equals_per_candidate_engine_run(case):
+    """A candidate's rollout does not depend on the batch size M.
+
+    Every row of a sweep over M in {1, 2, 64} candidates equals that
+    candidate's own ``engine.run`` bit for bit.
+    """
+    cfg, n, t = FeatureConfig(), 16, 50
+    if case.startswith("desk"):
+        task = _desk_tasks(2)[int(case[-1])]
+    elif case == "mlp-sine":
+        task, n, t = make_task("mlp-sine"), 8, 12
+    else:
+        cfg, n, t = FeatureConfig(heads=2), 12, 20
+        task = make_task("rastrigin", dim=3, seed=4, noise=True)
+    theta = _theta(64, seed=13, scale=0.5, cfg=cfg)
+    seed = [0, 0, 0x1AEA, 3]
+    refs = [_engine_fitness(cfg, row, task, seed, n, t).tobytes()
+            for row in theta]
+    for m in (1, 2, 64):
+        batch = _sweep_fitness(cfg, theta[:m], task, seed, n, t)
+        assert [row.tobytes() for row in batch] == refs[:m]
+
+
+def test_warm_sweep_generations_take_no_page_faults():
+    """The generation loop reuses its memory once a sweep is warm.
+
+    A warm sweep of 2T generations takes no more minor page faults than one
+    of T generations plus the pages of its larger fitness log: the
+    per-generation temporaries stay small and the attention logits live in
+    buffers built once per call.
+    """
+    resource = pytest.importorskip("resource")
+    cfg, m, n, t = FeatureConfig(), 64, 16, 25
+    task = _desk_tasks(1)[0]
+    theta = _theta(m, seed=14, scale=0.5)
+
+    def faults(generations):
+        counts = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            metabbo.evaluate_candidates_on_task(
+                theta, cfg, task, [0, 1], n, generations, "minN-finalT")
+            counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        return min(counts[2:])          # the first calls warm the heap
+
+    log_pages = m * n * t * 8 / os.sysconf("SC_PAGE_SIZE")
+    assert faults(2 * t) - faults(t) <= log_pages + 0.2 * t
 
 
 def test_duplicate_candidates_score_identically():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnga import operators as ops
-from attnga.attention import row_softmax
-from attnga.params import FeatureConfig, LgaParams
+from attnga.attention import multi_head_sdpa, row_softmax
+from attnga.params import FeatureConfig, LgaParams, unflatten
 
 
 def _params(seed=0, **cfg_kwargs):
@@ -51,6 +51,70 @@ def test_selection_logits_match_loop_oracle():
             ops.selection_logits(params, f_p, f_c),
             _selection_logits_oracle(params, f_p, f_c),
             rtol=1e-12, atol=1e-12)
+
+
+def _unfolded(w, prefix, f_q, f_kv):
+    """Per-head projections through ``multi_head_sdpa``, as in the paper."""
+    heads = [tuple(f @ w[f"{prefix}_{p}"][..., h, :, :]
+                   for f, p in ((f_q, "q"), (f_kv, "k"), (f_kv, "v")))
+             for h in range(w[f"{prefix}_q"].shape[-3])]
+    return multi_head_sdpa(heads, w.get(f"{prefix}_out"))
+
+
+def _fold_case(heads, lead, seed):
+    """float32 weights with leading axes ``lead``, and their float64 copy."""
+    cfg = FeatureConfig(heads=heads)
+    rng = np.random.default_rng(seed)
+    n_params = LgaParams.zeros(cfg).n_params
+    w32 = unflatten(cfg, (0.5 * rng.standard_normal(lead + (n_params,)))
+                    .astype(np.float32))
+    return w32, {k: v.astype(np.float64) for k, v in w32.items()}, rng
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_folded_selection_core_matches_unfolded_attention(heads, lead):
+    w32, w, rng = _fold_case(heads, lead, 30 + heads)
+    f_p = rng.standard_normal(lead + (5, 3))
+    f_c = rng.standard_normal(lead + (7, 3))
+    keys = np.swapaxes(f_c @ w["sel_k2"], -1, -2)
+    expected = (_unfolded(w, "sel", f_p, f_c) @ w["sel_q2"]) @ keys / 4.0
+    folded = ops.fold_selection(w32)
+    assert folded.value.shape == lead + (3 * heads, 3)
+    out = np.ones(lead + (5, 8))
+    assert ops.selection_core(folded, f_p, f_c, out) is out
+    np.testing.assert_allclose(out[..., :-1], expected, rtol=1e-12,
+                               atol=1e-12)
+    assert np.all(out[..., -1] == 1.0)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_folded_mra_core_matches_unfolded_attention(heads, lead):
+    w32, w, rng = _fold_case(heads, lead, 40 + heads)
+    feats = rng.standard_normal(lead + (6, 5))
+    log_delta = 0.5 * (_unfolded(w, "mra", feats, feats)
+                       @ w["mra_sigma"])[..., 0]
+    folded = ops.fold_mra(w32)
+    assert folded.value.shape == lead + (5 * heads, 1)
+    np.testing.assert_allclose(ops.mra_core(folded, feats),
+                               np.exp(np.clip(log_delta, -10.0, 10.0)),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_folded_forms_are_the_scaled_projection_products():
+    """A_h = W_q,h W_k,h^T / sqrt(d_k): 3x3 and 5x5 per head."""
+    params = _params(5, heads=2)
+    w = {k: v.astype(np.float64) for k, v in params.weights.items()}
+    for fold, prefix, d in ((ops.fold_selection, "sel", 3),
+                            (ops.fold_mra, "mra", 5)):
+        folded = fold(params.weights)
+        assert len(folded.forms) == 2
+        for h, form in enumerate(folded.forms):
+            assert form.shape == (d, d)
+            np.testing.assert_allclose(
+                form, w[f"{prefix}_q"][h] @ w[f"{prefix}_k"][h].T / 4.0,
+                rtol=1e-15)
 
 
 def test_zero_weight_selection_probabilities():

@@ -8,6 +8,13 @@ checkout in a fresh interpreter with that checkout's ``src`` on
 ``PYTHONPATH`` and single-threaded BLAS, records the outputs below, and
 reports every one that differs. It exits non-zero if any does.
 
+Each output is labelled "learned" if it runs a learned selection or MRA
+step and "baseline" otherwise, and the report counts the differing outputs
+per label: a change to the learned step alone must leave every baseline
+output byte-identical. The CSVs of ``evaluate``, ``sweep`` and
+``transfer`` are split into one output per algorithm (or slot pair), so
+their baseline rows are compared on their own.
+
 - Sweep scores (``metabbo.evaluate_candidates_on_task``) of the first 64,
   3 and 1 candidates on the 32 desk tasks of meta-generations 0 and 1
   (config seed 0; weights drawn with seed 1 from N(0, 0.5^2)), plus a noisy
@@ -80,28 +87,37 @@ def record(checkout, tmp):
                 out[f"sweep {task.function} M={m} N={n_pop}"] = \
                     scores.tobytes()
 
-    def cli_csv(key, argv):
+    def cli_csv(key, argv, by=()):
+        """The CSV's bytes, one output per value of the ``by`` columns."""
         path = os.path.join(tmp, "out.csv")
         if cli.main(argv + ["--out", path]) != 0:
             raise SystemExit(f"attnga {' '.join(argv)} failed")
         with open(path, "rb") as fh:
-            out[f"attnga {key}"] = fh.read()
+            header, *rows = fh.read().splitlines(keepends=True)
+        parts = {}
+        for row in rows:
+            fields = row.split(b",")
+            name = "/".join(fields[i].decode() for i in by)
+            parts[name] = parts.get(name, header) + row
+        for name, data in parts.items():
+            out[f"attnga {key} {name}".rstrip()] = data
 
     checkpoint = os.path.join(checkout, "bench", "lga_desk.txt")
     for tasks in ("mlp-sine", "sphere:10,rastrigin:10"):
         argv = evaluate_argv(0, 2, "unused")[:-2]     # drop its --out
         argv[argv.index("--tasks") + 1] = tasks
         argv[argv.index("--checkpoint") + 1] = checkpoint
-        cli_csv(f"evaluate {tasks}", argv)
+        cli_csv(f"evaluate {tasks}", argv, by=(1,))
     small = ["--n-pop", "12", "--generations", "20", "--rho", "0.5",
              "--sigma0", "0.25", "--repetitions", "2", "--seed", "3",
              "--checkpoint", checkpoint]
     cli_csv("analyze", ["analyze", "--tasks", "rastrigin:5"] + small)
-    cli_csv("transfer", ["transfer", "--tasks", "sphere:5,mlp-sine"] + small)
+    cli_csv("transfer", ["transfer", "--tasks", "sphere:5,mlp-sine"] + small,
+            by=(1, 2))
     cli_csv("sweep", ["sweep", "--tasks", "rosenbrock:4",
                       "--algorithms", "lga,gaussian",
                       "--rho-grid", "0.25,1.0", "--sigma0-grid", "0.1,0.5"]
-            + small)
+            + small, by=(1,))
 
     wide = LgaParams.random(
         FeatureConfig(heads=2, with_sampling=True, with_crossover=True),
@@ -110,7 +126,7 @@ def record(checkout, tmp):
     wide.save(wide_path)
     cli_csv("evaluate 2-head", ["evaluate", "--tasks", "sphere:6,mlp-sine",
                                 "--algorithms", "lga,gaussian"]
-            + small[:-1] + [wide_path])
+            + small[:-1] + [wide_path], by=(1,))
     config = engine.GaConfig(
         n_pop=16, elite_ratio=0.5, sigma0=0.2, selection="learned",
         mra="learned", sampling="learned", crossover="learned",
@@ -156,6 +172,13 @@ def record(checkout, tmp):
     return out
 
 
+def label(key):
+    """'learned' if the output runs a learned selection or MRA step."""
+    learned = (key.startswith(("sweep ", "meta_train ", "attnga analyze"))
+               or any(word in key for word in ("lga", "learned", "debug")))
+    return "learned" if learned else "baseline"
+
+
 def trajectory_bytes(trajectory):
     return b"".join(a.tobytes() for a in (trajectory.fitness,
                                           trajectory.best_so_far,
@@ -194,8 +217,12 @@ def main(argv):
     sweeps = sum(len(v) // 8 for k, v in a.items() if k.startswith("sweep"))
     print(f"{len(a)} outputs ({sweeps} sweep scores); "
           f"{len(differ)} differ")
+    for group in ("learned", "baseline"):
+        keys = [key for key in a if label(key) == group]
+        changed = [key for key in differ if label(key) == group]
+        print(f"{group}: {len(changed)} of {len(keys)} differ")
     for key in differ:
-        print(f"DIFFERS: {key}")
+        print(f"DIFFERS ({label(key)}): {key}")
     return 1 if differ else 0
 
 
