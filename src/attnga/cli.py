@@ -1,8 +1,9 @@
 """Command-line front end: meta-training, evaluation, sweeps and dumps.
 
 All results are CSV. Every output is a pure function of (config, seed):
-independent runs fan out across a worker pool but rows are emitted in a
-fixed order, so the files are byte-identical for any worker count.
+the repetitions of each grid cell run as one batched GA run, the cells fan
+out across a worker pool, and rows are emitted in a fixed order, so the
+files are byte-identical for any worker count.
 
 Config files use INI sections named after the subcommand; command-line
 flags override file values.
@@ -79,34 +80,50 @@ def build_task(name, dim, offset_seed):
     return make_task(name, dim=dim, seed=offset_seed)
 
 
-# One GA run of an evaluate, sweep or transfer grid: its engine.GaConfig,
-# the task as (name, dim, offset seed) and the learned weights, if any.
-Job = namedtuple("Job", "config task params")
+# One cell of an evaluate, sweep or transfer grid, its repetitions run as
+# one batched GA run: the runs' engine.GaConfig and seeds, the task as
+# (name, dim, one offset seed per run) and the learned weights, if any.
+Job = namedtuple("Job", "config seeds task params")
 
 
-def _job(opts, slots, params, task_idx, name, dim, rep, **settings):
-    """One run of ``slots``; ``settings`` override the options' GaConfig."""
+def _cell(opts, slots, params, task_idx, name, dim, *key, **settings):
+    """The repetitions of ``slots`` as one job.
+
+    Run ``rep`` is seeded with ``[seed, task_idx, *key, rep]``; ``settings``
+    override the options' GaConfig.
+    """
+    reps = range(opts["repetitions"])
+    if not reps:
+        raise ValueError("repetitions must be at least 1")
     config = dict(n_pop=opts["n_pop"], generations=opts["generations"],
-                  elite_ratio=opts["rho"], sigma0=opts["sigma0"],
-                  seed=[opts["seed"], task_idx, rep], **slots)
+                  elite_ratio=opts["rho"], sigma0=opts["sigma0"], **slots)
     config.update(settings)
     return Job(engine.GaConfig(**config),
-               (name, dim, _offset_seed(opts["seed"], task_idx, rep)),
+               [[opts["seed"], task_idx, *key, rep] for rep in reps],
+               (name, dim, [_offset_seed(opts["seed"], task_idx, rep)
+                            for rep in reps]),
                params if "learned" in slots.values() else None)
 
 
 def _run_job(job):
-    """Top-level worker: one GA run, returns the final best-so-far."""
-    trajectory = engine.run(job.config, build_task(*job.task),
-                            params=job.params)
-    return float(trajectory.best_so_far[-1])
+    """Top-level worker: one cell's runs, returns their final best-so-far."""
+    name, dim, offsets = job.task
+    # Every mlp-sine run shares the one fixed dataset.
+    task = build_task(name, dim, None) if name == "mlp-sine" else [
+        build_task(name, dim, offset) for offset in offsets]
+    trajectory = engine.run(job.config, task, params=job.params,
+                            seeds=job.seeds)
+    return trajectory.best_so_far[:, -1].tolist()
 
 
 def _map_jobs(jobs, workers):
+    """Each job's results, concatenated in job order."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_job, jobs, chunksize=1))
-    return [_run_job(job) for job in jobs]
+            results = list(pool.map(_run_job, jobs, chunksize=1))
+    else:
+        results = [_run_job(job) for job in jobs]
+    return [best for bests in results for best in bests]
 
 
 def _offset_seed(master, task_idx, rep):
@@ -146,10 +163,9 @@ def cmd_evaluate(opts):
     jobs, keys = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for algo in denom_algos:
-            for rep in range(reps):
-                jobs.append(_job(opts, ALGORITHMS[algo], params, task_idx,
-                                 name, dim, rep))
-                keys.append((task_idx, algo, rep))
+            jobs.append(_cell(opts, ALGORITHMS[algo], params, task_idx,
+                              name, dim))
+            keys.extend((task_idx, algo, rep) for rep in range(reps))
     results = dict(zip(keys, _map_jobs(jobs, opts["workers"])))
 
     rows = []
@@ -175,19 +191,18 @@ def cmd_sweep(opts):
                   if v.strip()]
     if not rho_grid or not sigma_grid:
         raise ValueError("sweep grids must be non-empty")
-    seed, reps = opts["seed"], opts["repetitions"]
+    reps = opts["repetitions"]
 
     jobs, keys = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for algo in algos:
             for gi, rho in enumerate(rho_grid):
                 for gj, sigma0 in enumerate(sigma_grid):
-                    for rep in range(reps):
-                        jobs.append(_job(
-                            opts, ALGORITHMS[algo], params, task_idx, name,
-                            dim, rep, seed=[seed, task_idx, gi, gj, rep],
-                            elite_ratio=rho, sigma0=sigma0))
-                        keys.append((name, dim, algo, rho, sigma0, rep))
+                    jobs.append(_cell(opts, ALGORITHMS[algo], params,
+                                      task_idx, name, dim, gi, gj,
+                                      elite_ratio=rho, sigma0=sigma0))
+                    keys.extend((name, dim, algo, rho, sigma0, rep)
+                                for rep in range(reps))
     results = _map_jobs(jobs, opts["workers"])
     rows = [[name if dim is None else f"{name}:{dim}", algo, rho, sigma0,
              rep, best]
@@ -205,11 +220,10 @@ def cmd_transfer(opts):
     jobs, keys = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for selection, mra in TRANSFER_COMPOSITIONS:
-            for rep in range(reps):
-                slots = {"selection": selection, "mra": mra}
-                jobs.append(_job(opts, slots, params, task_idx, name, dim,
-                                 rep))
-                keys.append((name, dim, selection, mra, rep))
+            slots = {"selection": selection, "mra": mra}
+            jobs.append(_cell(opts, slots, params, task_idx, name, dim))
+            keys.extend((name, dim, selection, mra, rep)
+                        for rep in range(reps))
     results = _map_jobs(jobs, opts["workers"])
     rows = [[name if dim is None else f"{name}:{dim}", selection, mra, rep,
              best]

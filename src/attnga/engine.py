@@ -1,6 +1,14 @@
 """Composable ask/tell genetic-algorithm loop with pluggable operator slots.
 
-With learned selection and MRA this is the M=1 case of the meta-training
+One instance advances one run, or R runs batched on a leading axis: every
+array of the state, and of ``ask``/``tell``, then gains a leading (R,) axis,
+and the same generation step runs over leading axes () or (R,). Draws are
+per run: each run owns its ``numpy.random.Generator`` (``draws.per_run``)
+and draws from it exactly what it draws alone, in the same order, so each
+run of a batch equals its own single run bit for bit. Learned sampling,
+learned cross-over and debug records stay single-run.
+
+With learned selection and MRA a run is the M=1 case of the meta-training
 sweep: ``ask`` and ``tell`` run the sweep's unchecked feature, attention
 and operator cores on weights folded into their bilinear forms
 (``operators.fold_selection``/``fold_mra``) and buffers built once per
@@ -18,7 +26,8 @@ Validation happens once, at the engine's boundary, and raises
 fitness; with learned MRA, ``ask`` checks the sampled rates (positive and
 finite) and their features (finite), and selection checks the archive
 rates (positive) where it forms an archive. Arrays the engine produced
-itself are not checked again.
+itself are not checked again. In a batch, a fault in any run raises the
+error that run raises alone.
 """
 
 import csv
@@ -29,6 +38,7 @@ import numpy as np
 
 from . import operators as ops
 from .attention import softmax_last
+from .draws import per_run
 from .features import (FITNESS_DIM, SIGMA_DIM, fitness_features,
                        rows_joint_features, rows_parent_features)
 
@@ -95,16 +105,16 @@ class GaConfig:
 
 @dataclass
 class Trajectory:
-    """Per-generation records of one GA run."""
+    """Per-generation records of one GA run, or of R runs on a leading axis."""
 
-    fitness: np.ndarray       # (T, N) raw child fitness
-    best_of_gen: np.ndarray   # (T,)
-    best_so_far: np.ndarray   # (T,) running minimum, non-increasing
-    mean_sigma: np.ndarray    # (T,) mean child mutation rate
+    fitness: np.ndarray       # (..., T, N) raw child fitness
+    best_of_gen: np.ndarray   # (..., T)
+    best_so_far: np.ndarray   # (..., T) running minimum, non-increasing
+    mean_sigma: np.ndarray    # (..., T) mean child mutation rate
     debug: list = field(default_factory=list)
 
     def __len__(self):
-        return self.best_so_far.size
+        return self.best_so_far.shape[-1]
 
 
 def _check_archive_rates(sigma):
@@ -118,9 +128,15 @@ def _check_archive_rates(sigma):
 
 
 class GeneticAlgorithm:
-    """Single-owner ask/tell state machine; one instance per run."""
+    """Single-owner ask/tell state machine of one run, or of R runs.
 
-    def __init__(self, config, dim, params=None, debug=False):
+    With ``seeds`` it advances ``len(seeds)`` runs together, run r drawing
+    from ``default_rng(seeds[r])`` in place of ``config.seed``; ``rng`` is
+    then the list of the runs' generators, and ``shape``, the leading axes
+    of every state array, is (R,) instead of ().
+    """
+
+    def __init__(self, config, dim, params=None, debug=False, seeds=None):
         if config.uses_learned and params is None:
             raise ValueError("learned operator slots require params")
         if config.sampling == "learned" and params is not None \
@@ -129,53 +145,55 @@ class GeneticAlgorithm:
         if config.crossover == "learned" and params is not None \
                 and not params.cfg.with_crossover:
             raise ValueError("params lack learned cross-over weights")
+        if seeds is not None and (debug or config.sampling == "learned"
+                                  or config.crossover == "learned"):
+            raise ValueError("learned sampling, learned cross-over and "
+                             "debug records run one run at a time")
         self.config = config
         self.dim = dim
         self.params = params
         self.debug = debug
-        self.rng = np.random.default_rng(config.seed)
-        self.generation = 0
-        self.best_f = np.inf
-        self.best_x = None
-        self._pending = None
-        self._sigma_scalar = config.sigma0          # one_fifth state
-        self._sigma_groups = np.full(config.gesmr_groups, config.sigma0)
-        self._init_archive()
+        if seeds is None:
+            self.rng = np.random.default_rng(config.seed)
+            self.shape = ()
+        else:
+            self.rng = [np.random.default_rng(seed) for seed in seeds]
+            self.shape = (len(seeds),)
+        self.reinit()
         # Learned selection and MRA run the sweep's cores on weights folded,
         # and feature and logit buffers built, once per run.
         n, e = config.n_pop, config.n_elite
         if config.mra == "learned":
             self._mra = ops.fold_mra(params.weights)
-            self._mra_feats = np.empty((n, FITNESS_DIM + SIGMA_DIM))
+            self._mra_feats = np.empty(self.shape
+                                       + (n, FITNESS_DIM + SIGMA_DIM))
         if config.selection == "learned":
             self._sel = ops.fold_selection(params.weights)
-            self._joint = np.empty((n + e, FITNESS_DIM))
-            self._logits = np.ones((e, n + 1))       # keep column preset
-
-    def _init_archive(self, x0=None):
-        cfg = self.config
-        e = cfg.n_elite
-        if x0 is not None:
-            x = np.tile(np.asarray(x0, dtype=np.float64), (e, 1))
-        else:
-            if cfg.init_low >= cfg.init_high:
-                raise ValueError("empty initialization box")
-            x = self.rng.uniform(cfg.init_low, cfg.init_high,
-                                 size=(e, self.dim))
-        self.archive = ops.ParentArchive(
-            x=x, f=np.full(e, np.inf), sigma=np.full(e, cfg.sigma0),
-            age=np.zeros(e, dtype=np.int64))
+            self._joint = np.empty(self.shape + (n + e, FITNESS_DIM))
+            self._logits = np.ones(self.shape + (e, n + 1))  # keep column
 
     def reinit(self, x0=None):
         """Reset the archive (optionally to copies of an explicit point)."""
+        cfg = self.config
+        e = cfg.n_elite
         self.generation = 0
-        self.best_f = np.inf
-        self.best_x = None
+        self.best_f = np.full(self.shape, np.inf)
         self._pending = None
-        self._sigma_scalar = self.config.sigma0
-        self._sigma_groups = np.full(self.config.gesmr_groups,
-                                     self.config.sigma0)
-        self._init_archive(x0)
+        self._sigma_scalar = np.full(self.shape, cfg.sigma0)  # one_fifth
+        self._sigma_groups = np.full(self.shape + (cfg.gesmr_groups,),
+                                     cfg.sigma0)
+        if x0 is not None:
+            x = np.broadcast_to(np.asarray(x0, dtype=np.float64),
+                                self.shape + (e, self.dim)).copy()
+        else:
+            if cfg.init_low >= cfg.init_high:
+                raise ValueError("empty initialization box")
+            x = per_run(self.rng, lambda g: g.uniform(
+                cfg.init_low, cfg.init_high, size=(e, self.dim)))
+        lead = self.shape + (e,)
+        self.archive = ops.ParentArchive(
+            x=x, f=np.full(lead, np.inf), sigma=np.full(lead, cfg.sigma0),
+            age=np.zeros(lead, dtype=np.int64))
 
     # -- ask ---------------------------------------------------------------
 
@@ -205,15 +223,15 @@ class GeneticAlgorithm:
             delta = self._mra_multiplier(f_s, sigma_s)
             sigma_c = delta * sigma_s
         elif cfg.mra == "fixed":
-            sigma_c = np.full(n, cfg.sigma0)
+            sigma_c = np.full(self.shape + (n,), cfg.sigma0)
         elif cfg.mra == "one_fifth":
-            sigma_c = np.full(n, self._sigma_scalar)
+            sigma_c = np.repeat(np.expand_dims(self._sigma_scalar, -1), n,
+                                axis=-1)
         elif cfg.mra == "samr":
             sigma_c = ops.samr_adapt(sigma_s, cfg.samr_meta_rate, self.rng)
-        else:  # gesmr
-            groups = np.repeat(np.arange(cfg.gesmr_groups),
-                               n // cfg.gesmr_groups)
-            sigma_c = self._sigma_groups[groups]
+        else:  # gesmr: consecutive children share a group's rate
+            sigma_c = np.repeat(self._sigma_groups, n // cfg.gesmr_groups,
+                                axis=-1)
 
         x_c = ops.gaussian_mutate(x_s, sigma_c, self.rng)
         self._pending = {"f_sampled": f_s, "delta": delta}
@@ -231,7 +249,7 @@ class GeneticAlgorithm:
             raise ValueError("mutation rates must be positive and finite")
         with np.errstate(over="ignore"):
             feats = rows_parent_features(np.minimum(f_s, FITNESS_CLIP),
-                                         sigma_s, self.best_f,
+                                         sigma_s, self.best_f[..., None],
                                          self._mra_feats)
         if not np.isfinite(feats).all():
             raise ValueError("MRA features must be finite")
@@ -245,7 +263,7 @@ class GeneticAlgorithm:
             raise ValueError("tell called before ask")
         cfg = self.config
         f_child = np.asarray(f_child, dtype=np.float64)
-        if f_child.shape != (cfg.n_pop,):
+        if f_child.shape != self.shape + (cfg.n_pop,):
             raise ValueError("fitness vector shape mismatch")
         if not np.isfinite(f_child).all():
             raise ValueError("non-finite fitness; map failures to large "
@@ -263,25 +281,21 @@ class GeneticAlgorithm:
                 _check_archive_rates(kept.sigma)
             self.archive = kept
 
+        f_sampled = self._pending["f_sampled"]
         if cfg.mra == "one_fifth":
-            successes = int(np.sum(f_child < self._pending["f_sampled"]))
+            successes = np.sum(f_child < f_sampled, axis=-1)
             self._sigma_scalar = ops.mr_one_fifth(self._sigma_scalar,
                                                   successes, cfg.n_pop)
-            self.archive.sigma[:] = self._sigma_scalar
+            self.archive.sigma[...] = np.expand_dims(self._sigma_scalar, -1)
         elif cfg.mra == "gesmr":
             k = cfg.gesmr_groups
-            per_group = cfg.n_pop // k
-            f_c = f_child.reshape(k, per_group)
-            f_s = self._pending["f_sampled"].reshape(k, per_group)
-            improvements = f_c.min(axis=1) - np.minimum(f_s.min(axis=1),
-                                                        FITNESS_CLIP)
+            groups = self.shape + (k, cfg.n_pop // k)
+            improvements = f_child.reshape(groups).min(axis=-1) - np.minimum(
+                f_sampled.reshape(groups).min(axis=-1), FITNESS_CLIP)
             self._sigma_groups = ops.gesmr_adapt(self._sigma_groups,
                                                  improvements, self.rng)
 
-        gen_best = int(np.argmin(f_child))
-        if f_child[gen_best] < self.best_f:
-            self.best_f = float(f_child[gen_best])
-            self.best_x = x_child[gen_best].copy()
+        self.best_f = np.minimum(self.best_f, f_child.min(axis=-1))
         if record is not None:
             record["delta_sigma"] = self._pending["delta"]
             record["sigma_child"] = sigma_child.copy()
@@ -298,11 +312,12 @@ class GeneticAlgorithm:
         """
         arch = self.archive
         feats_c, feats_p = rows_joint_features(
-            f_child, np.minimum(arch.f, FITNESS_CLIP), self.best_f,
+            f_child, np.minimum(arch.f, FITNESS_CLIP), self.best_f[..., None],
             self._joint)
         ops.selection_core(self._sel, feats_p, feats_c, self._logits)
         probs = softmax_last(self._logits)
-        chosen = ops.categorical_indices(probs, self.rng.random(arch.size))
+        chosen = ops.categorical_indices(
+            probs, per_run(self.rng, lambda g: g.random(arch.size)))
         if self.config.mra == "learned":
             _check_archive_rates(arch.sigma)
         self.archive = ops.replacement_core(chosen, x_child, f_child,
@@ -315,25 +330,42 @@ class GeneticAlgorithm:
                 "chosen": chosen}
 
 
-def run(config, task, params=None, debug=False, x0=None):
-    """Run the full inner loop on a task and record the trajectory."""
-    ga = GeneticAlgorithm(config, task.dim, params=params, debug=debug)
+def run(config, task, params=None, debug=False, x0=None, seeds=None):
+    """Run the full inner loop on a task and record the trajectory.
+
+    With ``seeds``, one run per seed advances at once (see
+    :class:`GeneticAlgorithm`) and the trajectory's arrays lead with the
+    run axis. ``task`` is then one task for every run, each drawing its
+    evaluation noise from its own generator, or a sequence of one task per
+    run.
+    """
+    tasks = task if isinstance(task, (list, tuple)) else None
+    if tasks is not None:
+        if seeds is None or len(tasks) != len(seeds):
+            raise ValueError("a task sequence needs one seed per task")
+        task = tasks[0]
+    ga = GeneticAlgorithm(config, task.dim, params=params, debug=debug,
+                          seeds=seeds)
     if x0 is not None:
         ga.reinit(x0)
     t = config.generations
-    fitness = np.empty((t, config.n_pop))
-    best_of_gen = np.empty(t)
-    best_so_far = np.empty(t)
-    mean_sigma = np.empty(t)
+    fitness = np.empty(ga.shape + (t, config.n_pop))
+    best_of_gen = np.empty(ga.shape + (t,))
+    best_so_far = np.empty(ga.shape + (t,))
+    mean_sigma = np.empty(ga.shape + (t,))
     debug_records = []
     for gen in range(t):
         x_c, sigma_c = ga.ask()
-        f_c = task.evaluate(x_c, ga.rng)
+        if tasks is None:
+            f_c = task.evaluate(x_c, ga.rng)
+        else:
+            f_c = np.stack([each.evaluate(x, g)
+                            for each, x, g in zip(tasks, x_c, ga.rng)])
         record = ga.tell(x_c, f_c, sigma_c)
-        fitness[gen] = f_c
-        best_of_gen[gen] = f_c.min()
-        best_so_far[gen] = ga.best_f
-        mean_sigma[gen] = sigma_c.mean()
+        fitness[..., gen, :] = f_c
+        best_of_gen[..., gen] = f_c.min(axis=-1)
+        best_so_far[..., gen] = ga.best_f
+        mean_sigma[..., gen] = sigma_c.mean(axis=-1)
         if record is not None:
             debug_records.append(record)
     return Trajectory(fitness, best_of_gen, best_so_far, mean_sigma,

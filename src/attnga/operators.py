@@ -3,7 +3,10 @@
 All operators are pure given an explicit ``numpy.random.Generator``; the GA
 engine composes them and owns the draw order. The learned-operator cores
 take any leading candidate axes and check nothing; the engine and the sweep
-call them directly, and the checked names validate and then run them.
+call them directly, and the checked names validate and then run them. The
+baseline operators the engine runs take a leading run axis too: their
+``rng`` is then one generator per run (``draws.per_run``), and an archive's
+arrays carry the same leading axes.
 
 Learned selection and MRA attend over a few fitness features (3 and 5
 columns) with d_k = 16, so their projections fold into small bilinear
@@ -18,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attend, row_softmax, sdpa, softmax_last
+from .attention import (attend, last_axis_first, row_softmax, sdpa,
+                        softmax_last)
+from .draws import per_run
 
 __all__ = [
     "ParentArchive",
@@ -55,10 +60,10 @@ LOG_DELTA_CLAMP = 10.0
 class ParentArchive:
     """Elite solutions with fitness, mutation rates and survival ages."""
 
-    x: np.ndarray       # (E, D)
-    f: np.ndarray       # (E,)
-    sigma: np.ndarray   # (E,), strictly positive
-    age: np.ndarray     # (E,), generations survived
+    x: np.ndarray       # (..., E, D)
+    f: np.ndarray       # (..., E)
+    sigma: np.ndarray   # (..., E), strictly positive
+    age: np.ndarray     # (..., E), generations survived
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -72,7 +77,7 @@ class ParentArchive:
 
     @property
     def size(self):
-        return self.f.size
+        return self.f.shape[-1]
 
     def copy(self):
         return ParentArchive(self.x.copy(), self.f.copy(),
@@ -205,10 +210,19 @@ def categorical_indices(probs, u):
 
     ``u`` holds one uniform per row; leading candidate axes may share it.
     The CDF is summed in sequence over the leading axis of a transposed
-    view, which gives the bits of a cumulative sum along each row.
+    view, which gives the bits of a cumulative sum along each row. Over
+    many short rows (the rule of ``attention.reduce_rows``) the view is a
+    contiguous copy summed one column at a time: the same additions in the
+    same order, without a strided accumulate.
     """
-    cdf = np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0)
-    return np.minimum(np.add.reduce(cdf < u, axis=0), cdf.shape[0] - 1)
+    k = probs.shape[-1]
+    if probs.size >= 4 * k * k:
+        cdf = last_axis_first(probs)
+        for j in range(1, k):
+            np.add(cdf[j - 1], cdf[j], out=cdf[j])
+    else:
+        cdf = np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0)
+    return np.minimum(np.add.reduce(cdf < u, axis=0), k - 1)
 
 
 def sample_selection(probs, rng):
@@ -238,13 +252,22 @@ def apply_selection(sample, child_x, child_f, child_sigma, archive):
                             archive.copy())
 
 
+def _rows(idx):
+    """Index of rows ``idx[r]`` of ``a[r]`` for each leading index r.
+
+    ``idx`` is (..., K) and ``a`` (..., E, *tail); ``a[_rows(idx)]`` is
+    (..., K, *tail), and is ``a[idx]`` with no leading axes.
+    """
+    return np.indices(idx.shape[:-1] + (1,), sparse=True)[:-1] + (idx,)
+
+
 def replacement_core(chosen, child_x, child_f, child_sigma, archive):
     """Unchecked :func:`apply_selection` by the chosen column of each row."""
-    n = child_f.size
+    n = child_f.shape[-1]
     keep = chosen == n
-    child = np.minimum(chosen, n - 1)
+    child = _rows(np.minimum(chosen, n - 1))
     new = copy.copy(archive)
-    new.x = np.where(keep[:, None], archive.x, child_x[child])
+    new.x = np.where(keep[..., None], archive.x, child_x[child])
     new.f = np.where(keep, archive.f, child_f[child])
     new.sigma = np.where(keep, archive.sigma, child_sigma[child])
     new.age = np.where(keep, archive.age + 1, 0)
@@ -307,24 +330,30 @@ def learned_crossover(params, feats_parents, x_parents):
 
 
 def uniform_sample_parents(archive, n, rng):
-    """N i.i.d. uniform draws with replacement from the archive."""
+    """N i.i.d. uniform draws with replacement from each run's archive."""
     if archive.size < 1:
         raise ValueError("archive is empty")
-    idx = rng.integers(0, archive.size, size=n)
-    return idx, archive.x[idx], archive.f[idx], archive.sigma[idx]
+    idx = per_run(rng, lambda g: g.integers(0, archive.size, size=n))
+    rows = _rows(idx)
+    return idx, archive.x[rows], archive.f[rows], archive.sigma[rows]
 
 
 def gaussian_mutate(x, sigma, rng):
-    """Isotropic Gaussian perturbation, one rate per row."""
+    """Isotropic Gaussian perturbation, one rate per row.
+
+    The noise is one (N, D) draw per generator; a single generator's draw
+    is shared by any leading axes of ``x``.
+    """
     x = np.asarray(x, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0):
         raise ValueError("mutation rates must be non-negative")
-    return x + sigma[:, None] * rng.standard_normal(x.shape)
+    return x + sigma[..., None] * per_run(
+        rng, lambda g: g.standard_normal(x.shape[-2:]))
 
 
 def truncation_selection(child_x, child_f, child_sigma, archive):
-    """Keep the top-E of the joint child+parent pool (minimization).
+    """Keep the top-E of each run's joint child+parent pool (minimization).
 
     Ties resolve in favour of children, then lower index, so fresh
     solutions win and the sort is fully deterministic: the pool lists the
@@ -334,36 +363,41 @@ def truncation_selection(child_x, child_f, child_sigma, archive):
     child_x = np.asarray(child_x, dtype=np.float64)
     child_f = np.asarray(child_f, dtype=np.float64)
     child_sigma = np.asarray(child_sigma, dtype=np.float64)
-    n = child_f.size
-    pool_f = np.concatenate([child_f, archive.f])
-    order = np.argsort(pool_f, kind="stable")[:archive.size]
+    pool_f = np.concatenate([child_f, archive.f], axis=-1)
+    order = _rows(np.argsort(pool_f, axis=-1, kind="stable")
+                  [..., :archive.size])
     kept = copy.copy(archive)
-    kept.x = np.concatenate([child_x, archive.x], axis=0)[order]
+    kept.x = np.concatenate([child_x, archive.x], axis=-2)[order]
     kept.f = pool_f[order]
-    kept.sigma = np.concatenate([child_sigma, archive.sigma])[order]
-    kept.age = np.concatenate([np.zeros(n, dtype=np.int64),
-                               archive.age + 1])[order]
+    kept.sigma = np.concatenate([child_sigma, archive.sigma], axis=-1)[order]
+    kept.age = np.concatenate([np.zeros(child_f.shape, dtype=np.int64),
+                               archive.age + 1], axis=-1)[order]
     return kept
 
 
 def mr_one_fifth(sigma, successes, trials):
-    """Double the rate when at least a fifth of perturbations improved."""
+    """Double the rate when at least a fifth of perturbations improved.
+
+    ``sigma`` and ``successes`` may be arrays of one value per run.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
-    new = 2.0 * sigma if successes / trials >= 0.2 else 0.5 * sigma
-    return float(np.clip(new, SIGMA_MIN, SIGMA_MAX))
+    new = np.where(np.divide(successes, trials) >= 0.2, 2.0 * sigma,
+                   0.5 * sigma)
+    return np.clip(new, SIGMA_MIN, SIGMA_MAX)
 
 
 def samr_adapt(sigma_parent, meta_rate, rng):
     """Self-adaptive rates: multiply or divide by the meta rate, 50/50.
 
-    Accepts a scalar or a vector of parent rates; the adapted rates ride
-    along with their children through selection (co-evolution).
+    Accepts a scalar, a vector or one vector per run of parent rates; the
+    adapted rates ride along with their children through selection
+    (co-evolution).
     """
     sigma_parent = np.asarray(sigma_parent, dtype=np.float64)
     if np.any(sigma_parent <= 0) or meta_rate <= 0:
         raise ValueError("rates must be positive")
-    u = rng.random(sigma_parent.shape)
+    u = per_run(rng, lambda g: g.random(sigma_parent.shape[-1:]))
     factor = np.where(u < 0.5, meta_rate, 1.0 / meta_rate)
     return np.clip(sigma_parent * factor, SIGMA_MIN, SIGMA_MAX)
 
@@ -373,14 +407,17 @@ def gesmr_adapt(sigma_groups, group_improvements, rng):
 
     The group with the best (lowest) fitness-improvement statistic keeps
     its rate; every other group resamples log-uniformly within one octave
-    of the elite rate. Ties pick the lowest group index.
+    of the elite rate. Ties pick the lowest group index. The groups lie
+    along the last axis.
     """
     sigma_groups = np.asarray(sigma_groups, dtype=np.float64)
     group_improvements = np.asarray(group_improvements, dtype=np.float64)
     if sigma_groups.shape != group_improvements.shape:
         raise ValueError("group count mismatch")
-    elite = int(np.argmin(group_improvements))
-    draws = rng.uniform(-np.log(2.0), np.log(2.0), size=sigma_groups.size)
-    new = sigma_groups[elite] * np.exp(draws)
-    new[elite] = sigma_groups[elite]
+    elite = _rows(np.argmin(group_improvements, axis=-1)[..., None])
+    elite_rate = sigma_groups[elite]
+    draws = per_run(rng, lambda g: g.uniform(-np.log(2.0), np.log(2.0),
+                                             size=sigma_groups.shape[-1]))
+    new = elite_rate * np.exp(draws)
+    new[elite] = elite_rate
     return np.clip(new, SIGMA_MIN, SIGMA_MAX)

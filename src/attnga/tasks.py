@@ -91,8 +91,9 @@ class MlpTask:
         # (einsum starts from +0.0, so an all -0.0 sum may differ in sign;
         # the squared error below cannot.) Each product is a column copy
         # scaled in place, so no ufunc call broadcasts two operands (each
-        # one gets its own 64 KiB iterator buffer). The second einsum reads
-        # the (n, p, h) layout, which fixes its summation order.
+        # one gets its own 64 KiB iterator buffer). tanh writes into the
+        # (n, p, h) layout that the second einsum reads, which fixes its
+        # summation order.
         hidden = self._hidden[:n]
         scratch = self._scratch[:n * d_h * p]
         term = scratch.reshape(n, d_h, p)
@@ -103,9 +104,8 @@ class MlpTask:
             term *= w1[:, k, :, None]
             hidden += term
         hidden += b1[:, :, None]
-        np.tanh(hidden, out=hidden)
         hidden_t = scratch.reshape(n, p, d_h)
-        np.copyto(hidden_t, np.swapaxes(hidden, 1, 2))
+        np.tanh(hidden, out=np.swapaxes(hidden_t, 1, 2))
         pred = np.einsum("nph,nho->npo", hidden_t, w2,
                          out=self._pred[:n])[:, :, 0]
         pred += b2

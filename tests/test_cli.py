@@ -167,6 +167,20 @@ def test_config_file_errors(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["evaluate", "sweep", "transfer"])
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_repetitions_below_one_exit_nonzero(tmp_path, capsys, checkpoint,
+                                            mode, reps):
+    out = tmp_path / "x.csv"
+    rc = cli.main([mode, "--tasks", "sphere:2", "--algorithms", "gaussian",
+                   "--checkpoint", checkpoint, "--n-pop", "4",
+                   "--generations", "2", "--repetitions", reps,
+                   "--out", str(out)])
+    assert rc == 2
+    assert "repetitions must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     rc = cli.main(["evaluate", "--tasks", "sphere:2", "--algorithms",
                    "foo", "--out", str(tmp_path / "x.csv")])

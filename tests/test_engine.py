@@ -329,3 +329,97 @@ def test_learned_mra_rates_spanning_the_float_range_raise_in_ask():
     ga.archive.sigma[:] = np.tile([1e-3, 1.7e308], 4)
     with pytest.raises(ValueError, match="MRA features must be finite"):
         ga.ask()
+
+
+# -- batched runs: each run of a batch is its own engine.run -----------------
+
+TRAJECTORY_FIELDS = ("fitness", "best_of_gen", "best_so_far", "mean_sigma")
+
+
+def _seeded(config, seed):
+    return engine.GaConfig(**{**config.__dict__, "seed": seed})
+
+
+def _assert_runs_match(config, task, seeds, params):
+    """Run ``seeds`` as one batch; each run must equal its own run."""
+    batch = engine.run(config, task, params=params, seeds=seeds)
+    tasks = task if isinstance(task, list) else [task] * len(seeds)
+    for r, (seed, each) in enumerate(zip(seeds, tasks)):
+        alone = engine.run(_seeded(config, seed), each, params=params)
+        for name in TRAJECTORY_FIELDS:
+            np.testing.assert_array_equal(getattr(batch, name)[r],
+                                          getattr(alone, name), err_msg=name)
+
+
+@pytest.mark.parametrize("selection, mra", SLOTS)
+@pytest.mark.parametrize("runs", [1, 2, 5])
+def test_batched_mlp_runs_match_single_runs(selection, mra, runs):
+    """At N=48 the MLP task's 64-row blocks straddle runs."""
+    config = engine.GaConfig(n_pop=48, elite_ratio=0.5, sigma0=0.25,
+                             selection=selection, mra=mra, generations=6)
+    _assert_runs_match(config, make_task("mlp-sine"),
+                       [[3, 0, r] for r in range(runs)], _params())
+
+
+@pytest.mark.parametrize("selection, mra", SLOTS)
+@pytest.mark.parametrize("kind", ["offsets", "noisy"])
+def test_batched_bbob_runs_match_single_runs(selection, mra, kind):
+    """Per-run offsets as the CLI builds them, or one shared noisy task."""
+    if kind == "offsets":
+        task = [make_task("rastrigin", dim=4, seed=s) for s in (5, 6, 7)]
+    else:
+        task = TaskSpec(function="rastrigin", dim=4,
+                        offset=[1.0, -2.0, 0.5, 0.0], sigma0=0.2, noise=True)
+    config = engine.GaConfig(n_pop=16, elite_ratio=0.25, sigma0=0.3,
+                             selection=selection, mra=mra, generations=15)
+    _assert_runs_match(config, task, [[4, r] for r in range(3)], _params())
+
+
+class _PoisonedSphere:
+    """A sphere task whose ``at``-th evaluation scores one child NaN."""
+
+    def __init__(self, at):
+        self.dim, self.at, self.calls = 3, at, 0
+
+    def evaluate(self, x, rng=None):
+        self.calls += 1
+        f = np.sum(np.square(x), axis=-1)
+        if self.calls == self.at:
+            f[..., 1] = np.nan
+        return f
+
+
+@pytest.mark.parametrize("selection, mra", SLOTS)
+def test_non_finite_fitness_in_one_run_raises_as_that_run(selection, mra):
+    config = engine.GaConfig(n_pop=8, elite_ratio=0.5, selection=selection,
+                             mra=mra, generations=10, seed=[2, 1])
+    with pytest.raises(ValueError, match="non-finite fitness") as alone:
+        engine.run(config, _PoisonedSphere(at=4), params=_params())
+    tasks = [_sphere_task(), _PoisonedSphere(at=4), _sphere_task()]
+    with pytest.raises(ValueError) as batch:
+        engine.run(config, tasks, params=_params(),
+                   seeds=[[2, 0], [2, 1], [2, 2]])
+    assert str(batch.value) == str(alone.value)
+    assert tasks[1].calls == 4
+
+
+@pytest.mark.parametrize("settings, debug", [({"sampling": "learned"}, False),
+                                             ({"crossover": "learned"}, False),
+                                             ({}, True)])
+def test_single_run_slots_reject_a_batch(settings, debug):
+    params = LgaParams.random(
+        FeatureConfig(with_sampling=True, with_crossover=True),
+        np.random.default_rng(3))
+    config = engine.GaConfig(n_pop=4, selection="learned", mra="learned",
+                             generations=2, **settings)
+    with pytest.raises(ValueError, match="one run at a time"):
+        engine.run(config, _sphere_task(), params=params, seeds=[1, 2],
+                   debug=debug)
+
+
+def test_task_sequence_needs_one_seed_per_task():
+    config = engine.GaConfig(n_pop=4, generations=2)
+    with pytest.raises(ValueError, match="one seed per task"):
+        engine.run(config, [_sphere_task()] * 2, seeds=[1, 2, 3])
+    with pytest.raises(ValueError, match="one seed per task"):
+        engine.run(config, [_sphere_task()])

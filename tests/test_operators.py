@@ -138,13 +138,17 @@ def test_selection_feature_width_validation():
 
 
 def test_categorical_indices_match_searchsorted():
+    """Both CDF paths: many short rows, and few long ones."""
     rng = np.random.default_rng(15)
-    probs = row_softmax(rng.standard_normal((50, 7)))
-    u = rng.random(50)
-    idx = ops.categorical_indices(probs, u)
-    expected = np.array([np.searchsorted(np.cumsum(p), ui, side="right")
-                         for p, ui in zip(probs, u)])
-    np.testing.assert_array_equal(idx, np.minimum(expected, 6))
+    for shape in [(50, 7), (3, 40), (5, 32, 65), (64, 16, 17)]:
+        probs = row_softmax(rng.standard_normal(shape).reshape(-1, shape[-1]))
+        u = rng.random(probs.shape[0])
+        idx = ops.categorical_indices(probs.reshape(shape),
+                                      u.reshape(shape[:-1]))
+        expected = np.array([np.searchsorted(np.cumsum(p), ui, side="right")
+                             for p, ui in zip(probs, u)])
+        np.testing.assert_array_equal(idx.ravel(),
+                                      np.minimum(expected, shape[-1] - 1))
 
 
 def test_sample_selection_is_one_hot():

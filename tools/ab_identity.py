@@ -20,9 +20,11 @@ their baseline rows are compared on their own.
   (config seed 0; weights drawn with seed 1 from N(0, 0.5^2)), plus a noisy
   rastrigin-3D and a diverging rosenbrock-5D sweep at N in {16, 5, 1}.
 - The CSV bytes of ``attnga evaluate`` at the ``evaluate-mlp`` benchmark
-  settings and on ``sphere:10,rastrigin:10``, and of small ``attnga
-  analyze`` (debug records), ``transfer`` and ``sweep`` (rho x sigma0 grid)
-  runs, all with the desk checkpoint.
+  settings, on ``sphere:10,rastrigin:10``, and at N=48 with 3 repetitions
+  on ``sphere:10,mlp-sine`` (the batched runs' 64-row MLP blocks straddle
+  runs); of small ``attnga analyze`` (debug records), ``transfer`` and
+  ``sweep`` (rho x sigma0 grid) runs; and of a ``transfer`` run with 2
+  repetitions at N=48, all with the desk checkpoint.
 - The CSV bytes of an ``attnga evaluate`` run with a random 2-head
   checkpoint that carries sampling and cross-over weights, and the
   trajectory of an ``engine.run`` that uses those weights (learned
@@ -108,12 +110,20 @@ def record(checkout, tmp):
         argv[argv.index("--tasks") + 1] = tasks
         argv[argv.index("--checkpoint") + 1] = checkpoint
         cli_csv(f"evaluate {tasks}", argv, by=(1,))
+    argv[argv.index("--tasks") + 1] = "sphere:10,mlp-sine"
+    argv[argv.index("--n-pop") + 1] = "48"
+    argv[argv.index("--repetitions") + 1] = "3"
+    cli_csv("evaluate N=48 sphere:10,mlp-sine", argv, by=(1,))
     small = ["--n-pop", "12", "--generations", "20", "--rho", "0.5",
              "--sigma0", "0.25", "--repetitions", "2", "--seed", "3",
              "--checkpoint", checkpoint]
     cli_csv("analyze", ["analyze", "--tasks", "rastrigin:5"] + small)
     cli_csv("transfer", ["transfer", "--tasks", "sphere:5,mlp-sine"] + small,
             by=(1, 2))
+    cli_csv("transfer N=48", ["transfer", "--tasks", "sphere:10,mlp-sine",
+                              "--n-pop", "48", "--generations", "40",
+                              "--repetitions", "2", "--seed", "9",
+                              "--checkpoint", checkpoint], by=(1, 2))
     cli_csv("sweep", ["sweep", "--tasks", "rosenbrock:4",
                       "--algorithms", "lga,gaussian",
                       "--rho-grid", "0.25,1.0", "--sigma0-grid", "0.1,0.5"]
