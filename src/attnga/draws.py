@@ -11,8 +11,10 @@ __all__ = ["per_run"]
 
 
 def per_run(rng, sample):
-    """``sample(rng)``; for a sequence of generators, each one's sample
-    stacked on a new leading run axis."""
+    """``sample(rng)``, or each generator's sample stacked on a run axis.
+
+    ``rng`` is one generator, or a sequence of one generator per run.
+    """
     if isinstance(rng, np.random.Generator):
         return sample(rng)
     return np.stack([sample(g) for g in rng])
