@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import per_run
-
 __all__ = [
     "TaskSpec",
     "TaskFamily",
@@ -239,15 +237,13 @@ class TaskSpec:
     def evaluate(self, x, rng=None):
         """Fitness of (..., N, D) rows, with log-normal noise if enabled.
 
-        The noise is one (N,) draw per generator: a single generator's draw
-        is shared by any leading axes, and a sequence of generators draws
-        one for each run on the leading run axis (``draws.per_run``).
+        The noise is one (N,) draw, shared by any leading axes.
         """
         values = rows_values(self.core_values, x)
         if self.noise:
             if rng is None:
                 raise ValueError("noisy task needs an rng")
-            noise = per_run(rng, lambda g: g.standard_normal(values.shape[-1]))
+            noise = rng.standard_normal(values.shape[-1])
             values = np.maximum(values, _NOISE_FLOOR) * np.exp(
                 self.noise_beta * noise)
         return values

@@ -12,6 +12,7 @@ flags override file values.
 import argparse
 import configparser
 import csv
+import functools
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -76,8 +77,14 @@ def parse_task_list(spec):
 
 def build_task(name, dim, offset_seed):
     if name == "mlp-sine":
-        return make_task(name)  # fixed dataset; runs vary via the GA seed
+        return _mlp_sine()  # fixed dataset; runs vary via the GA seed
     return make_task(name, dim=dim, seed=offset_seed)
+
+
+@functools.cache
+def _mlp_sine():
+    """The one mlp-sine task of a process, shared by all its runs."""
+    return make_task("mlp-sine")
 
 
 # One cell of an evaluate, sweep or transfer grid, its repetitions run as
@@ -108,10 +115,8 @@ def _cell(opts, slots, params, task_idx, name, dim, *key, **settings):
 def _run_job(job):
     """Top-level worker: one cell's runs, returns their final best-so-far."""
     name, dim, offsets = job.task
-    # Every mlp-sine run shares the one fixed dataset.
-    task = build_task(name, dim, None) if name == "mlp-sine" else [
-        build_task(name, dim, offset) for offset in offsets]
-    trajectory = engine.run(job.config, task, params=job.params,
+    tasks = [build_task(name, dim, offset) for offset in offsets]
+    trajectory = engine.run(job.config, tasks, params=job.params,
                             seeds=job.seeds)
     return trajectory.best_so_far[:, -1].tolist()
 

@@ -10,11 +10,16 @@ import numpy as np
 __all__ = ["per_run"]
 
 
-def per_run(rng, sample):
-    """``sample(rng)``, or each generator's sample stacked on a run axis.
+def per_run(rng, draw, shape):
+    """A ``shape`` draw: ``draw(generator, size)`` from one or R generators.
 
-    ``rng`` is one generator, or a sequence of one generator per run.
+    One generator draws the whole ``shape``. A sequence of one generator per
+    run draws ``shape[1:]`` from each, stacked on the leading run axis, whose
+    length must be the number of generators.
     """
     if isinstance(rng, np.random.Generator):
-        return sample(rng)
-    return np.stack([sample(g) for g in rng])
+        return draw(rng, shape)
+    if not shape or shape[0] != len(rng):
+        raise ValueError(f"{len(rng)} generators for a draw of shape "
+                         f"{shape}; need one per run on the leading axis")
+    return np.stack([draw(g, shape[1:]) for g in rng])

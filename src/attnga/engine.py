@@ -188,8 +188,9 @@ class GeneticAlgorithm:
         else:
             if cfg.init_low >= cfg.init_high:
                 raise ValueError("empty initialization box")
-            x = per_run(self.rng, lambda g: g.uniform(
-                cfg.init_low, cfg.init_high, size=(e, self.dim)))
+            x = per_run(self.rng, lambda g, size: g.uniform(
+                cfg.init_low, cfg.init_high, size=size),
+                self.shape + (e, self.dim))
         lead = self.shape + (e,)
         self.archive = ops.ParentArchive(
             x=x, f=np.full(lead, np.inf), sigma=np.full(lead, cfg.sigma0),
@@ -317,7 +318,8 @@ class GeneticAlgorithm:
         ops.selection_core(self._sel, feats_p, feats_c, self._logits)
         probs = softmax_last(self._logits)
         chosen = ops.categorical_indices(
-            probs, per_run(self.rng, lambda g: g.random(arch.size)))
+            probs, per_run(self.rng, lambda g, size: g.random(size),
+                           arch.f.shape))
         if self.config.mra == "learned":
             _check_archive_rates(arch.sigma)
         self.archive = ops.replacement_core(chosen, x_child, f_child,
@@ -335,16 +337,17 @@ def run(config, task, params=None, debug=False, x0=None, seeds=None):
 
     With ``seeds``, one run per seed advances at once (see
     :class:`GeneticAlgorithm`) and the trajectory's arrays lead with the
-    run axis. ``task`` is then one task for every run, each drawing its
-    evaluation noise from its own generator, or a sequence of one task per
-    run.
+    run axis. ``task`` is then one task shared by every run, or a sequence
+    of one task per run; each run evaluates its own children on its task
+    with its own generator, as it does alone.
     """
-    tasks = task if isinstance(task, (list, tuple)) else None
-    if tasks is not None:
-        if seeds is None or len(tasks) != len(seeds):
+    if isinstance(task, (list, tuple)):
+        if seeds is None or len(task) != len(seeds):
             raise ValueError("a task sequence needs one seed per task")
-        task = tasks[0]
-    ga = GeneticAlgorithm(config, task.dim, params=params, debug=debug,
+        tasks = task
+    else:
+        tasks = [task] * (1 if seeds is None else len(seeds))
+    ga = GeneticAlgorithm(config, tasks[0].dim, params=params, debug=debug,
                           seeds=seeds)
     if x0 is not None:
         ga.reinit(x0)
@@ -356,7 +359,7 @@ def run(config, task, params=None, debug=False, x0=None, seeds=None):
     debug_records = []
     for gen in range(t):
         x_c, sigma_c = ga.ask()
-        if tasks is None:
+        if seeds is None:
             f_c = task.evaluate(x_c, ga.rng)
         else:
             f_c = np.stack([each.evaluate(x, g)

@@ -4,9 +4,9 @@ All operators are pure given an explicit ``numpy.random.Generator``; the GA
 engine composes them and owns the draw order. The learned-operator cores
 take any leading candidate axes and check nothing; the engine and the sweep
 call them directly, and the checked names validate and then run them. The
-baseline operators the engine runs take a leading run axis too: their
-``rng`` is then one generator per run (``draws.per_run``), and an archive's
-arrays carry the same leading axes.
+baseline operators the engine runs take leading axes too, an archive's
+arrays included: one generator draws over the whole shape, and a sequence
+of one generator per run draws each run's slice alone (``draws.per_run``).
 
 Learned selection and MRA attend over a few fitness features (3 and 5
 columns) with d_k = 16, so their projections fold into small bilinear
@@ -213,7 +213,8 @@ def categorical_indices(probs, u):
     view, which gives the bits of a cumulative sum along each row. Over
     many short rows (the rule of ``attention.reduce_rows``) the view is a
     contiguous copy summed one column at a time: the same additions in the
-    same order, without a strided accumulate.
+    same order, without a strided accumulate. Over few long rows the
+    accumulate stays, as the loop's one call per column costs more there.
     """
     k = probs.shape[-1]
     if probs.size >= 4 * k * k:
@@ -333,23 +334,20 @@ def uniform_sample_parents(archive, n, rng):
     """N i.i.d. uniform draws with replacement from each run's archive."""
     if archive.size < 1:
         raise ValueError("archive is empty")
-    idx = per_run(rng, lambda g: g.integers(0, archive.size, size=n))
+    idx = per_run(rng, lambda g, size: g.integers(0, archive.size, size),
+                  archive.f.shape[:-1] + (n,))
     rows = _rows(idx)
     return idx, archive.x[rows], archive.f[rows], archive.sigma[rows]
 
 
 def gaussian_mutate(x, sigma, rng):
-    """Isotropic Gaussian perturbation, one rate per row.
-
-    The noise is one (N, D) draw per generator; a single generator's draw
-    is shared by any leading axes of ``x``.
-    """
+    """Isotropic Gaussian perturbation, one rate per row."""
     x = np.asarray(x, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0):
         raise ValueError("mutation rates must be non-negative")
     return x + sigma[..., None] * per_run(
-        rng, lambda g: g.standard_normal(x.shape[-2:]))
+        rng, lambda g, size: g.standard_normal(size), x.shape)
 
 
 def truncation_selection(child_x, child_f, child_sigma, archive):
@@ -397,7 +395,7 @@ def samr_adapt(sigma_parent, meta_rate, rng):
     sigma_parent = np.asarray(sigma_parent, dtype=np.float64)
     if np.any(sigma_parent <= 0) or meta_rate <= 0:
         raise ValueError("rates must be positive")
-    u = per_run(rng, lambda g: g.random(sigma_parent.shape[-1:]))
+    u = per_run(rng, lambda g, size: g.random(size), sigma_parent.shape)
     factor = np.where(u < 0.5, meta_rate, 1.0 / meta_rate)
     return np.clip(sigma_parent * factor, SIGMA_MIN, SIGMA_MAX)
 
@@ -416,8 +414,8 @@ def gesmr_adapt(sigma_groups, group_improvements, rng):
         raise ValueError("group count mismatch")
     elite = _rows(np.argmin(group_improvements, axis=-1)[..., None])
     elite_rate = sigma_groups[elite]
-    draws = per_run(rng, lambda g: g.uniform(-np.log(2.0), np.log(2.0),
-                                             size=sigma_groups.shape[-1]))
+    draws = per_run(rng, lambda g, size: g.uniform(-np.log(2.0), np.log(2.0),
+                                                   size), sigma_groups.shape)
     new = elite_rate * np.exp(draws)
     new[elite] = elite_rate
     return np.clip(new, SIGMA_MIN, SIGMA_MAX)

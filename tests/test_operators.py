@@ -393,6 +393,54 @@ def test_gesmr_adapt_resamples_within_one_octave():
     assert np.all(new >= 0.15 - 1e-12) and np.all(new <= 0.6 + 1e-12)
 
 
+def test_one_generator_draws_over_all_leading_axes():
+    x = np.zeros((3, 4, 2))
+    sigma = np.array([[0.1, 0.2, 0.4, 0.8]] * 3)
+    x_c = ops.gaussian_mutate(x, sigma, np.random.default_rng(1))
+    np.testing.assert_array_equal(
+        x_c, sigma[..., None] * np.random.default_rng(1).standard_normal(
+            (3, 4, 2)))
+    new = ops.samr_adapt(sigma, 2.0, np.random.default_rng(2))
+    u = np.random.default_rng(2).random((3, 4))
+    np.testing.assert_array_equal(new, np.where(u < 0.5, 2.0, 0.5) * sigma)
+    improvements = np.array([[0.0, 1, 2, 3], [3, 0, 1, 2], [3, 2, 1, 0]])
+    new = ops.gesmr_adapt(sigma, improvements, np.random.default_rng(3))
+    draws = np.random.default_rng(3).uniform(-np.log(2.0), np.log(2.0),
+                                             (3, 4))
+    for r, elite in enumerate([0, 1, 3]):
+        expected = sigma[r, elite] * np.exp(draws[r])
+        expected[elite] = sigma[r, elite]
+        np.testing.assert_array_equal(new[r], expected)
+
+
+def test_one_generator_per_run_draws_each_run_alone():
+    rng = np.random.default_rng(32)
+    archives = [_archive(rng, e=5, d=2) for _ in range(3)]
+    batch = ops.ParentArchive(*(np.stack([getattr(a, name) for a in archives])
+                                for name in ("x", "f", "sigma", "age")))
+    sigma = rng.uniform(0.1, 1.0, (3, 6))
+
+    def gens():
+        return [np.random.default_rng(seed) for seed in (5, 6, 7)]
+
+    idx, x, f, sigma_p = ops.uniform_sample_parents(batch, 6, gens())
+    x_c = ops.gaussian_mutate(x, sigma, gens())
+    rates = ops.samr_adapt(sigma, 2.0, gens())
+    groups = ops.gesmr_adapt(sigma, -sigma, gens())
+    for r, arch in enumerate(archives):
+        alone = ops.uniform_sample_parents(arch, 6, gens()[r])
+        for got, want in zip((idx, x, f, sigma_p), alone):
+            np.testing.assert_array_equal(got[r], want)
+        np.testing.assert_array_equal(
+            x_c[r], ops.gaussian_mutate(x[r], sigma[r], gens()[r]))
+        np.testing.assert_array_equal(
+            rates[r], ops.samr_adapt(sigma[r], 2.0, gens()[r]))
+        np.testing.assert_array_equal(
+            groups[r], ops.gesmr_adapt(sigma[r], -sigma[r], gens()[r]))
+    with pytest.raises(ValueError, match="one per run"):
+        ops.gaussian_mutate(x, sigma, gens()[:2])
+
+
 def test_parent_archive_validation():
     with pytest.raises(ValueError):
         ops.ParentArchive(np.zeros((2, 2)), np.zeros(2),
