@@ -1,7 +1,7 @@
 """Minimal dense attention kernel shared by all learned genetic operators.
 
 Everything here is pure and works over any leading axes. The checked names
-validate their input, then run the unchecked core that the sweep calls.
+validate their input, then run the unchecked core that the engine calls.
 """
 
 import math

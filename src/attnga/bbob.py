@@ -222,7 +222,8 @@ class TaskSpec:
         """Noiseless fitness of each row of ``x``.
 
         Overflowing points score ``+inf`` and raise no overflow warning:
-        the sweep patches such scores and ``engine.run`` rejects them.
+        ``engine.run`` rejects them in a run and lets them through in a
+        batch of candidates, whose scores meta-training patches.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:

@@ -1,8 +1,11 @@
-"""Random draws of one GA run, or of R runs batched on a leading axis.
+"""Random draws of one GA run, or of a batch on a leading axis.
 
-A run owns one ``numpy.random.Generator``. R runs advanced together own one
-each, passed as a sequence, and each draws exactly what it would draw alone,
-in the same order.
+A batch is R runs or M candidates. Callers pass the per-run shape of a
+draw and the leading axes of the batch. One ``numpy.random.Generator``
+draws that shape once, and every leading axis shares the draw: the M
+candidates of a meta-training sweep see the same randomness. R runs own
+one generator each, passed as a sequence, and each draws exactly what it
+would draw alone, in the same order.
 """
 
 import numpy as np
@@ -10,16 +13,17 @@ import numpy as np
 __all__ = ["per_run"]
 
 
-def per_run(rng, draw, shape):
-    """A ``shape`` draw: ``draw(generator, size)`` from one or R generators.
+def per_run(rng, draw, shape, lead):
+    """A ``shape`` draw per run, ``draw(generator, size)``, for ``lead``.
 
-    One generator draws the whole ``shape``. A sequence of one generator per
-    run draws ``shape[1:]`` from each, stacked on the leading run axis, whose
-    length must be the number of generators.
+    One generator draws ``shape`` once; the result broadcasts against
+    ``lead + shape``. A sequence of one generator per run draws ``shape``
+    from each, stacked on the run axis, which must be all of ``lead``.
     """
     if isinstance(rng, np.random.Generator):
         return draw(rng, shape)
-    if not shape or shape[0] != len(rng):
-        raise ValueError(f"{len(rng)} generators for a draw of shape "
-                         f"{shape}; need one per run on the leading axis")
-    return np.stack([draw(g, shape[1:]) for g in rng])
+    if tuple(lead) != (len(rng),):
+        raise ValueError(f"{len(rng)} generators for leading axes "
+                         f"{tuple(lead)}; need one per run on the leading "
+                         "axis")
+    return np.stack([draw(g, shape) for g in rng])

@@ -1,33 +1,43 @@
 """Composable ask/tell genetic-algorithm loop with pluggable operator slots.
 
-One instance advances one run, or R runs batched on a leading axis: every
-array of the state, and of ``ask``/``tell``, then gains a leading (R,) axis,
-and the same generation step runs over leading axes () or (R,). Draws are
-per run: each run owns its ``numpy.random.Generator`` (``draws.per_run``)
-and draws from it exactly what it draws alone, in the same order, so each
-run of a batch equals its own single run bit for bit. Learned sampling,
-learned cross-over and debug records stay single-run.
+One instance advances one population, or a batch of them on a leading
+axis: R runs (``seeds``, one generator each) or M candidates (``params``
+whose weights lead with (M,), sharing one generator), never both. Every
+array of the state, and of ``ask``/``tell``, then gains that axis, and the
+same generation step runs over leading axes (), (R,) or (M,). The
+meta-training sweep is ``run`` over M candidates; one run is the M=1 case.
 
-With learned selection and MRA a run is the M=1 case of the meta-training
-sweep: ``ask`` and ``tell`` run the sweep's unchecked feature, attention
-and operator cores on weights folded into their bilinear forms
-(``operators.fold_selection``/``fold_mra``) and buffers built once per
-run, and share each draw below with it (do not reorder):
+Draws follow ``draws.per_run``. Each draw below has a per-run shape. One
+generator draws it once and every candidate shares it (shared randomness:
+candidates differ only through their weights). Each of R runs draws it
+from its own generator exactly as it does alone, in the same order. So
+each run of a batch, and each candidate of a sweep, equals its own single
+run bit for bit. The draws, in order (do not reorder):
 
-  ask:  1. parent sampling indices     (uniform ints or categorical uniforms)
+  init: archive, shape (E, D), copied to every leading index
+  ask:  1. parent sampling indices     (uniform ints (N,) or categorical
+                                        uniforms)
         2. self-adaptive rate draws    (samr slot only)
         3. mutation noise, shape (N, D)
   eval: task noise, shape (N,)         (noisy tasks only)
   tell: 4. selection uniforms, shape (E,)   (learned selection only)
         5. group rate draws, shape (K,)     (gesmr slot only)
 
-Validation happens once, at the engine's boundary, and raises
-``ValueError`` in the call that meets the fault: ``tell`` checks the child
-fitness; with learned MRA, ``ask`` checks the sampled rates (positive and
-finite) and their features (finite), and selection checks the archive
-rates (positive) where it forms an archive. Arrays the engine produced
-itself are not checked again. In a batch, a fault in any run raises the
-error that run raises alone.
+Learned selection and MRA run unchecked feature, attention and operator
+cores on weights folded into their bilinear forms
+(``operators.fold_selection``/``fold_mra``) and on buffers built once per
+run or batch. Learned sampling, learned cross-over and debug records take
+one population at a time.
+
+Validation follows the input. A run, or a batch of runs, is validated
+once, at the engine's boundary, and raises ``ValueError`` in the call
+that meets the fault: ``tell`` checks the child fitness; with learned MRA,
+``ask`` checks the sampled rates (positive and finite) and their features
+(finite), and selection checks the archive rates (positive) where it forms
+an archive. Arrays the engine produced itself are not checked again. In a
+batch of runs, a fault in any run raises the error that run raises alone.
+A batch of candidates is not validated: a diverging candidate runs on in
+its own row, and meta-training patches and winsorizes its score.
 """
 
 import csv
@@ -37,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .attention import softmax_last
+from .attention import reduce_rows, softmax_last
 from .draws import per_run
 from .features import (FITNESS_DIM, SIGMA_DIM, fitness_features,
                        rows_joint_features, rows_parent_features)
@@ -54,6 +64,10 @@ CROSSOVER_SLOTS = ("none", "learned")
 # Never-evaluated archive slots carry +inf fitness; features need finite
 # inputs, so +inf is clipped to this sentinel before feature construction.
 FITNESS_CLIP = 1e30
+# The box the initial archive is drawn from, per coordinate.
+INIT_LOW, INIT_HIGH = -5.0, 5.0
+# SAMR multiplies or divides each child's rate by this factor.
+SAMR_META_RATE = 2.0
 
 
 @dataclass
@@ -69,10 +83,7 @@ class GaConfig:
     crossover: str = "none"
     generations: int = 50
     seed: object = 0
-    samr_meta_rate: float = 2.0
     gesmr_groups: int = 8
-    init_low: float = -5.0
-    init_high: float = 5.0
 
     def __post_init__(self):
         if self.n_pop < 1:
@@ -105,7 +116,7 @@ class GaConfig:
 
 @dataclass
 class Trajectory:
-    """Per-generation records of one GA run, or of R runs on a leading axis."""
+    """Per-generation records of one GA run, or of a batch on its axis."""
 
     fitness: np.ndarray       # (..., T, N) raw child fitness
     best_of_gen: np.ndarray   # (..., T)
@@ -128,12 +139,13 @@ def _check_archive_rates(sigma):
 
 
 class GeneticAlgorithm:
-    """Single-owner ask/tell state machine of one run, or of R runs.
+    """Single-owner ask/tell state machine of one population or a batch.
 
     With ``seeds`` it advances ``len(seeds)`` runs together, run r drawing
     from ``default_rng(seeds[r])`` in place of ``config.seed``; ``rng`` is
-    then the list of the runs' generators, and ``shape``, the leading axes
-    of every state array, is (R,) instead of ().
+    then the list of the runs' generators. With ``params`` of shape (M,)
+    it advances M candidates, all drawing from ``default_rng(config.seed)``.
+    ``shape``, the leading axes of every state array, is (R,), (M,) or ().
     """
 
     def __init__(self, config, dim, params=None, debug=False, seeds=None):
@@ -145,8 +157,13 @@ class GeneticAlgorithm:
         if config.crossover == "learned" and params is not None \
                 and not params.cfg.with_crossover:
             raise ValueError("params lack learned cross-over weights")
-        if seeds is not None and (debug or config.sampling == "learned"
-                                  or config.crossover == "learned"):
+        candidates = () if params is None else params.shape
+        if seeds is not None and candidates:
+            raise ValueError("a batch holds runs (seeds) or candidates "
+                             "(params), not both")
+        if (seeds is not None or candidates) and (
+                debug or config.sampling == "learned"
+                or config.crossover == "learned"):
             raise ValueError("learned sampling, learned cross-over and "
                              "debug records run one run at a time")
         self.config = config
@@ -155,13 +172,15 @@ class GeneticAlgorithm:
         self.debug = debug
         if seeds is None:
             self.rng = np.random.default_rng(config.seed)
-            self.shape = ()
+            self.shape = candidates
         else:
             self.rng = [np.random.default_rng(seed) for seed in seeds]
             self.shape = (len(seeds),)
+        # Runs are validated; a batch of candidates runs on unchecked.
+        self._checked = not candidates
         self.reinit()
-        # Learned selection and MRA run the sweep's cores on weights folded,
-        # and feature and logit buffers built, once per run.
+        # Learned selection and MRA run their cores on weights folded, and
+        # feature and logit buffers built, once per run or batch.
         n, e = config.n_pop, config.n_elite
         if config.mra == "learned":
             self._mra = ops.fold_mra(params.weights)
@@ -182,15 +201,11 @@ class GeneticAlgorithm:
         self._sigma_scalar = np.full(self.shape, cfg.sigma0)  # one_fifth
         self._sigma_groups = np.full(self.shape + (cfg.gesmr_groups,),
                                      cfg.sigma0)
-        if x0 is not None:
-            x = np.broadcast_to(np.asarray(x0, dtype=np.float64),
-                                self.shape + (e, self.dim)).copy()
-        else:
-            if cfg.init_low >= cfg.init_high:
-                raise ValueError("empty initialization box")
-            x = per_run(self.rng, lambda g, size: g.uniform(
-                cfg.init_low, cfg.init_high, size=size),
-                self.shape + (e, self.dim))
+        if x0 is None:
+            x0 = per_run(self.rng, lambda g, size: g.uniform(
+                INIT_LOW, INIT_HIGH, size=size), (e, self.dim), self.shape)
+        x = np.broadcast_to(np.asarray(x0, dtype=np.float64),
+                            self.shape + (e, self.dim)).copy()
         lead = self.shape + (e,)
         self.archive = ops.ParentArchive(
             x=x, f=np.full(lead, np.inf), sigma=np.full(lead, cfg.sigma0),
@@ -229,7 +244,7 @@ class GeneticAlgorithm:
             sigma_c = np.repeat(np.expand_dims(self._sigma_scalar, -1), n,
                                 axis=-1)
         elif cfg.mra == "samr":
-            sigma_c = ops.samr_adapt(sigma_s, cfg.samr_meta_rate, self.rng)
+            sigma_c = ops.samr_adapt(sigma_s, SAMR_META_RATE, self.rng)
         else:  # gesmr: consecutive children share a group's rate
             sigma_c = np.repeat(self._sigma_groups, n // cfg.gesmr_groups,
                                 axis=-1)
@@ -241,18 +256,19 @@ class GeneticAlgorithm:
     def _mra_multiplier(self, f_s, sigma_s):
         """Learned MRA multipliers of the sampled parents, checked here.
 
-        The rates must be positive and finite, and so must the features
-        built from them: the min-max column overflows, which the check
-        reports instead of a warning, once the rates span more than half
-        the float range.
+        In a run (not a candidate batch), the rates must be positive and
+        finite, and so must the features built from them: the min-max
+        column overflows, which the check reports instead of a warning,
+        once the rates span more than half the float range.
         """
-        if not (sigma_s.min() > 0 and sigma_s.max() < np.inf):
+        if self._checked and not (sigma_s.min() > 0
+                                  and sigma_s.max() < np.inf):
             raise ValueError("mutation rates must be positive and finite")
         with np.errstate(over="ignore"):
             feats = rows_parent_features(np.minimum(f_s, FITNESS_CLIP),
                                          sigma_s, self.best_f[..., None],
                                          self._mra_feats)
-        if not np.isfinite(feats).all():
+        if self._checked and not np.isfinite(feats).all():
             raise ValueError("MRA features must be finite")
         return ops.mra_core(self._mra, feats)
 
@@ -266,7 +282,7 @@ class GeneticAlgorithm:
         f_child = np.asarray(f_child, dtype=np.float64)
         if f_child.shape != self.shape + (cfg.n_pop,):
             raise ValueError("fitness vector shape mismatch")
-        if not np.isfinite(f_child).all():
+        if self._checked and not np.isfinite(f_child).all():
             raise ValueError("non-finite fitness; map failures to large "
                              "finite penalties in the task")
         x_child = np.asarray(x_child, dtype=np.float64)
@@ -278,7 +294,7 @@ class GeneticAlgorithm:
         else:
             kept = ops.truncation_selection(x_child, f_child, sigma_child,
                                             self.archive)
-            if cfg.mra == "learned":
+            if cfg.mra == "learned" and self._checked:
                 _check_archive_rates(kept.sigma)
             self.archive = kept
 
@@ -296,7 +312,8 @@ class GeneticAlgorithm:
             self._sigma_groups = ops.gesmr_adapt(self._sigma_groups,
                                                  improvements, self.rng)
 
-        self.best_f = np.minimum(self.best_f, f_child.min(axis=-1))
+        self.best_f = np.minimum(self.best_f,
+                                 reduce_rows(np.minimum, f_child))
         if record is not None:
             record["delta_sigma"] = self._pending["delta"]
             record["sigma_child"] = sigma_child.copy()
@@ -319,8 +336,8 @@ class GeneticAlgorithm:
         probs = softmax_last(self._logits)
         chosen = ops.categorical_indices(
             probs, per_run(self.rng, lambda g, size: g.random(size),
-                           arch.f.shape))
-        if self.config.mra == "learned":
+                           arch.f.shape[-1:], self.shape))
+        if self.config.mra == "learned" and self._checked:
             _check_archive_rates(arch.sigma)
         self.archive = ops.replacement_core(chosen, x_child, f_child,
                                             sigma_child, arch)
@@ -339,7 +356,9 @@ def run(config, task, params=None, debug=False, x0=None, seeds=None):
     :class:`GeneticAlgorithm`) and the trajectory's arrays lead with the
     run axis. ``task`` is then one task shared by every run, or a sequence
     of one task per run; each run evaluates its own children on its task
-    with its own generator, as it does alone.
+    with its own generator, as it does alone. With ``params`` of shape (M,)
+    the M candidates advance at once, their children evaluated in one call
+    with the shared generator, and the arrays lead with the candidate axis.
     """
     if isinstance(task, (list, tuple)):
         if seeds is None or len(task) != len(seeds):
@@ -353,9 +372,7 @@ def run(config, task, params=None, debug=False, x0=None, seeds=None):
         ga.reinit(x0)
     t = config.generations
     fitness = np.empty(ga.shape + (t, config.n_pop))
-    best_of_gen = np.empty(ga.shape + (t,))
-    best_so_far = np.empty(ga.shape + (t,))
-    mean_sigma = np.empty(ga.shape + (t,))
+    sigma_sum = np.empty(ga.shape + (t,))
     debug_records = []
     for gen in range(t):
         x_c, sigma_c = ga.ask()
@@ -366,13 +383,14 @@ def run(config, task, params=None, debug=False, x0=None, seeds=None):
                             for each, x, g in zip(tasks, x_c, ga.rng)])
         record = ga.tell(x_c, f_c, sigma_c)
         fitness[..., gen, :] = f_c
-        best_of_gen[..., gen] = f_c.min(axis=-1)
-        best_so_far[..., gen] = ga.best_f
-        mean_sigma[..., gen] = sigma_c.mean(axis=-1)
+        sigma_sum[..., gen] = np.add.reduce(sigma_c, axis=-1)
         if record is not None:
             debug_records.append(record)
-    return Trajectory(fitness, best_of_gen, best_so_far, mean_sigma,
-                      debug_records)
+    best_of_gen = fitness.min(axis=-1)
+    # The mean rate in the steps of numpy's mean: the sum, then one division.
+    return Trajectory(fitness, best_of_gen,
+                      np.minimum.accumulate(best_of_gen, axis=-1),
+                      sigma_sum / config.n_pop, debug_records)
 
 
 def trajectory_to_csv(trajectory, path, per_member=False):

@@ -17,21 +17,24 @@ __all__ = [
     "rows_z_score",
     "z_score",
     "fitness_features",
-    "build_joint_fitness_features",
     "sigma_features",
-    "build_sampled_parent_features",
     "rows_fitness_features",
     "rows_sigma_features",
     "rows_parent_features",
     "rows_joint_features",
     "FITNESS_DIM",
     "SIGMA_DIM",
+    "CROSSOVER_DIM",
 ]
 
 # Columns: z-score, centered rank, improvement flag.
 FITNESS_DIM = 3
 # Columns: z-score, min-max map to [-1, 1].
 SIGMA_DIM = 2
+# Columns of one search coordinate across the parents, which learned
+# cross-over appends to their fitness features: z-score, distance from the
+# mean in stds.
+CROSSOVER_DIM = 2
 
 # Relative std threshold below which a population is treated as converged.
 # The guard scales with the mean magnitude: summing values near the clip
@@ -214,14 +217,22 @@ def rows_sigma_features(sigma, out):
 
 
 def rows_parent_features(f, sigma, best_so_far, out):
-    """Fitness then mutation-rate features of the sampled parents."""
+    """Fitness then mutation-rate features of the sampled parents.
+
+    The transforms run over the N sampled parents, not the archive they
+    were drawn from, so duplicated parents shift the normalization.
+    """
     rows_fitness_features(f, best_so_far, out[..., :FITNESS_DIM])
     rows_sigma_features(sigma, out[..., FITNESS_DIM:])
     return out
 
 
 def rows_joint_features(f_children, f_parents, best_so_far, out):
-    """Features of ``[children, parents]``; returns their rows of ``out``."""
+    """Features of ``[children, parents]``; returns their rows of ``out``.
+
+    The z-scores and ranks run over the joint vector, so children and
+    parents live on one scale.
+    """
     n = f_children.shape[-1]
     rows_fitness_features(np.concatenate((f_children, f_parents), axis=-1),
                           best_so_far, out)
@@ -235,38 +246,7 @@ def fitness_features(f, best_so_far):
                                  np.empty(f.shape + (FITNESS_DIM,)))
 
 
-def build_joint_fitness_features(f_children, f_parents, best_so_far):
-    """Joint child+parent fitness features, plus the two split views.
-
-    The z-scores and centered ranks are computed over the concatenated
-    ``[children, parents]`` vector so the two groups live on one common
-    scale; the children occupy the first N rows of the joint matrix.
-    """
-    f_children = _finite(f_children, "fitness_features")
-    f_parents = _finite(f_parents, "fitness_features")
-    if f_children.size == 0 or f_parents.size == 0:
-        raise ValueError("need at least one child and one parent")
-    joint = np.empty((f_children.size + f_parents.size, FITNESS_DIM))
-    return (joint,) + rows_joint_features(f_children, f_parents, best_so_far,
-                                          joint)
-
-
 def sigma_features(sigma):
     """(n, 2) matrix of [z-score, min-max map to [-1, 1]] of mutation rates."""
     sigma = _rates(sigma)
     return rows_sigma_features(sigma, np.empty(sigma.shape + (SIGMA_DIM,)))
-
-
-def build_sampled_parent_features(f_sampled, sigma_sampled, best_so_far):
-    """Concatenated fitness + mutation-rate features of the sampled parents.
-
-    Fitness transforms are recomputed over the N sampled parents only (not
-    the archive they were drawn from), so duplicated parents shift the
-    normalization accordingly.
-    """
-    f = _finite(f_sampled, "fitness_features")
-    sigma = _rates(sigma_sampled)
-    if f.shape != sigma.shape:
-        raise ValueError("fitness/sigma length mismatch")
-    return rows_parent_features(
-        f, sigma, best_so_far, np.empty(f.shape + (FITNESS_DIM + SIGMA_DIM,)))

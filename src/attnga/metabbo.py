@@ -7,14 +7,14 @@ stream (shared-randomness trick: candidates differ only through their
 weights), z-scores each task column across candidates and feeds the
 per-candidate median to the strategy.
 
-The candidate sweep carries all M candidates through the inner loop at
-once with the engine's own feature, attention and operator cores, so the
-engine is the M=1 case. It folds each candidate's selection and MRA
-weights once per call into their small bilinear forms
-(``operators.fold_selection``/``fold_mra``), as the engine does once per
-run. Row sums are taken in sequence in every memory layout, so a
-candidate's rollout does not depend on M: each row of a sweep equals that
-candidate's ``engine.run`` bit for bit.
+The candidate sweep is ``engine.run`` over a batch of M candidates: the
+loop that meta-training ranks with is the loop that is deployed. The
+candidates share one generator and so every random draw, and the engine
+runs them unchecked, so a diverging candidate leaves the others' rows
+as they are; its non-finite score is patched and winsorized here. Row
+sums are taken in sequence in every memory layout, so a candidate's
+rollout does not depend on M: each row of a sweep equals that candidate's
+own ``engine.run`` bit for bit.
 """
 
 import csv
@@ -25,13 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from . import operators as ops
-from .attention import reduce_rows, softmax_last
 from .bbob import TaskFamily, sample_task
-from .features import (FITNESS_DIM, SIGMA_DIM, rows_joint_features,
-                       rows_parent_features, z_score)
+from .features import z_score
 from .metaes import OpenAiEs
-from .params import FeatureConfig, LgaParams, unflatten
+from .params import FeatureConfig, LgaParams
 from .tasks import make_task
 
 __all__ = ["MetaConfig", "MetaTrainResult", "OBJECTIVES", "reduce_scores",
@@ -120,64 +117,20 @@ def meta_fitness(scores):
     return np.median(normalized, axis=1)
 
 
-# -- vectorized candidate sweep ---------------------------------------------
+# -- candidate sweep ---------------------------------------------------------
 
 def evaluate_candidates_on_task(theta_matrix, feature_cfg, task, seed,
                                 inner_popsize, inner_generations,
                                 objective):
-    """``engine.run`` with ``_inner_config`` for M candidates at once.
+    """Scores of the (M, P) candidate rows of ``theta_matrix`` on ``task``.
 
-    One archive per row of ``theta_matrix``; all share each random draw.
-    The weights are folded once here; the attention logits and features
-    go to buffers built once per call.
+    ``engine.run`` with ``_inner_config`` over the M candidates at once.
     """
     config = _inner_config(inner_popsize, inner_generations, task.sigma0,
                            seed)
-    w = unflatten(feature_cfg, np.asarray(theta_matrix, dtype=np.float32)
-                  .astype(np.float64))
-    sel, mra = ops.fold_selection(w), ops.fold_mra(w)
-    m, n, t = theta_matrix.shape[0], config.n_pop, config.generations
-    rng = np.random.default_rng(config.seed)
-    clip = engine.FITNESS_CLIP
-
-    x0 = rng.uniform(config.init_low, config.init_high, size=(n, task.dim))
-    x_p = np.broadcast_to(x0, (m,) + x0.shape).copy()
-    f_p = np.full((m, n), np.inf)
-    sigma_p = np.full((m, n), config.sigma0)
-    best = np.full(m, np.inf)
-    fitness_log = np.empty((m, t, n))
-    rows = np.arange(m)[:, None]
-    f_m = np.empty((m, n, FITNESS_DIM + SIGMA_DIM))
-    j_feat = np.empty((m, 2 * n, FITNESS_DIM))
-    sel_logits = np.ones((m, n, n + 1))
-
-    for gen in range(t):
-        idx = rng.integers(0, n, size=n)
-        # Column-major at M>1; the feature row sums do not depend on it.
-        x_s, f_s, sigma_s = x_p[:, idx], f_p[:, idx], sigma_p[:, idx]
-
-        rows_parent_features(np.minimum(f_s, clip), sigma_s, best[:, None],
-                             f_m)
-        sigma_c = ops.mra_core(mra, f_m)
-        sigma_c *= sigma_s
-        x_c = x_s + sigma_c[:, :, None] * rng.standard_normal(x0.shape)
-        f_c = task.evaluate(x_c, rng)
-        fitness_log[:, gen] = f_c
-
-        feats_c, feats_p = rows_joint_features(f_c, np.minimum(f_p, clip),
-                                               best[:, None], j_feat)
-        ops.selection_core(sel, feats_p, feats_c, sel_logits)
-        chosen = ops.categorical_indices(softmax_last(sel_logits),
-                                         rng.random(n))
-        keep = chosen == n
-        child = np.minimum(chosen, n - 1)
-        x_p = np.where(keep[:, :, None], x_p, x_c[rows, child])
-        f_p = np.where(keep, f_p, f_c[rows, child])
-        sigma_p = np.where(keep, sigma_p, sigma_c[rows, child])
-
-        best = np.minimum(best, reduce_rows(np.minimum, f_c))
-
-    return reduce_scores(fitness_log, objective)
+    params = LgaParams.from_vector(feature_cfg, theta_matrix)
+    return reduce_scores(engine.run(config, task, params=params).fitness,
+                         objective)
 
 
 def _task_job(args):

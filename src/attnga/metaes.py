@@ -12,12 +12,14 @@ from .features import centered_ranks
 
 __all__ = ["OpenAiEs"]
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class OpenAiEs:
     def __init__(self, n_dim, popsize, lr=0.01, lr_decay=0.999,
                  lr_final=0.001, sigma=0.1, sigma_decay=0.999,
-                 sigma_final=0.001, mean_decay=0.0, beta1=0.9, beta2=0.999,
-                 adam_eps=1e-8, mean0=None):
+                 sigma_final=0.001, mean_decay=0.0, mean0=None):
         if popsize % 2 != 0:
             raise ValueError("population size must be even for antithetic "
                              "sampling")
@@ -30,9 +32,6 @@ class OpenAiEs:
         self.sigma_decay = sigma_decay
         self.sigma_final = sigma_final
         self.mean_decay = mean_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.adam_eps = adam_eps
         self.mean = (np.zeros(n_dim) if mean0 is None
                      else np.asarray(mean0, dtype=np.float64).copy())
         self.adam_m = np.zeros(n_dim)
@@ -56,12 +55,11 @@ class OpenAiEs:
         self._eps = None
 
         self.t += 1
-        self.adam_m = self.beta1 * self.adam_m + (1 - self.beta1) * grad
-        self.adam_v = self.beta2 * self.adam_v + (1 - self.beta2) * grad ** 2
-        m_hat = self.adam_m / (1 - self.beta1 ** self.t)
-        v_hat = self.adam_v / (1 - self.beta2 ** self.t)
-        self.mean = self.mean - self.lr * m_hat / (np.sqrt(v_hat)
-                                                   + self.adam_eps)
+        self.adam_m = ADAM_BETA1 * self.adam_m + (1 - ADAM_BETA1) * grad
+        self.adam_v = ADAM_BETA2 * self.adam_v + (1 - ADAM_BETA2) * grad ** 2
+        m_hat = self.adam_m / (1 - ADAM_BETA1 ** self.t)
+        v_hat = self.adam_v / (1 - ADAM_BETA2 ** self.t)
+        self.mean = self.mean - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if self.mean_decay > 0:
             self.mean = (1.0 - self.mean_decay) * self.mean
         self.lr = max(self.lr * self.lr_decay, self.lr_final)

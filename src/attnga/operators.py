@@ -2,17 +2,18 @@
 
 All operators are pure given an explicit ``numpy.random.Generator``; the GA
 engine composes them and owns the draw order. The learned-operator cores
-take any leading candidate axes and check nothing; the engine and the sweep
-call them directly, and the checked names validate and then run them. The
-baseline operators the engine runs take leading axes too, an archive's
-arrays included: one generator draws over the whole shape, and a sequence
-of one generator per run draws each run's slice alone (``draws.per_run``).
+take any leading candidate axes and check nothing; the engine calls them
+directly, and the checked names validate and then run them. The baseline
+operators the engine runs take leading axes too, an archive's arrays
+included. Their draws follow ``draws.per_run``: one generator draws the
+per-run shape once and every leading axis shares it, and a sequence of
+one generator per run draws each run's slice alone.
 
 Learned selection and MRA attend over a few fitness features (3 and 5
 columns) with d_k = 16, so their projections fold into small bilinear
 forms: Q_h K_h^T = F A_h F^T with a 3x3 or 5x5 A_h, and the value path
-after the softmax into a 3H x 3 matrix B or a 5H-vector u. The sweep folds
-once per call and the engine once per run, and both run the same cores.
+after the softmax into a 3H x 3 matrix B or a 5H-vector u. The engine
+folds them once per run or candidate batch.
 """
 
 import copy
@@ -24,6 +25,7 @@ import numpy as np
 from .attention import (attend, last_axis_first, row_softmax, sdpa,
                         softmax_last)
 from .draws import per_run
+from .features import FITNESS_DIM, SIGMA_DIM
 
 __all__ = [
     "ParentArchive",
@@ -93,7 +95,7 @@ class FoldedAttention:
     folds into ``value``: the heads' value maps stacked along rows,
     (..., H * d, c). Leading candidate axes are allowed. The object also
     keeps the logits and mixed-feature buffers of the last shape it ran
-    on, so a sweep or run that folds once allocates them once.
+    on, so a run or candidate batch that folds once allocates them once.
     """
 
     def __init__(self, forms, value):
@@ -120,9 +122,8 @@ class FoldedAttention:
 def _fold(w, prefix, tail):
     """Fold attention block ``prefix`` and the linear map ``tail`` after it.
 
-    ``tail`` is T for selection and w_sigma for MRA. The weights are cast
-    to float64 before any product, so float32 checkpoints fold exactly as
-    the sweep's float64 candidate rows do.
+    ``tail`` is T for selection and w_sigma for MRA. The float32 weights
+    are cast to float64 before any product.
     """
     wq, wk, wv = (np.asarray(w[f"{prefix}_{p}"], dtype=np.float64)
                   for p in ("q", "k", "v"))
@@ -191,12 +192,11 @@ def _checked_features(feats, width, what):
 
 def selection_logits(params, feats_parents, feats_children):
     """E x (N+1) selection logits; the last column is the fixed keep offset."""
-    d_fit, w = params.cfg.d_fit, params.weights
-    feats_parents = _checked_features(feats_parents, d_fit, "parent")
-    feats_children = _checked_features(feats_children, d_fit, "child")
+    feats_parents = _checked_features(feats_parents, FITNESS_DIM, "parent")
+    feats_children = _checked_features(feats_children, FITNESS_DIM, "child")
     out = np.ones((feats_parents.shape[0], feats_children.shape[0] + 1))
-    return selection_core(fold_selection(w), feats_parents, feats_children,
-                          out)
+    return selection_core(fold_selection(params.weights), feats_parents,
+                          feats_children, out)
 
 
 def learned_selection_probs(params, feats_parents, feats_children):
@@ -259,7 +259,9 @@ def _rows(idx):
     ``idx`` is (..., K) and ``a`` (..., E, *tail); ``a[_rows(idx)]`` is
     (..., K, *tail), and is ``a[idx]`` with no leading axes.
     """
-    return np.indices(idx.shape[:-1] + (1,), sparse=True)[:-1] + (idx,)
+    lead = idx.shape[:-1]
+    return tuple(np.arange(k).reshape((k,) + (1,) * (len(lead) - i))
+                 for i, k in enumerate(lead)) + (idx,)
 
 
 def replacement_core(chosen, child_x, child_f, child_sigma, archive):
@@ -271,14 +273,14 @@ def replacement_core(chosen, child_x, child_f, child_sigma, archive):
     new.x = np.where(keep[..., None], archive.x, child_x[child])
     new.f = np.where(keep, archive.f, child_f[child])
     new.sigma = np.where(keep, archive.sigma, child_sigma[child])
-    new.age = np.where(keep, archive.age + 1, 0)
+    new.age = archive.age + 1
+    new.age *= keep
     return new
 
 
 def mra_multiplier(params, mra_feats):
     """Per-member multiplicative mutation-rate change from self-attention."""
-    mra_feats = _checked_features(
-        mra_feats, params.cfg.d_fit + params.cfg.d_sigma, "MRA")
+    mra_feats = _checked_features(mra_feats, FITNESS_DIM + SIGMA_DIM, "MRA")
     return mra_core(fold_mra(params.weights), mra_feats)
 
 
@@ -317,7 +319,7 @@ def learned_crossover(params, feats_parents, x_parents):
     zs = np.where(std < 1e-10, 0.0, (x_parents - mean) / safe)
     dist = np.where(std < 1e-10, 0.0, np.abs(x_parents - mean) / safe)
 
-    # Batched over dimensions: feats_d has shape (D, E, d_fit + 2).
+    # Batched over dimensions: feats_d is (D, E, FITNESS_DIM + CROSSOVER_DIM).
     fit = np.broadcast_to(feats_parents, (d, e, feats_parents.shape[1]))
     feats_d = np.concatenate(
         [fit, zs.T[:, :, None], dist.T[:, :, None]], axis=2)
@@ -331,12 +333,17 @@ def learned_crossover(params, feats_parents, x_parents):
 
 
 def uniform_sample_parents(archive, n, rng):
-    """N i.i.d. uniform draws with replacement from each run's archive."""
+    """N i.i.d. uniform draws with replacement from each run's archive.
+
+    The indices are (N,) when one generator draws them for every leading
+    axis, which the gather then takes whole, and (R, N) for R generators.
+    """
     if archive.size < 1:
         raise ValueError("archive is empty")
+    lead = archive.f.shape[:-1]
     idx = per_run(rng, lambda g, size: g.integers(0, archive.size, size),
-                  archive.f.shape[:-1] + (n,))
-    rows = _rows(idx)
+                  (n,), lead)
+    rows = (slice(None),) * (len(lead) + 1 - idx.ndim) + _rows(idx)
     return idx, archive.x[rows], archive.f[rows], archive.sigma[rows]
 
 
@@ -344,10 +351,11 @@ def gaussian_mutate(x, sigma, rng):
     """Isotropic Gaussian perturbation, one rate per row."""
     x = np.asarray(x, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0):
+    if (sigma < 0).any():
         raise ValueError("mutation rates must be non-negative")
     return x + sigma[..., None] * per_run(
-        rng, lambda g, size: g.standard_normal(size), x.shape)
+        rng, lambda g, size: g.standard_normal(size), x.shape[-2:],
+        x.shape[:-2])
 
 
 def truncation_selection(child_x, child_f, child_sigma, archive):
@@ -395,7 +403,8 @@ def samr_adapt(sigma_parent, meta_rate, rng):
     sigma_parent = np.asarray(sigma_parent, dtype=np.float64)
     if np.any(sigma_parent <= 0) or meta_rate <= 0:
         raise ValueError("rates must be positive")
-    u = per_run(rng, lambda g, size: g.random(size), sigma_parent.shape)
+    u = per_run(rng, lambda g, size: g.random(size),
+                sigma_parent.shape[-1:], sigma_parent.shape[:-1])
     factor = np.where(u < 0.5, meta_rate, 1.0 / meta_rate)
     return np.clip(sigma_parent * factor, SIGMA_MIN, SIGMA_MAX)
 
@@ -415,7 +424,8 @@ def gesmr_adapt(sigma_groups, group_improvements, rng):
     elite = _rows(np.argmin(group_improvements, axis=-1)[..., None])
     elite_rate = sigma_groups[elite]
     draws = per_run(rng, lambda g, size: g.uniform(-np.log(2.0), np.log(2.0),
-                                                   size), sigma_groups.shape)
+                                                   size),
+                    sigma_groups.shape[-1:], sigma_groups.shape[:-1])
     new = elite_rate * np.exp(draws)
     new[elite] = elite_rate
     return np.clip(new, SIGMA_MIN, SIGMA_MAX)

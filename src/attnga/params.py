@@ -9,28 +9,31 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .features import CROSSOVER_DIM, FITNESS_DIM, SIGMA_DIM
+
 __all__ = ["FeatureConfig", "LgaParams", "unflatten", "weight_shapes"]
 
 CHECKPOINT_VERSION = 1
 
+# Feature widths a checkpoint records, which the operators fix.
+FEATURE_WIDTHS = {"d_fit": FITNESS_DIM, "d_sigma": SIGMA_DIM,
+                  "d_elite": CROSSOVER_DIM}
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Dimensions of the operator feature spaces and attention layout."""
+    """Attention layout of the learned operators and which ones exist."""
 
     d_k: int = 16
     heads: int = 1
-    d_fit: int = 3
-    d_sigma: int = 2
-    d_elite: int = 2
     with_sampling: bool = False
     with_crossover: bool = False
 
     def __post_init__(self):
         if self.heads < 1:
             raise ValueError("need at least one attention head")
-        if min(self.d_k, self.d_fit, self.d_sigma, self.d_elite) < 1:
-            raise ValueError("feature dimensions must be positive")
+        if self.d_k < 1:
+            raise ValueError("attention width must be positive")
 
 
 def weight_shapes(cfg):
@@ -40,8 +43,8 @@ def weight_shapes(cfg):
     output projections only exist for more than one head (a single head
     feeds its attention output through unprojected).
     """
-    h, dk, df = cfg.heads, cfg.d_k, cfg.d_fit
-    dm = cfg.d_fit + cfg.d_sigma
+    h, dk, df = cfg.heads, cfg.d_k, FITNESS_DIM
+    dm = FITNESS_DIM + SIGMA_DIM
     shapes = {
         "sel_q": (h, df, dk),
         "sel_k": (h, df, dk),
@@ -61,7 +64,7 @@ def weight_shapes(cfg):
         shapes["smp_k"] = (df + 1, dk)
         shapes["smp_v"] = (df + 1, 1)
     if cfg.with_crossover:
-        dx = df + cfg.d_elite
+        dx = df + CROSSOVER_DIM
         shapes["co_q"] = (dx, dk)
         shapes["co_k"] = (dx, dk)
         shapes["co_v"] = (dx, dk)
@@ -83,7 +86,12 @@ def unflatten(cfg, vectors):
 
 @dataclass
 class LgaParams:
-    """A concrete learned-GA instance: config plus named weight matrices."""
+    """A concrete learned-GA instance: config plus named weight matrices.
+
+    The weights of M candidates carry a leading (M,) axis, the same on
+    every weight (``shape``); the engine runs such a batch as M candidates
+    that share every random draw.
+    """
 
     cfg: FeatureConfig
     weights: dict = field(default_factory=dict)
@@ -95,14 +103,27 @@ class LgaParams:
             extra = set(self.weights) - set(shapes)
             raise ValueError(f"weight names mismatch: missing={sorted(missing)}"
                              f" extra={sorted(extra)}")
+        lead = None
         for name, shape in shapes.items():
             arr = np.asarray(self.weights[name], dtype=np.float32)
-            if arr.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, "
+            if lead is None:    # the first weight sets the leading axes
+                lead = arr.shape[:max(arr.ndim - len(shape), 0)]
+            if arr.shape != lead + shape:
+                raise ValueError(f"{name}: expected shape {lead + shape}, "
                                  f"got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name}: non-finite weights")
             self.weights[name] = arr
+
+    @property
+    def shape(self):
+        """Leading axes of every weight: () for one candidate, (M,) for M."""
+        return self.weights["mra_sigma"].shape[:-2]
+
+    def _single(self, what):
+        if self.shape:
+            raise ValueError(f"{what} takes one candidate, not a batch of "
+                             f"shape {self.shape}")
 
     @classmethod
     def zeros(cls, cfg=None):
@@ -124,13 +145,15 @@ class LgaParams:
         return sum(int(np.prod(s)) for s in weight_shapes(self.cfg).values())
 
     def to_vector(self):
+        self._single("to_vector")
         return np.concatenate(
             [self.weights[n].ravel() for n in weight_shapes(self.cfg)]
         ).astype(np.float32)
 
     @classmethod
     def from_vector(cls, cfg, vec):
-        vec = np.asarray(vec, dtype=np.float32).ravel()
+        """One candidate from a (P,) vector, or M from (M, P) rows."""
+        vec = np.asarray(vec, dtype=np.float32)
         return cls(cfg, {name: w.copy()
                          for name, w in unflatten(cfg, vec).items()})
 
@@ -149,12 +172,15 @@ class LgaParams:
     # -- checkpoint I/O ----------------------------------------------------
     # Plain-text format: a version line, a [config] block and one [matrix *]
     # block per weight with row-major decimal values. float32 values are
-    # written with enough digits that parsing is bit-exact.
+    # written with enough digits that parsing is bit-exact. The config block
+    # records the fixed feature widths too.
 
     def save(self, path):
-        lines = [f"format-version: {CHECKPOINT_VERSION}", "[config]"]
-        for key in ("d_k", "heads", "d_fit", "d_sigma", "d_elite"):
-            lines.append(f"{key}: {getattr(self.cfg, key)}")
+        self._single("save")
+        lines = [f"format-version: {CHECKPOINT_VERSION}", "[config]",
+                 f"d_k: {self.cfg.d_k}", f"heads: {self.cfg.heads}"]
+        for key, width in FEATURE_WIDTHS.items():
+            lines.append(f"{key}: {width}")
         lines.append(f"with_sampling: {int(self.cfg.with_sampling)}")
         lines.append(f"with_crossover: {int(self.cfg.with_crossover)}")
         for name in weight_shapes(self.cfg):
@@ -183,9 +209,12 @@ class LgaParams:
             key, val = lines[i].split(":", 1)
             cfg_kv[key.strip()] = int(val)
             i += 1
+        for key, width in FEATURE_WIDTHS.items():
+            if cfg_kv[key] != width:
+                raise ValueError(f"{path}: {key} is {cfg_kv[key]}, but the "
+                                 f"operators' features have {width} columns")
         cfg = FeatureConfig(
-            d_k=cfg_kv["d_k"], heads=cfg_kv["heads"], d_fit=cfg_kv["d_fit"],
-            d_sigma=cfg_kv["d_sigma"], d_elite=cfg_kv["d_elite"],
+            d_k=cfg_kv["d_k"], heads=cfg_kv["heads"],
             with_sampling=bool(cfg_kv["with_sampling"]),
             with_crossover=bool(cfg_kv["with_crossover"]))
         while i < len(lines):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from attnga import engine
 from attnga import operators as ops
 from attnga.attention import row_softmax
 from attnga.bbob import TaskSpec
-from attnga.features import (build_joint_fitness_features,
-                             build_sampled_parent_features)
+from attnga.features import (FITNESS_DIM, SIGMA_DIM, rows_joint_features,
+                             rows_parent_features)
 from attnga.params import FeatureConfig, LgaParams
 from attnga.tasks import make_task
 
@@ -123,7 +124,8 @@ def test_one_generation_trace_matches_manual_replay():
     x0 = rng.uniform(-5.0, 5.0, size=(3, 2))            # archive init
     idx = rng.integers(0, 3, size=6)                    # parent sampling
     f_s = np.full(6, engine.FITNESS_CLIP)
-    feats = build_sampled_parent_features(f_s, np.full(6, 0.2), np.inf)
+    feats = rows_parent_features(f_s, np.full(6, 0.2), np.inf,
+                                 np.empty((6, FITNESS_DIM + SIGMA_DIM)))
     delta = ops.mra_multiplier(params, feats)
     exp_sigma = delta * 0.2
     exp_x = x0[idx] + exp_sigma[:, None] * rng.standard_normal((6, 2))
@@ -132,8 +134,9 @@ def test_one_generation_trace_matches_manual_replay():
 
     f_c = task.evaluate(x_c)
     ga.tell(x_c, f_c, sigma_c)
-    _, feat_c, feat_p = build_joint_fitness_features(
-        f_c, np.full(3, engine.FITNESS_CLIP), np.inf)
+    feat_c, feat_p = rows_joint_features(
+        f_c, np.full(3, engine.FITNESS_CLIP), np.inf,
+        np.empty((9, FITNESS_DIM)))
     probs = row_softmax(ops.selection_logits(params, feat_p, feat_c))
     sel = ops.categorical_indices(probs, rng.random(3))
     for row, choice in enumerate(sel):
@@ -407,14 +410,17 @@ def test_non_finite_fitness_in_one_run_raises_as_that_run(selection, mra):
                                              ({"crossover": "learned"}, False),
                                              ({}, True)])
 def test_single_run_slots_reject_a_batch(settings, debug):
-    params = LgaParams.random(
-        FeatureConfig(with_sampling=True, with_crossover=True),
-        np.random.default_rng(3))
+    """A batch of runs or of candidates."""
+    cfg = FeatureConfig(with_sampling=True, with_crossover=True)
+    params = LgaParams.random(cfg, np.random.default_rng(3))
     config = engine.GaConfig(n_pop=4, selection="learned", mra="learned",
                              generations=2, **settings)
     with pytest.raises(ValueError, match="one run at a time"):
         engine.run(config, _sphere_task(), params=params, seeds=[1, 2],
                    debug=debug)
+    batch = LgaParams.from_vector(cfg, np.stack([params.to_vector()] * 2))
+    with pytest.raises(ValueError, match="one run at a time"):
+        engine.run(config, _sphere_task(), params=batch, debug=debug)
 
 
 def test_task_sequence_needs_one_seed_per_task():
@@ -423,3 +429,86 @@ def test_task_sequence_needs_one_seed_per_task():
         engine.run(config, [_sphere_task()] * 2, seeds=[1, 2, 3])
     with pytest.raises(ValueError, match="one seed per task"):
         engine.run(config, [_sphere_task()])
+
+
+# -- candidate batches: the meta-training sweep is engine.run over M ---------
+
+def _candidates(cfg, rows):
+    """One LgaParams per row, and all rows as one (M,) candidate batch."""
+    return ([LgaParams.from_vector(cfg, row) for row in rows],
+            LgaParams.from_vector(cfg, rows))
+
+
+@pytest.mark.parametrize("selection, mra", [s for s in SLOTS
+                                            if "learned" in s])
+@pytest.mark.parametrize("heads, kind", [(1, "noisy"), (2, "noisy"),
+                                         (1, "mlp-sine")])
+def test_candidate_batch_rows_match_single_runs(selection, mra, heads, kind):
+    """Each candidate of a batch sharing one generator is its own run."""
+    cfg = FeatureConfig(heads=heads)
+    rows = 0.5 * np.random.default_rng(heads).standard_normal(
+        (5, LgaParams.zeros(cfg).n_params))
+    if kind == "noisy":
+        task = TaskSpec(function="rastrigin", dim=4,
+                        offset=[1.0, -2.0, 0.5, 0.0], sigma0=0.2, noise=True)
+    else:
+        task = make_task("mlp-sine")
+    config = engine.GaConfig(n_pop=12, elite_ratio=0.5, sigma0=0.3,
+                             selection=selection, mra=mra, generations=15,
+                             seed=[8, heads])
+    singles, batch = _candidates(cfg, rows)
+    trajectory = engine.run(config, task, params=batch)
+    for m, params in enumerate(singles):
+        alone = engine.run(config, task, params=params)
+        for name in TRAJECTORY_FIELDS:
+            np.testing.assert_array_equal(getattr(trajectory, name)[m],
+                                          getattr(alone, name), err_msg=name)
+
+
+def test_diverging_candidate_runs_on_in_its_own_row():
+    """A batch of candidates is not validated; each row stays its own run.
+
+    Candidate 1's mutation rates underflow to 0 (see the rate-underflow
+    test above), which raises alone; in a batch the run goes on, with no
+    numpy warning, and the other rows keep their bits.
+    """
+    cfg = FeatureConfig()
+    rows = np.stack([LgaParams.random(cfg, np.random.default_rng(seed),
+                                      scale=scale).to_vector()
+                     for seed, scale in ((3, 0.1), (2, 3.0), (4, 0.0))])
+    config = engine.GaConfig(n_pop=8, elite_ratio=0.5, sigma0=1e-320,
+                             selection="learned", mra="learned",
+                             generations=30, seed=2)
+    task = make_task("sphere", dim=3, seed=0, noise=True)
+    singles, batch = _candidates(cfg, rows)
+    with pytest.raises(ValueError, match="positive and finite"):
+        engine.run(config, task, params=singles[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajectory = engine.run(config, task, params=batch)
+    for m in (0, 2):
+        alone = engine.run(config, task, params=singles[m])
+        for name in TRAJECTORY_FIELDS:
+            np.testing.assert_array_equal(getattr(trajectory, name)[m],
+                                          getattr(alone, name), err_msg=name)
+
+
+def test_non_finite_fitness_in_a_candidate_batch_runs_on():
+    cfg = FeatureConfig()
+    config = engine.GaConfig(n_pop=8, elite_ratio=0.5, selection="learned",
+                             mra="learned", generations=10, seed=[2, 1])
+    with pytest.raises(ValueError, match="non-finite fitness"):
+        engine.run(config, _PoisonedSphere(at=4), params=_params())
+    _, batch = _candidates(cfg, np.stack([_params(s).to_vector()
+                                          for s in (40, 41)]))
+    trajectory = engine.run(config, _PoisonedSphere(at=4), params=batch)
+    assert np.isnan(trajectory.fitness[:, 3, 1]).all()
+
+
+def test_a_batch_is_runs_or_candidates_not_both():
+    _, batch = _candidates(FeatureConfig(),
+                           np.zeros((2, LgaParams.zeros().n_params)))
+    config = engine.GaConfig(n_pop=4, selection="learned", mra="learned",
+                             generations=2)
+    with pytest.raises(ValueError, match="not both"):
+        engine.run(config, _sphere_task(), params=batch, seeds=[1, 2])

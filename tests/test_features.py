@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
-from attnga.features import (average_ranks, build_joint_fitness_features,
-                             build_sampled_parent_features, centered_ranks,
-                             fitness_features, rows_z_score, sigma_features,
-                             z_score)
+from attnga.features import (FITNESS_DIM, SIGMA_DIM, average_ranks,
+                             centered_ranks, fitness_features,
+                             rows_joint_features, rows_parent_features,
+                             rows_z_score, sigma_features, z_score)
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3,
                           allow_nan=False, allow_infinity=False)
@@ -86,14 +86,14 @@ def test_fitness_features_columns():
 def test_joint_features_share_one_normalization():
     children = np.array([1.0, 10.0])
     parents = np.array([4.0, 7.0, 2.0])
-    joint, f_c, f_p = build_joint_fitness_features(children, parents, 5.0)
+    joint = np.empty((5, FITNESS_DIM))
+    f_c, f_p = rows_joint_features(children, parents, 5.0, joint)
     both = np.concatenate([children, parents])
     np.testing.assert_allclose(joint[:, 0], z_score(both))
     np.testing.assert_allclose(joint[:, 1], centered_ranks(both))
+    np.testing.assert_array_equal(joint, fitness_features(both, 5.0))
     np.testing.assert_array_equal(f_c, joint[:2])
     np.testing.assert_array_equal(f_p, joint[2:])
-    with pytest.raises(ValueError):
-        build_joint_fitness_features(np.array([]), parents, 5.0)
 
 
 def test_sigma_features_minmax_and_validation():
@@ -115,7 +115,8 @@ def test_sigma_features_minmax_and_validation():
 def test_sampled_parent_features_concatenation():
     f = np.array([2.0, 8.0])
     sigma = np.array([0.1, 0.3])
-    feats = build_sampled_parent_features(f, sigma, best_so_far=5.0)
+    feats = rows_parent_features(f, sigma, 5.0,
+                                 np.empty((2, FITNESS_DIM + SIGMA_DIM)))
     assert feats.shape == (2, 5)
     np.testing.assert_array_equal(feats[:, :3], fitness_features(f, 5.0))
     np.testing.assert_array_equal(feats[:, 3:], sigma_features(sigma))

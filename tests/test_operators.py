@@ -394,23 +394,42 @@ def test_gesmr_adapt_resamples_within_one_octave():
 
 
 def test_one_generator_draws_over_all_leading_axes():
-    x = np.zeros((3, 4, 2))
+    """One generator draws the per-run shape once; leading axes share it.
+
+    This is how the M candidates of a sweep share every draw: each
+    candidate's slice equals that candidate's own call on a fresh
+    generator.
+    """
+    rng = np.random.default_rng(33)
+    archives = [_archive(rng, e=5, d=2) for _ in range(3)]
+    batch = ops.ParentArchive(*(np.stack([getattr(a, name) for a in archives])
+                                for name in ("x", "f", "sigma", "age")))
+    x = rng.standard_normal((3, 4, 2))
     sigma = np.array([[0.1, 0.2, 0.4, 0.8]] * 3)
-    x_c = ops.gaussian_mutate(x, sigma, np.random.default_rng(1))
-    np.testing.assert_array_equal(
-        x_c, sigma[..., None] * np.random.default_rng(1).standard_normal(
-            (3, 4, 2)))
-    new = ops.samr_adapt(sigma, 2.0, np.random.default_rng(2))
-    u = np.random.default_rng(2).random((3, 4))
-    np.testing.assert_array_equal(new, np.where(u < 0.5, 2.0, 0.5) * sigma)
     improvements = np.array([[0.0, 1, 2, 3], [3, 0, 1, 2], [3, 2, 1, 0]])
-    new = ops.gesmr_adapt(sigma, improvements, np.random.default_rng(3))
-    draws = np.random.default_rng(3).uniform(-np.log(2.0), np.log(2.0),
-                                             (3, 4))
-    for r, elite in enumerate([0, 1, 3]):
-        expected = sigma[r, elite] * np.exp(draws[r])
-        expected[elite] = sigma[r, elite]
-        np.testing.assert_array_equal(new[r], expected)
+
+    idx, x_p, f_p, sigma_p = ops.uniform_sample_parents(
+        batch, 6, np.random.default_rng(0))
+    assert idx.shape == (6,)
+    x_c = ops.gaussian_mutate(x, sigma, np.random.default_rng(1))
+    rates = ops.samr_adapt(sigma, 2.0, np.random.default_rng(2))
+    groups = ops.gesmr_adapt(sigma, improvements, np.random.default_rng(3))
+    for r, arch in enumerate(archives):
+        alone = ops.uniform_sample_parents(arch, 6, np.random.default_rng(0))
+        np.testing.assert_array_equal(idx, alone[0])
+        for got, want in zip((x_p, f_p, sigma_p), alone[1:]):
+            np.testing.assert_array_equal(got[r], want)
+        np.testing.assert_array_equal(x_c[r], ops.gaussian_mutate(
+            x[r], sigma[r], np.random.default_rng(1)))
+        np.testing.assert_array_equal(rates[r], ops.samr_adapt(
+            sigma[r], 2.0, np.random.default_rng(2)))
+        np.testing.assert_array_equal(groups[r], ops.gesmr_adapt(
+            sigma[r], improvements[r], np.random.default_rng(3)))
+    # Every row saw the same draws.
+    noise = (x_c - x) / sigma[..., None]
+    np.testing.assert_allclose(noise[0], noise[2], rtol=1e-12)
+    u = np.random.default_rng(2).random(4)
+    np.testing.assert_array_equal(rates, np.where(u < 0.5, 2.0, 0.5) * sigma)
 
 
 def test_one_generator_per_run_draws_each_run_alone():

@@ -7,9 +7,13 @@ from attnga.params import FeatureConfig, LgaParams, weight_shapes
 
 
 def _count_oracle(cfg):
-    """Independent parameter count from the architecture description."""
-    h, dk, df = cfg.heads, cfg.d_k, cfg.d_fit
-    dm = df + cfg.d_sigma
+    """Independent parameter count from the architecture description.
+
+    Selection reads 3 fitness features, MRA those plus 2 rate features,
+    and cross-over those plus 2 per-coordinate columns.
+    """
+    h, dk, df = cfg.heads, cfg.d_k, 3
+    dm = df + 2
     total = 3 * h * df * dk          # selection q/k/v projections
     total += dk * dk + df * dk       # second-stage selection query/key
     total += 3 * h * dm * dk + dk    # MRA q/k/v + sigma head
@@ -18,7 +22,7 @@ def _count_oracle(cfg):
     if cfg.with_sampling:
         total += 2 * (df + 1) * dk + (df + 1)
     if cfg.with_crossover:
-        total += 3 * (df + cfg.d_elite) * dk + dk
+        total += 3 * (df + 2) * dk + dk
     return total
 
 
@@ -49,6 +53,29 @@ def test_vector_round_trip_preserves_layout():
                                       params.weights[name])
     with pytest.raises(ValueError):
         LgaParams.from_vector(cfg, vec[:-1])
+
+
+def test_from_vector_rows_give_a_candidate_batch(tmp_path):
+    cfg = FeatureConfig(heads=2, with_crossover=True)
+    n = LgaParams.zeros(cfg).n_params
+    rows = np.random.default_rng(9).standard_normal((4, n)).astype(np.float32)
+    batch = LgaParams.from_vector(cfg, rows)
+    assert batch.shape == (4,) and LgaParams.zeros(cfg).shape == ()
+    for m, row in enumerate(rows):
+        single = LgaParams.from_vector(cfg, row)
+        for name, shape in weight_shapes(cfg).items():
+            assert batch.weights[name].shape == (4,) + shape
+            np.testing.assert_array_equal(batch.weights[name][m],
+                                          single.weights[name])
+    with pytest.raises(ValueError, match="not a batch"):
+        batch.save(tmp_path / "batch.txt")
+    with pytest.raises(ValueError, match="not a batch"):
+        batch.to_vector()
+    assert not (tmp_path / "batch.txt").exists()
+    mixed = dict(batch.weights)
+    mixed["mra_v"] = mixed["mra_v"][:3]
+    with pytest.raises(ValueError, match="mra_v"):
+        LgaParams(cfg, mixed)
 
 
 def test_weight_validation():
@@ -95,6 +122,20 @@ def test_checkpoint_rejects_bad_header(tmp_path):
         LgaParams.load(path)
 
 
+@pytest.mark.parametrize("key, value", [("d_fit", 4), ("d_sigma", 3),
+                                        ("d_elite", 3)])
+def test_checkpoint_rejects_other_feature_widths(tmp_path, key, value):
+    """The features fix these widths; a checkpoint records them."""
+    path = tmp_path / "ckpt.txt"
+    LgaParams.zeros(FeatureConfig(with_crossover=True)).save(path)
+    lines = path.read_text().splitlines()
+    (at,) = [i for i, line in enumerate(lines) if line.startswith(key + ":")]
+    lines[at] = f"{key}: {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{key} is {value}"):
+        LgaParams.load(path)
+
+
 def test_with_extra_operators_keeps_shared_weights():
     base = LgaParams.random(FeatureConfig(), np.random.default_rng(7))
     extended = base.with_extra_operators(sampling=True, crossover=True,
@@ -111,3 +152,5 @@ def test_feature_config_validation():
         FeatureConfig(heads=0)
     with pytest.raises(ValueError):
         FeatureConfig(d_k=0)
+    with pytest.raises(TypeError):
+        FeatureConfig(d_fit=4)      # the features fix their widths

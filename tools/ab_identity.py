@@ -18,7 +18,9 @@ their baseline rows are compared on their own.
 - Sweep scores (``metabbo.evaluate_candidates_on_task``) of the first 64,
   3 and 1 candidates on the 32 desk tasks of meta-generations 0 and 1
   (config seed 0; weights drawn with seed 1 from N(0, 0.5^2)), plus a noisy
-  rastrigin-3D and a diverging rosenbrock-5D sweep at N in {16, 5, 1}.
+  rastrigin-3D and a diverging rosenbrock-5D sweep at N in {16, 5, 1},
+  and the first 64, 3 and 1 candidates on mlp-sine and, with random
+  2-head weights, on the noisy rastrigin-3D.
 - The CSV bytes of ``attnga evaluate`` at the ``evaluate-mlp`` benchmark
   settings, on ``sphere:10,rastrigin:10``, and at N=48 with 3 repetitions
   on ``sphere:10,mlp-sine`` (the batched runs' 64-row MLP blocks straddle
@@ -88,6 +90,16 @@ def record(checkout, tmp):
                     20, "minN-finalT")
                 out[f"sweep {task.function} M={m} N={n_pop}"] = \
                     scores.tobytes()
+    two_head = FeatureConfig(heads=2)
+    theta_2h = np.random.default_rng(2).normal(
+        0.0, 0.5, (64, LgaParams.zeros(two_head).n_params)).astype(np.float32)
+    for key, rows, feature_cfg, task in (
+            ("mlp-sine", theta, cfg.feature_cfg, make_task("mlp-sine")),
+            ("2-head rastrigin", theta_2h, two_head, extra[0])):
+        for m in M_VALUES:
+            scores = metabbo.evaluate_candidates_on_task(
+                rows[:m], feature_cfg, task, [8, 1], 16, 20, "minN-minT")
+            out[f"sweep {key} M={m}"] = scores.tobytes()
 
     def cli_csv(key, argv, by=()):
         """The CSV's bytes, one output per value of the ``by`` columns."""
