@@ -20,9 +20,12 @@ __all__ = [
     "META_TRAIN_FUNCTIONS",
     "HOLD_OUT_FUNCTIONS",
     "NOISE_BETA",
+    "SIGMA0_RANGE",
 ]
 
 NOISE_BETA = 0.01
+# Sampled tasks draw their suggested initial mutation rate from this range.
+SIGMA0_RANGE = (0.01, 0.5)
 # Floor applied to raw fitness before the multiplicative noise.
 _NOISE_FLOOR = 1e-12
 
@@ -204,7 +207,6 @@ class TaskSpec:
     offset: np.ndarray          # optimum location, within [-5, 5]^D
     sigma0: float = 0.1         # suggested initial mutation rate
     noise: bool = False
-    noise_beta: float = NOISE_BETA
     seed: int = 0
 
     def __post_init__(self):
@@ -246,7 +248,7 @@ class TaskSpec:
                 raise ValueError("noisy task needs an rng")
             noise = rng.standard_normal(values.shape[-1])
             values = np.maximum(values, _NOISE_FLOOR) * np.exp(
-                self.noise_beta * noise)
+                NOISE_BETA * noise)
         return values
 
 
@@ -256,7 +258,6 @@ class TaskFamily:
 
     functions: tuple = META_TRAIN_FUNCTIONS
     dim_range: tuple = (2, 10)
-    sigma0_range: tuple = (0.01, 0.5)
     noise: bool = False
 
     def __post_init__(self):
@@ -273,8 +274,9 @@ def sample_task(family, rng):
     lo, hi = family.dim_range
     dim = int(rng.integers(lo, hi + 1))
     offset = rng.uniform(-5.0, 5.0, size=dim)
-    s_lo, s_hi = family.sigma0_range
-    sigma0 = float(rng.uniform(s_lo, s_hi))
+    sigma0 = float(rng.uniform(*SIGMA0_RANGE))
+    # Nothing reads the seed; it is still drawn, so later draws keep their
+    # place in the stream.
     seed = int(rng.integers(0, 2 ** 31 - 1))
     return TaskSpec(function=name, dim=dim, offset=offset, sigma0=sigma0,
                     noise=family.noise, seed=seed)

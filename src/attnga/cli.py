@@ -5,8 +5,12 @@ the repetitions of each grid cell run as one batched GA run, the cells fan
 out across a worker pool, and rows are emitted in a fixed order, so the
 files are byte-identical for any worker count.
 
-Config files use INI sections named after the subcommand; command-line
-flags override file values.
+Each subcommand's options are declared once, in ``MODES``: its handler and
+a ``{key: default}`` table of exactly the keys it reads. The table gives
+the subcommand's flags (``--key-name``) and the keys of its config-file
+section (an INI section named after the subcommand); a value from either
+takes its default's type, and command-line flags override file values. A
+flag or key outside the table is an error (exit 2).
 """
 
 import argparse
@@ -93,20 +97,18 @@ def _mlp_sine():
 Job = namedtuple("Job", "config seeds task params")
 
 
-def _cell(opts, slots, params, task_idx, name, dim, *key, **settings):
-    """The repetitions of ``slots`` as one job.
+def _cell(opts, slots, params, task_idx, name, dim, rho, sigma0, *key):
+    """The repetitions of ``slots`` at ``rho`` and ``sigma0`` as one job.
 
-    Run ``rep`` is seeded with ``[seed, task_idx, *key, rep]``; ``settings``
-    override the options' GaConfig.
+    Run ``rep`` is seeded with ``[seed, task_idx, *key, rep]``.
     """
     reps = range(opts["repetitions"])
     if not reps:
         raise ValueError("repetitions must be at least 1")
-    config = dict(n_pop=opts["n_pop"], generations=opts["generations"],
-                  elite_ratio=opts["rho"], sigma0=opts["sigma0"], **slots)
-    config.update(settings)
-    return Job(engine.GaConfig(**config),
-               [[opts["seed"], task_idx, *key, rep] for rep in reps],
+    config = engine.GaConfig(n_pop=opts["n_pop"],
+                             generations=opts["generations"],
+                             elite_ratio=rho, sigma0=sigma0, **slots)
+    return Job(config, [[opts["seed"], task_idx, *key, rep] for rep in reps],
                (name, dim, [_offset_seed(opts["seed"], task_idx, rep)
                             for rep in reps]),
                params if "learned" in slots.values() else None)
@@ -122,17 +124,19 @@ def _run_job(job):
 
 
 def _map_jobs(jobs, workers):
-    """Each job's results, concatenated in job order."""
+    """Each job's list of final bests, in job order."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=1))
-    else:
-        results = [_run_job(job) for job in jobs]
-    return [best for bests in results for best in bests]
+            return list(pool.map(_run_job, jobs, chunksize=1))
+    return [_run_job(job) for job in jobs]
 
 
 def _offset_seed(master, task_idx, rep):
     return int((master * 1000003 + task_idx * 8191 + rep) % (2 ** 31))
+
+
+def _label(name, dim):
+    return name if dim is None else f"{name}:{dim}"
 
 
 def _parse_algorithms(spec):
@@ -147,7 +151,7 @@ def _parse_algorithms(spec):
 
 
 def _load_params(opts, required):
-    if opts.get("checkpoint"):
+    if opts["checkpoint"]:
         return LgaParams.load(opts["checkpoint"])
     if required:
         raise ValueError("this mode requires --checkpoint")
@@ -160,31 +164,34 @@ def cmd_evaluate(opts):
     tasks = parse_task_list(opts["tasks"])
     algos = _parse_algorithms(opts["algorithms"])
     params = _load_params(opts, required="lga" in algos)
-    reps = opts["repetitions"]
 
     # The Gaussian baseline is always run: it is the normalization
     # denominator even when not among the requested algorithms.
     denom_algos = algos if "gaussian" in algos else algos + ["gaussian"]
-    jobs, keys = [], []
+    cells, jobs = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for algo in denom_algos:
+            cells.append((task_idx, algo))
             jobs.append(_cell(opts, ALGORITHMS[algo], params, task_idx,
-                              name, dim))
-            keys.extend((task_idx, algo, rep) for rep in range(reps))
-    results = dict(zip(keys, _map_jobs(jobs, opts["workers"])))
+                              name, dim, opts["rho"], opts["sigma0"]))
+    results = dict(zip(cells, _map_jobs(jobs, opts["workers"])))
 
     rows = []
     for task_idx, (name, dim) in enumerate(tasks):
-        denom = np.mean([results[(task_idx, "gaussian", r)]
-                         for r in range(reps)])
-        denom = max(float(denom), NORM_FLOOR)
+        denom = max(float(np.mean(results[task_idx, "gaussian"])),
+                    NORM_FLOOR)
         for algo in algos:
-            for rep in range(reps):
-                best = results[(task_idx, algo, rep)]
-                label = name if dim is None else f"{name}:{dim}"
-                rows.append([label, algo, rep, best, best / denom])
+            rows.extend([_label(name, dim), algo, rep, best, best / denom]
+                        for rep, best in enumerate(results[task_idx, algo]))
     _write_csv(opts["out"], ["task", "algo", "seed", "best_final",
                              "normalized"], rows)
+
+
+def _grid_rows(cells, jobs, workers):
+    """One row per repetition: its cell's columns, the repetition, best."""
+    return [[*cell, rep, best]
+            for cell, bests in zip(cells, _map_jobs(jobs, workers))
+            for rep, best in enumerate(bests)]
 
 
 def cmd_sweep(opts):
@@ -196,46 +203,35 @@ def cmd_sweep(opts):
                   if v.strip()]
     if not rho_grid or not sigma_grid:
         raise ValueError("sweep grids must be non-empty")
-    reps = opts["repetitions"]
 
-    jobs, keys = [], []
+    cells, jobs = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for algo in algos:
             for gi, rho in enumerate(rho_grid):
                 for gj, sigma0 in enumerate(sigma_grid):
+                    cells.append((_label(name, dim), algo, rho, sigma0))
                     jobs.append(_cell(opts, ALGORITHMS[algo], params,
-                                      task_idx, name, dim, gi, gj,
-                                      elite_ratio=rho, sigma0=sigma0))
-                    keys.extend((name, dim, algo, rho, sigma0, rep)
-                                for rep in range(reps))
-    results = _map_jobs(jobs, opts["workers"])
-    rows = [[name if dim is None else f"{name}:{dim}", algo, rho, sigma0,
-             rep, best]
-            for (name, dim, algo, rho, sigma0, rep), best
-            in zip(keys, results)]
+                                      task_idx, name, dim, rho, sigma0,
+                                      gi, gj))
     _write_csv(opts["out"], ["task", "algo", "rho", "sigma0", "seed",
-                             "best_final"], rows)
+                             "best_final"],
+               _grid_rows(cells, jobs, opts["workers"]))
 
 
 def cmd_transfer(opts):
     tasks = parse_task_list(opts["tasks"])
     params = _load_params(opts, required=True)
-    reps = opts["repetitions"]
 
-    jobs, keys = [], []
+    cells, jobs = [], []
     for task_idx, (name, dim) in enumerate(tasks):
         for selection, mra in TRANSFER_COMPOSITIONS:
-            slots = {"selection": selection, "mra": mra}
-            jobs.append(_cell(opts, slots, params, task_idx, name, dim))
-            keys.extend((name, dim, selection, mra, rep)
-                        for rep in range(reps))
-    results = _map_jobs(jobs, opts["workers"])
-    rows = [[name if dim is None else f"{name}:{dim}", selection, mra, rep,
-             best]
-            for (name, dim, selection, mra, rep), best
-            in zip(keys, results)]
+            cells.append((_label(name, dim), selection, mra))
+            jobs.append(_cell(opts, {"selection": selection, "mra": mra},
+                              params, task_idx, name, dim, opts["rho"],
+                              opts["sigma0"]))
     _write_csv(opts["out"], ["task", "selection", "mra", "seed",
-                             "best_final"], rows)
+                             "best_final"],
+               _grid_rows(cells, jobs, opts["workers"]))
 
 
 def _print_folded(params):
@@ -258,10 +254,12 @@ def _print_folded(params):
 
 
 def cmd_analyze(opts):
+    tasks = parse_task_list(opts["tasks"])
+    if len(tasks) != 1:
+        raise ValueError(f"analyze runs one task, got {len(tasks)}")
+    (name, dim), = tasks
     params = _load_params(opts, required=True)
     _print_folded(params)
-    tasks = parse_task_list(opts["tasks"])
-    name, dim = tasks[0]
     task = build_task(name, dim, _offset_seed(opts["seed"], 0, 0))
     config = engine.GaConfig(
         n_pop=opts["n_pop"], elite_ratio=opts["rho"], sigma0=opts["sigma0"],
@@ -313,52 +311,42 @@ def cmd_meta_train(opts):
     meta_train(cfg, out_dir=opts["out"])
 
 
-# -- option plumbing ---------------------------------------------------------
+# -- option table ------------------------------------------------------------
 
-_DEFAULTS = {
-    "seed": 0,
-    "workers": 1,
-    "out": "results.csv",
-    "tasks": "sphere:20",
-    "algorithms": "lga,gaussian,mr15,samr,gesmr",
-    "n_pop": 32,
-    "generations": 50,
-    "rho": 0.5,
-    "sigma0": 0.25,
-    "repetitions": 5,
-    "checkpoint": "",
-    "rho_grid": "0.0,0.15,0.25,0.35,0.5,1.0",
-    "sigma0_grid": "0.1,0.25,0.5,0.75,1.0",
-    "meta_popsize": 512,
-    "n_tasks": 256,
-    "meta_generations": 750,
-    "objective": "minN-finalT",
-    "mean_decay": 0.005,
-    "functions": ",".join(META_TRAIN_FUNCTIONS),
-    "dim_min": 2,
-    "dim_max": 10,
-    "noise": 0,
-    "eval_every": 25,
-    "checkpoint_every": 50,
+# Option groups, each default stated once; a mode's table joins the groups
+# its command reads. Config keys are the table's keys, flags the keys with
+# dashes, and a value from either takes its default's type.
+_RUN = {"seed": 0, "out": "results.csv", "n_pop": 32, "generations": 50}
+_POOL = {"workers": 1}
+_TASKS = {"checkpoint": "", "tasks": "sphere:20"}
+_RATES = {"rho": 0.5, "sigma0": 0.25}
+_REPEATS = {**_POOL, "repetitions": 5}
+_ALGORITHMS = {"algorithms": ",".join(ALGORITHMS)}
+
+MODES = {
+    "meta-train": (cmd_meta_train, {
+        **_RUN, **_POOL, "meta_popsize": 512, "n_tasks": 256,
+        "meta_generations": 750, "objective": "minN-finalT",
+        "mean_decay": 0.005, "functions": ",".join(META_TRAIN_FUNCTIONS),
+        "dim_min": 2, "dim_max": 10, "noise": 0, "eval_every": 25,
+        "checkpoint_every": 50}),
+    "evaluate": (cmd_evaluate,
+                 {**_RUN, **_TASKS, **_RATES, **_REPEATS, **_ALGORITHMS}),
+    "sweep": (cmd_sweep, {
+        **_RUN, **_TASKS, **_REPEATS, **_ALGORITHMS,
+        "rho_grid": "0.0,0.15,0.25,0.35,0.5,1.0",
+        "sigma0_grid": "0.1,0.25,0.5,0.75,1.0"}),
+    "transfer": (cmd_transfer, {**_RUN, **_TASKS, **_RATES, **_REPEATS}),
+    "analyze": (cmd_analyze, {**_RUN, **_TASKS, **_RATES}),
 }
 
-_INT_KEYS = {"seed", "workers", "n_pop", "generations", "repetitions",
-             "meta_popsize", "n_tasks", "meta_generations", "dim_min",
-             "dim_max", "noise", "eval_every", "checkpoint_every"}
-_FLOAT_KEYS = {"rho", "sigma0", "mean_decay"}
-
-
-def _coerce(key, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+_HELP = {"tasks": "comma list of name[:dim] entries"}
 
 
 def resolve_options(mode, args):
     """Defaults < config-file section < command-line flags."""
-    opts = dict(_DEFAULTS)
+    defaults = MODES[mode][1]
+    opts = dict(defaults)
     if args.config:
         parser = configparser.ConfigParser()
         read = parser.read(args.config)
@@ -369,11 +357,9 @@ def resolve_options(mode, args):
                 if key not in opts:
                     raise ValueError(f"unknown config key {key!r} in "
                                      f"[{mode}]")
-                opts[key] = _coerce(key, value)
-    for key in opts:
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = _coerce(key, value)
+                opts[key] = type(defaults[key])(value)
+    opts.update((key, value) for key, value in vars(args).items()
+                if key in opts)
     return opts
 
 
@@ -383,53 +369,14 @@ def build_parser():
         description="Attention-parametrized genetic algorithms: "
                     "meta-training, benchmarking and analysis.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    modes = {
-        "meta-train": cmd_meta_train,
-        "evaluate": cmd_evaluate,
-        "sweep": cmd_sweep,
-        "transfer": cmd_transfer,
-        "analyze": cmd_analyze,
-    }
-    for mode, handler in modes.items():
-        p = sub.add_parser(mode)
-        p.set_defaults(handler=handler)
+    for mode, (_, defaults) in MODES.items():
+        # No abbreviations: `sweep --rho` must not mean `--rho-grid`.
+        p = sub.add_parser(mode, allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="INI config file; section [%s]" % mode)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--checkpoint", default=None)
-        p.add_argument("--tasks", default=None,
-                       help="comma list of name[:dim] entries")
-        p.add_argument("--algorithms", default=None)
-        p.add_argument("--n-pop", dest="n_pop", type=int, default=None)
-        p.add_argument("--generations", type=int, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--sigma0", type=float, default=None)
-        p.add_argument("--repetitions", type=int, default=None)
-        if mode == "sweep":
-            p.add_argument("--rho-grid", dest="rho_grid", default=None)
-            p.add_argument("--sigma0-grid", dest="sigma0_grid", default=None)
-        if mode == "meta-train":
-            p.add_argument("--meta-popsize", dest="meta_popsize", type=int,
-                           default=None)
-            p.add_argument("--n-tasks", dest="n_tasks", type=int,
-                           default=None)
-            p.add_argument("--meta-generations", dest="meta_generations",
-                           type=int, default=None)
-            p.add_argument("--objective", default=None)
-            p.add_argument("--mean-decay", dest="mean_decay", type=float,
-                           default=None)
-            p.add_argument("--functions", default=None)
-            p.add_argument("--dim-min", dest="dim_min", type=int,
-                           default=None)
-            p.add_argument("--dim-max", dest="dim_max", type=int,
-                           default=None)
-            p.add_argument("--noise", type=int, default=None)
-            p.add_argument("--eval-every", dest="eval_every", type=int,
-                           default=None)
-            p.add_argument("--checkpoint-every", dest="checkpoint_every",
-                           type=int, default=None)
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                           default=argparse.SUPPRESS, help=_HELP.get(key))
     return parser
 
 
@@ -437,8 +384,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = resolve_options(args.mode, args)
-        args.handler(opts)
+        MODES[args.mode][0](resolve_options(args.mode, args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,6 @@ A batch of candidates is not validated: a diverging candidate runs on in
 its own row, and meta-training patches and winsorizes its score.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -53,8 +52,8 @@ from .features import (FITNESS_DIM, SIGMA_DIM, fitness_features,
                        rows_joint_features, rows_parent_features)
 
 __all__ = ["GaConfig", "GeneticAlgorithm", "Trajectory", "run",
-           "trajectory_to_csv", "SELECTION_SLOTS", "MRA_SLOTS",
-           "SAMPLING_SLOTS", "CROSSOVER_SLOTS", "FITNESS_CLIP"]
+           "SELECTION_SLOTS", "MRA_SLOTS", "SAMPLING_SLOTS",
+           "CROSSOVER_SLOTS", "FITNESS_CLIP"]
 
 SELECTION_SLOTS = ("learned", "truncation")
 MRA_SLOTS = ("learned", "fixed", "one_fifth", "samr", "gesmr")
@@ -124,9 +123,6 @@ class Trajectory:
     mean_sigma: np.ndarray    # (..., T) mean child mutation rate
     debug: list = field(default_factory=list)
 
-    def __len__(self):
-        return self.best_so_far.shape[-1]
-
 
 def _check_archive_rates(sigma):
     """Raise unless every rate of an archive that selection formed is > 0.
@@ -191,8 +187,8 @@ class GeneticAlgorithm:
             self._joint = np.empty(self.shape + (n + e, FITNESS_DIM))
             self._logits = np.ones(self.shape + (e, n + 1))  # keep column
 
-    def reinit(self, x0=None):
-        """Reset the archive (optionally to copies of an explicit point)."""
+    def reinit(self):
+        """Reset the archive to a fresh draw from the initial box."""
         cfg = self.config
         e = cfg.n_elite
         self.generation = 0
@@ -201,11 +197,9 @@ class GeneticAlgorithm:
         self._sigma_scalar = np.full(self.shape, cfg.sigma0)  # one_fifth
         self._sigma_groups = np.full(self.shape + (cfg.gesmr_groups,),
                                      cfg.sigma0)
-        if x0 is None:
-            x0 = per_run(self.rng, lambda g, size: g.uniform(
-                INIT_LOW, INIT_HIGH, size=size), (e, self.dim), self.shape)
-        x = np.broadcast_to(np.asarray(x0, dtype=np.float64),
-                            self.shape + (e, self.dim)).copy()
+        x0 = per_run(self.rng, lambda g, size: g.uniform(
+            INIT_LOW, INIT_HIGH, size=size), (e, self.dim), self.shape)
+        x = np.broadcast_to(x0, self.shape + (e, self.dim)).copy()
         lead = self.shape + (e,)
         self.archive = ops.ParentArchive(
             x=x, f=np.full(lead, np.inf), sigma=np.full(lead, cfg.sigma0),
@@ -349,7 +343,7 @@ class GeneticAlgorithm:
                 "chosen": chosen}
 
 
-def run(config, task, params=None, debug=False, x0=None, seeds=None):
+def run(config, task, params=None, debug=False, seeds=None):
     """Run the full inner loop on a task and record the trajectory.
 
     With ``seeds``, one run per seed advances at once (see
@@ -368,8 +362,6 @@ def run(config, task, params=None, debug=False, x0=None, seeds=None):
         tasks = [task] * (1 if seeds is None else len(seeds))
     ga = GeneticAlgorithm(config, tasks[0].dim, params=params, debug=debug,
                           seeds=seeds)
-    if x0 is not None:
-        ga.reinit(x0)
     t = config.generations
     fitness = np.empty(ga.shape + (t, config.n_pop))
     sigma_sum = np.empty(ga.shape + (t,))
@@ -392,20 +384,3 @@ def run(config, task, params=None, debug=False, x0=None, seeds=None):
                       np.minimum.accumulate(best_of_gen, axis=-1),
                       sigma_sum / config.n_pop, debug_records)
 
-
-def trajectory_to_csv(trajectory, path, per_member=False):
-    """Write per-generation summaries (optionally wide member columns)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        header = ["generation", "best_of_gen", "best_so_far", "mean_sigma"]
-        n = trajectory.fitness.shape[1] if len(trajectory) else 0
-        if per_member:
-            header += [f"fitness_{j}" for j in range(n)]
-        writer.writerow(header)
-        for gen in range(len(trajectory)):
-            row = [gen, repr(float(trajectory.best_of_gen[gen])),
-                   repr(float(trajectory.best_so_far[gen])),
-                   repr(float(trajectory.mean_sigma[gen]))]
-            if per_member:
-                row += [repr(float(v)) for v in trajectory.fitness[gen]]
-            writer.writerow(row)

@@ -37,6 +37,13 @@ __all__ = ["MetaConfig", "MetaTrainResult", "OBJECTIVES", "reduce_scores",
 
 OBJECTIVES = ("minN-minT", "minN-finalT", "meanN-minT", "meanN-finalT")
 
+# Per-task winsorization percentile applied across candidates before the
+# z-score normalization. Diverged candidates can post scores tens of
+# orders of magnitude above the field; without a cap they inflate the
+# column std until every other candidate collapses onto one z value and
+# the training signal drowns in float round-off.
+WINSOR_PCT = 80.0
+
 META_LOG_COLUMNS = ("meta_gen", "mf_mean", "mf_median", "mf_best",
                     "sigma_meta", "lr", "eval_sphere", "eval_rosenbrock",
                     "eval_mlp")
@@ -63,12 +70,6 @@ class MetaConfig:
     eval_every: int = 25
     checkpoint_every: int = 50
     workers: int = 1
-    # Per-task winsorization percentile applied across candidates before the
-    # z-score normalization. Diverged candidates can post scores tens of
-    # orders of magnitude above the field; without a cap they inflate the
-    # column std until every other candidate collapses onto one z value and
-    # the training signal drowns in float round-off.
-    winsor_pct: float = 80.0
 
     def __post_init__(self):
         if self.meta_popsize % 2 != 0:
@@ -137,14 +138,14 @@ def _task_job(args):
     return evaluate_candidates_on_task(*args)
 
 
-def _winsorize_columns(scores, pct):
-    """Cap each task column at its ``pct`` percentile across candidates.
+def _winsorize_columns(scores):
+    """Cap each task column at its ``WINSOR_PCT`` percentile across candidates.
 
     Order among capped candidates is lost (they tie at the cap), which is
     fine: they are the diverged tail, and the tie keeps the column std at
     the scale of the competitive candidates.
     """
-    caps = np.percentile(scores, pct, axis=0, keepdims=True)
+    caps = np.percentile(scores, WINSOR_PCT, axis=0, keepdims=True)
     return np.minimum(scores, caps)
 
 
@@ -202,7 +203,7 @@ def meta_train(cfg, out_dir=None, progress=None):
             else:
                 columns = [_task_job(job) for job in jobs]
             scores = _patch_non_finite(np.stack(columns, axis=1))
-            scores = _winsorize_columns(scores, cfg.winsor_pct)
+            scores = _winsorize_columns(scores)
 
             mf = meta_fitness(scores)
             es.tell(mf)

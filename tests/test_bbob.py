@@ -127,7 +127,7 @@ def test_function_split_is_disjoint_and_complete():
 
 def test_sample_task_respects_family_ranges():
     family = bbob.TaskFamily(functions=("sphere", "rastrigin"),
-                             dim_range=(2, 4), sigma0_range=(0.01, 0.5))
+                             dim_range=(2, 4))
     rng = np.random.default_rng(6)
     seen_dims, seen_names = set(), set()
     for _ in range(200):

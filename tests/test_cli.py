@@ -1,5 +1,6 @@
 """Unit tests for the command-line front end."""
 
+import argparse
 import csv
 
 import numpy as np
@@ -172,12 +173,81 @@ def test_config_file_errors(tmp_path, capsys):
 def test_repetitions_below_one_exit_nonzero(tmp_path, capsys, checkpoint,
                                             mode, reps):
     out = tmp_path / "x.csv"
-    rc = cli.main([mode, "--tasks", "sphere:2", "--algorithms", "gaussian",
+    # transfer has no --algorithms: it runs its fixed slot compositions.
+    algorithms = [] if mode == "transfer" else ["--algorithms", "gaussian"]
+    rc = cli.main([mode, "--tasks", "sphere:2", *algorithms,
                    "--checkpoint", checkpoint, "--n-pop", "4",
                    "--generations", "2", "--repetitions", reps,
                    "--out", str(out)])
     assert rc == 2
     assert "repetitions must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Flags each mode accepted and then ignored before it declared its options.
+IGNORED_FLAGS = [
+    ("sweep", "--rho", "0.01"), ("sweep", "--sigma0", "9"),
+    ("transfer", "--algorithms", "bogus"),
+    ("analyze", "--workers", "99"), ("analyze", "--algorithms", "bogus"),
+    ("analyze", "--repetitions", "-5"),
+    ("meta-train", "--checkpoint", "/nonexistent"),
+    ("meta-train", "--tasks", "nonsense"),
+    ("meta-train", "--algorithms", "bogus"), ("meta-train", "--rho", "9"),
+    ("meta-train", "--sigma0", "-1"), ("meta-train", "--repetitions", "2"),
+]
+
+
+@pytest.mark.parametrize("mode,flag,value", IGNORED_FLAGS)
+def test_flag_a_mode_does_not_read_exits_2(tmp_path, capsys, mode, flag,
+                                           value):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([mode, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["workers", "repetitions"])
+def test_config_key_a_mode_does_not_read_exits_2(tmp_path, capsys,
+                                                 checkpoint, key):
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[analyze]\n{key} = 2\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["analyze", "--config", str(ini), "--tasks", "sphere:2",
+                     "--checkpoint", checkpoint, "--n-pop", "4",
+                     "--generations", "2", "--out", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_mode_has_the_flags_of_its_table():
+    parser = cli.build_parser()
+    (modes,) = [action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    assert set(modes) == set(cli.MODES)
+    for mode, sub in modes.items():
+        flags = {flag for action in sub._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == {"--config"} | {"--" + key.replace("_", "-")
+                                        for key in cli.MODES[mode][1]}
+
+
+def test_config_values_take_their_defaults_type(tmp_path):
+    ini = tmp_path / "conf.ini"
+    ini.write_text("[meta-train]\nnoise = 1\nmean_decay = 0.01\n")
+    args = cli.build_parser().parse_args(["meta-train", "--config",
+                                          str(ini)])
+    opts = cli.resolve_options("meta-train", args)
+    assert type(opts["noise"]) is int and opts["noise"] == 1
+    assert type(opts["mean_decay"]) is float and opts["mean_decay"] == 0.01
+
+
+def test_analyze_rejects_more_than_one_task(tmp_path, capsys, checkpoint):
+    out = tmp_path / "analyze.csv"
+    assert cli.main(["analyze", "--tasks", "sphere:2,rastrigin:3",
+                     "--checkpoint", checkpoint, "--out", str(out)]) == 2
+    assert "one task" in capsys.readouterr().err
     assert not out.exists()
 
 

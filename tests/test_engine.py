@@ -1,6 +1,5 @@
 """Unit tests for the ask/tell genetic-algorithm engine."""
 
-import csv
 import math
 import warnings
 
@@ -192,12 +191,12 @@ def test_samr_rates_ride_with_children():
         ga.tell(x, task.evaluate(x), sigma)
 
 
-def test_reinit_from_explicit_point():
+def test_new_ga_starts_fresh():
     config = engine.GaConfig(n_pop=4, elite_ratio=1.0, seed=10)
     ga = engine.GeneticAlgorithm(config, dim=3)
-    ga.reinit(x0=[1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(ga.archive.x,
-                                  np.tile([1.0, 2.0, 3.0], (4, 1)))
+    assert ga.archive.x.shape == (4, 3)
+    assert np.all((ga.archive.x >= engine.INIT_LOW)
+                  & (ga.archive.x < engine.INIT_HIGH))
     assert np.all(np.isinf(ga.archive.f))
     assert ga.generation == 0 and ga.best_f == np.inf
 
@@ -217,21 +216,6 @@ def test_debug_records_expose_selection_internals():
     # Each record holds its own generation's arrays, not a reused buffer.
     for key in ("child_features", "parent_features", "logits"):
         assert not np.array_equal(traj.debug[0][key], traj.debug[3][key])
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    traj = engine.run(engine.GaConfig(n_pop=3, generations=5, seed=12),
-                      _sphere_task())
-    path = tmp_path / "traj.csv"
-    engine.trajectory_to_csv(traj, path, per_member=True)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["generation", "best_of_gen", "best_so_far",
-                       "mean_sigma", "fitness_0", "fitness_1", "fitness_2"]
-    assert len(rows) == 6
-    for gen, row in enumerate(rows[1:]):
-        assert float(row[1]) == traj.best_of_gen[gen]
-        assert float(row[4]) == traj.fitness[gen, 0]
 
 
 # -- errors: raised once, at the engine's boundary ---------------------------

@@ -126,12 +126,13 @@ def record(checkout, tmp):
     argv[argv.index("--n-pop") + 1] = "48"
     argv[argv.index("--repetitions") + 1] = "3"
     cli_csv("evaluate N=48 sphere:10,mlp-sine", argv, by=(1,))
-    small = ["--n-pop", "12", "--generations", "20", "--rho", "0.5",
-             "--sigma0", "0.25", "--repetitions", "2", "--seed", "3",
+    small = ["--n-pop", "12", "--generations", "20", "--seed", "3",
              "--checkpoint", checkpoint]
-    cli_csv("analyze", ["analyze", "--tasks", "rastrigin:5"] + small)
-    cli_csv("transfer", ["transfer", "--tasks", "sphere:5,mlp-sine"] + small,
-            by=(1, 2))
+    rates = ["--rho", "0.5", "--sigma0", "0.25"]
+    reps = ["--repetitions", "2"]
+    cli_csv("analyze", ["analyze", "--tasks", "rastrigin:5"] + small + rates)
+    cli_csv("transfer", ["transfer", "--tasks", "sphere:5,mlp-sine"] + small
+            + rates + reps, by=(1, 2))
     cli_csv("transfer N=48", ["transfer", "--tasks", "sphere:10,mlp-sine",
                               "--n-pop", "48", "--generations", "40",
                               "--repetitions", "2", "--seed", "9",
@@ -139,7 +140,7 @@ def record(checkout, tmp):
     cli_csv("sweep", ["sweep", "--tasks", "rosenbrock:4",
                       "--algorithms", "lga,gaussian",
                       "--rho-grid", "0.25,1.0", "--sigma0-grid", "0.1,0.5"]
-            + small, by=(1,))
+            + small + reps, by=(1,))
 
     wide = LgaParams.random(
         FeatureConfig(heads=2, with_sampling=True, with_crossover=True),
@@ -148,7 +149,7 @@ def record(checkout, tmp):
     wide.save(wide_path)
     cli_csv("evaluate 2-head", ["evaluate", "--tasks", "sphere:6,mlp-sine",
                                 "--algorithms", "lga,gaussian"]
-            + small[:-1] + [wide_path], by=(1,))
+            + small[:-1] + [wide_path] + rates + reps, by=(1,))
     config = engine.GaConfig(
         n_pop=16, elite_ratio=0.5, sigma0=0.2, selection="learned",
         mra="learned", sampling="learned", crossover="learned",
