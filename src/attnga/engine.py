@@ -15,19 +15,19 @@ each run of a batch, and each candidate of a sweep, equals its own single
 run bit for bit. The draws, in order (do not reorder):
 
   init: archive, shape (E, D), copied to every leading index
-  ask:  1. parent sampling indices     (uniform ints (N,) or categorical
-                                        uniforms)
+  ask:  1. parent draws, shape (N,)    (uniform ints, or the categorical
+                                       uniforms of learned sampling)
         2. self-adaptive rate draws    (samr slot only)
         3. mutation noise, shape (N, D)
   eval: task noise, shape (N,)         (noisy tasks only)
   tell: 4. selection uniforms, shape (E,)   (learned selection only)
         5. group rate draws, shape (K,)     (gesmr slot only)
 
-Learned selection and MRA run unchecked feature, attention and operator
-cores on weights folded into their bilinear forms
-(``operators.fold_selection``/``fold_mra``) and on buffers built once per
-run or batch. Learned sampling, learned cross-over and debug records take
-one population at a time.
+The four learned operators (selection, MRA, sampling and cross-over) run
+unchecked feature, attention and operator cores on weights folded into
+their bilinear forms (``operators.fold``) and on buffers built once per
+run or batch, over the leading axes. Debug records carry the leading
+axes too.
 
 Validation follows the input. A run, or a batch of runs, is validated
 once, at the engine's boundary, and raises ``ValueError`` in the call
@@ -48,8 +48,9 @@ import numpy as np
 from . import operators as ops
 from .attention import reduce_rows, softmax_last
 from .draws import per_run
-from .features import (FITNESS_DIM, SIGMA_DIM, fitness_features,
-                       rows_joint_features, rows_parent_features)
+from .features import (CROSSOVER_DIM, FITNESS_DIM, SIGMA_DIM,
+                       rows_crossover_features, rows_joint_features,
+                       rows_parent_features, rows_sampling_features)
 
 __all__ = ["GaConfig", "GeneticAlgorithm", "Trajectory", "run",
            "SELECTION_SLOTS", "MRA_SLOTS", "SAMPLING_SLOTS",
@@ -89,8 +90,9 @@ class GaConfig:
             raise ValueError("population size must be positive")
         if not 0.0 <= self.elite_ratio <= 1.0:
             raise ValueError("elite ratio must lie in [0, 1]")
-        if self.sigma0 <= 0:
-            raise ValueError("initial mutation rate must be positive")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ValueError("initial mutation rate must be positive and "
+                             "finite")
         if self.selection not in SELECTION_SLOTS:
             raise ValueError(f"unknown selection slot {self.selection!r}")
         if self.mra not in MRA_SLOTS:
@@ -147,24 +149,16 @@ class GeneticAlgorithm:
     def __init__(self, config, dim, params=None, debug=False, seeds=None):
         if config.uses_learned and params is None:
             raise ValueError("learned operator slots require params")
-        if config.sampling == "learned" and params is not None \
-                and not params.cfg.with_sampling:
+        if config.sampling == "learned" and not params.cfg.with_sampling:
             raise ValueError("params lack learned-sampling weights")
-        if config.crossover == "learned" and params is not None \
-                and not params.cfg.with_crossover:
+        if config.crossover == "learned" and not params.cfg.with_crossover:
             raise ValueError("params lack learned cross-over weights")
         candidates = () if params is None else params.shape
         if seeds is not None and candidates:
             raise ValueError("a batch holds runs (seeds) or candidates "
                              "(params), not both")
-        if (seeds is not None or candidates) and (
-                debug or config.sampling == "learned"
-                or config.crossover == "learned"):
-            raise ValueError("learned sampling, learned cross-over and "
-                             "debug records run one run at a time")
         self.config = config
         self.dim = dim
-        self.params = params
         self.debug = debug
         if seeds is None:
             self.rng = np.random.default_rng(config.seed)
@@ -175,9 +169,16 @@ class GeneticAlgorithm:
         # Runs are validated; a batch of candidates runs on unchecked.
         self._checked = not candidates
         self.reinit()
-        # Learned selection and MRA run their cores on weights folded, and
+        # The learned operators run their cores on weights folded, and
         # feature and logit buffers built, once per run or batch.
         n, e = config.n_pop, config.n_elite
+        if config.sampling == "learned":
+            self._smp = ops.fold(params.weights, "smp")
+            self._smp_feats = np.empty(self.shape + (e, FITNESS_DIM + 1))
+        if config.crossover == "learned":
+            self._co = ops.fold(params.weights, "co", params.weights["co_dx"])
+            self._co_feats = np.empty((dim,) + self.shape
+                                      + (n, FITNESS_DIM + CROSSOVER_DIM))
         if config.mra == "learned":
             self._mra = ops.fold_mra(params.weights)
             self._mra_feats = np.empty(self.shape
@@ -213,20 +214,16 @@ class GeneticAlgorithm:
         arch = self.archive
 
         if cfg.sampling == "learned":
-            feats = fitness_features(np.minimum(arch.f, FITNESS_CLIP),
-                                     self.best_f)
-            probs = ops.learned_sampling_probs(self.params, feats, arch.age)
-            idx = ops.categorical_indices(np.tile(probs, (n, 1)),
-                                          self.rng.random(n))
-            x_s, f_s, sigma_s = arch.x[idx], arch.f[idx], arch.sigma[idx]
+            x_s, f_s, sigma_s = ops.parents_at(arch, self._sampled_parents())
         else:
             _, x_s, f_s, sigma_s = ops.uniform_sample_parents(arch, n,
                                                               self.rng)
 
         if cfg.crossover == "learned":
-            feats = fitness_features(np.minimum(f_s, FITNESS_CLIP),
-                                     self.best_f)
-            x_s = ops.learned_crossover(self.params, feats, x_s)
+            feats = rows_crossover_features(
+                np.minimum(f_s, FITNESS_CLIP), x_s, self.best_f[..., None],
+                self._co_feats)
+            x_s = ops.crossover_core(self._co, feats, x_s)
 
         delta = None
         if cfg.mra == "learned":
@@ -246,6 +243,16 @@ class GeneticAlgorithm:
         x_c = ops.gaussian_mutate(x_s, sigma_c, self.rng)
         self._pending = {"f_sampled": f_s, "delta": delta}
         return x_c, sigma_c
+
+    def _sampled_parents(self):
+        """Indices (..., N) of the parents that learned sampling draws."""
+        n, arch = self.config.n_pop, self.archive
+        probs = ops.sampling_core(self._smp, rows_sampling_features(
+            np.minimum(arch.f, FITNESS_CLIP), arch.age,
+            self.best_f[..., None], self._smp_feats))
+        u = per_run(self.rng, lambda g, size: g.random(size), (n,), self.shape)
+        return ops.categorical_indices(np.broadcast_to(
+            probs[..., None, :], self.shape + (n, arch.size)), u)
 
     def _mra_multiplier(self, f_s, sigma_s):
         """Learned MRA multipliers of the sampled parents, checked here.

@@ -4,6 +4,9 @@ All transforms are invariant to positive affine rescaling of the raw fitness
 values, which is what lets a single set of operator weights act across tasks
 with wildly different objective scales. Zero-variance guards keep converged
 populations from producing NaNs.
+
+Each learned operator reads one block of features, which a ``rows_*`` core
+builds over any leading axes; every z-score is :func:`rows_z_score`.
 """
 
 import numpy as np
@@ -16,12 +19,13 @@ __all__ = [
     "rows_centered_ranks",
     "rows_z_score",
     "z_score",
-    "fitness_features",
     "sigma_features",
     "rows_fitness_features",
     "rows_sigma_features",
     "rows_parent_features",
     "rows_joint_features",
+    "rows_sampling_features",
+    "rows_crossover_features",
     "FITNESS_DIM",
     "SIGMA_DIM",
     "CROSSOVER_DIM",
@@ -32,8 +36,7 @@ FITNESS_DIM = 3
 # Columns: z-score, min-max map to [-1, 1].
 SIGMA_DIM = 2
 # Columns of one search coordinate across the parents, which learned
-# cross-over appends to their fitness features: z-score, distance from the
-# mean in stds.
+# cross-over appends to their fitness features: z-score, absolute z-score.
 CROSSOVER_DIM = 2
 
 # Relative std threshold below which a population is treated as converged.
@@ -239,11 +242,25 @@ def rows_joint_features(f_children, f_parents, best_so_far, out):
     return out[..., :n, :], out[..., n:, :]
 
 
-def fitness_features(f, best_so_far):
-    """(n, 3) matrix of [z-score, centered rank, strict-improvement flag]."""
-    f = _finite(f, "fitness_features")
-    return rows_fitness_features(f, best_so_far,
-                                 np.empty(f.shape + (FITNESS_DIM,)))
+def rows_sampling_features(f, age, best_so_far, out):
+    """Fitness features, then tanh(age / 20), which resolves ~50 gens."""
+    rows_fitness_features(f, best_so_far, out[..., :FITNESS_DIM])
+    scaled = np.divide(age, 20.0, out=out[..., FITNESS_DIM])
+    np.tanh(scaled, out=scaled)
+    return out
+
+
+def rows_crossover_features(f, x, best_so_far, out):
+    """Per coordinate of ``x`` (..., N, D): features of ``f``, z and |z|.
+
+    The z-scores run over the N parents. The coordinate axis leads ``out``,
+    (D, ..., N, 5), so its rows line up with a candidate batch's forms.
+    """
+    rows_fitness_features(f, best_so_far, out[0, ..., :FITNESS_DIM])
+    out[1:, ..., :FITNESS_DIM] = out[0, ..., :FITNESS_DIM]
+    z = rows_z_score(np.moveaxis(x, -1, 0), out=out[..., FITNESS_DIM])
+    np.absolute(z, out=out[..., FITNESS_DIM + 1])
+    return out
 
 
 def sigma_features(sigma):

@@ -9,11 +9,10 @@ included. Their draws follow ``draws.per_run``: one generator draws the
 per-run shape once and every leading axis shares it, and a sequence of
 one generator per run draws each run's slice alone.
 
-Learned selection and MRA attend over a few fitness features (3 and 5
-columns) with d_k = 16, so their projections fold into small bilinear
-forms: Q_h K_h^T = F A_h F^T with a 3x3 or 5x5 A_h, and the value path
-after the softmax into a 3H x 3 matrix B or a 5H-vector u. The engine
-folds them once per run or candidate batch.
+All four learned operators attend over a few features (3 to 5 columns)
+with d_k = 16, so :func:`fold` folds their projections into small bilinear
+forms, Q_h K_h^T = F A_h F^T, and the value path after the softmax into a
+small matrix. The engine folds them once per run or candidate batch.
 """
 
 import copy
@@ -22,26 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (attend, last_axis_first, row_softmax, sdpa,
-                        softmax_last)
+from .attention import last_axis_first, row_softmax, softmax_last
 from .draws import per_run
 from .features import FITNESS_DIM, SIGMA_DIM
 
 __all__ = [
     "ParentArchive",
     "FoldedAttention",
+    "fold",
     "fold_selection",
     "fold_mra",
     "selection_core",
     "mra_core",
+    "sampling_core",
+    "crossover_core",
     "selection_logits",
     "learned_selection_probs",
     "sample_selection",
     "apply_selection",
     "replacement_core",
     "mra_multiplier",
-    "learned_sampling_probs",
-    "learned_crossover",
+    "parents_at",
     "uniform_sample_parents",
     "gaussian_mutate",
     "truncation_selection",
@@ -81,10 +81,6 @@ class ParentArchive:
     def size(self):
         return self.f.shape[-1]
 
-    def copy(self):
-        return ParentArchive(self.x.copy(), self.f.copy(),
-                             self.sigma.copy(), self.age.copy())
-
 
 class FoldedAttention:
     """An attention operator folded into bilinear forms of its features.
@@ -119,26 +115,30 @@ class FoldedAttention:
         return mixed
 
 
-def _fold(w, prefix, tail):
+def fold(w, prefix, tail=None):
     """Fold attention block ``prefix`` and the linear map ``tail`` after it.
 
-    ``tail`` is T for selection and w_sigma for MRA. The float32 weights
-    are cast to float64 before any product.
+    ``tail`` is T for selection, w_sigma for MRA and W_dx for cross-over;
+    sampling has none, so its value is W_v. d_k is the width of W_q. The
+    float32 weights are cast to float64 before any product.
     """
     wq, wk, wv = (np.asarray(w[f"{prefix}_{p}"], dtype=np.float64)
                   for p in ("q", "k", "v"))
-    heads, d, d_k = wv.shape[-3:]
+    if prefix in ("smp", "co"):     # one head, stored without a head axis
+        wq, wk, wv = (np.expand_dims(a, -3) for a in (wq, wk, wv))
+    heads, d, d_k = wq.shape[-3:]
     forms = wq @ np.swapaxes(wk, -1, -2)
     forms /= math.sqrt(d_k)
-    tail = tail[..., None, :, :]
-    w_out = w.get(f"{prefix}_out")
-    if w_out is not None:
-        w_out = np.asarray(w_out, dtype=np.float64)
-        tail = w_out.reshape(w_out.shape[:-2] + (heads, d_k, d_k)) @ tail
-    value = wv @ tail
+    if tail is not None:    # the value path: W_v, then W_out, then tail
+        tail = np.asarray(tail, dtype=np.float64)[..., None, :, :]
+        w_out = w.get(f"{prefix}_out")
+        if w_out is not None:
+            w_out = np.asarray(w_out, dtype=np.float64)
+            tail = w_out.reshape(w_out.shape[:-2] + (heads, d_k, d_k)) @ tail
+        wv = wv @ tail
     return FoldedAttention(
         tuple(forms[..., h, :, :] for h in range(heads)),
-        value.reshape(value.shape[:-3] + (heads * d, value.shape[-1])))
+        wv.reshape(wv.shape[:-3] + (heads * d, wv.shape[-1])))
 
 
 def fold_selection(w):
@@ -152,7 +152,7 @@ def fold_selection(w):
     w_k2 = np.asarray(w["sel_k2"], dtype=np.float64)
     tail = w_q2 @ np.swapaxes(w_k2, -1, -2)
     tail /= math.sqrt(w_q2.shape[-1])
-    return _fold(w, "sel", tail)
+    return fold(w, "sel", tail)
 
 
 def fold_mra(w):
@@ -161,7 +161,7 @@ def fold_mra(w):
     The log-multiplier is 1/2 softmax(F_m A'_h F_m^T) F_m u_h summed over
     heads (u_h = W_v,h w_sigma for one head).
     """
-    return _fold(w, "mra", np.asarray(w["mra_sigma"], dtype=np.float64))
+    return fold(w, "mra", w["mra_sigma"])
 
 
 def selection_core(folded, feats_parents, feats_children, out):
@@ -179,6 +179,18 @@ def mra_core(folded, mra_feats):
     log_delta *= 0.5
     np.clip(log_delta, -LOG_DELTA_CLAMP, LOG_DELTA_CLAMP, out=log_delta)
     return np.exp(log_delta, out=log_delta)
+
+
+def sampling_core(folded, feats):
+    """Unchecked sampling probabilities (..., E) of the archive members."""
+    raw = (folded.attend(feats, feats) @ folded.value)[..., 0]
+    return softmax_last(raw, out=raw)
+
+
+def crossover_core(folded, feats, x_parents):
+    """Unchecked parents (..., N, D) plus their learned cross-over changes."""
+    delta = (folded.attend(feats, feats) @ folded.value)[..., 0]
+    return x_parents + np.moveaxis(delta, 0, -1)
 
 
 def _checked_features(feats, width, what):
@@ -250,7 +262,7 @@ def apply_selection(sample, child_x, child_f, child_sigma, archive):
                             np.asarray(child_x, dtype=np.float64),
                             np.asarray(child_f, dtype=np.float64),
                             np.asarray(child_sigma, dtype=np.float64),
-                            archive.copy())
+                            archive)
 
 
 def _rows(idx):
@@ -284,67 +296,28 @@ def mra_multiplier(params, mra_feats):
     return mra_core(fold_mra(params.weights), mra_feats)
 
 
-def learned_sampling_probs(params, feats_parents, age):
-    """Parent sampling distribution from fitness features plus age counter.
+def parents_at(archive, idx):
+    """Solutions, fitness and rates of rows ``idx`` of each run's archive.
 
-    tanh(age / 20) keeps resolution over typical 50-generation runs; the
-    scalar attention output is renormalized with a final softmax.
+    ``idx`` is (..., N), or (N,) shared by every leading index.
     """
-    if not params.cfg.with_sampling:
-        raise ValueError("params carry no learned-sampling weights")
-    feats_parents = np.asarray(feats_parents, dtype=np.float64)
-    age = np.asarray(age, dtype=np.float64)
-    feats = np.column_stack([feats_parents, np.tanh(age / 20.0)])
-    w = params.weights
-    raw = sdpa(feats @ w["smp_q"], feats @ w["smp_k"], feats @ w["smp_v"])
-    return row_softmax(raw[:, 0][None, :])[0]
-
-
-def learned_crossover(params, feats_parents, x_parents):
-    """Additive per-dimension recombination across the parent set.
-
-    For each search dimension a two-column diversity description of the
-    parent coordinates (z-score and normalized absolute distance from the
-    mean) is appended to the fitness features; a self-attention layer then
-    produces an additive change per parent.
-    """
-    if not params.cfg.with_crossover:
-        raise ValueError("params carry no learned cross-over weights")
-    feats_parents = np.asarray(feats_parents, dtype=np.float64)
-    x_parents = np.asarray(x_parents, dtype=np.float64)
-    e, d = x_parents.shape
-    mean = x_parents.mean(axis=0)
-    std = x_parents.std(axis=0)
-    safe = np.where(std < 1e-10, 1.0, std)
-    zs = np.where(std < 1e-10, 0.0, (x_parents - mean) / safe)
-    dist = np.where(std < 1e-10, 0.0, np.abs(x_parents - mean) / safe)
-
-    # Batched over dimensions: feats_d is (D, E, FITNESS_DIM + CROSSOVER_DIM).
-    fit = np.broadcast_to(feats_parents, (d, e, feats_parents.shape[1]))
-    feats_d = np.concatenate(
-        [fit, zs.T[:, :, None], dist.T[:, :, None]], axis=2)
-    w = params.weights
-    q = feats_d @ np.asarray(w["co_q"], dtype=np.float64)
-    k = feats_d @ np.asarray(w["co_k"], dtype=np.float64)
-    v = feats_d @ np.asarray(w["co_v"], dtype=np.float64)
-    attn = attend(q, k, v, row_softmax)
-    delta = (attn @ np.asarray(w["co_dx"], dtype=np.float64))[:, :, 0]
-    return x_parents + delta.T
+    lead = archive.f.shape[:-1]
+    rows = (slice(None),) * (len(lead) + 1 - idx.ndim) + _rows(idx)
+    return archive.x[rows], archive.f[rows], archive.sigma[rows]
 
 
 def uniform_sample_parents(archive, n, rng):
     """N i.i.d. uniform draws with replacement from each run's archive.
 
     The indices are (N,) when one generator draws them for every leading
-    axis, which the gather then takes whole, and (R, N) for R generators.
+    axis, and (R, N) for R generators.
     """
-    if archive.size < 1:
+    e = archive.f.shape[-1]
+    if e < 1:
         raise ValueError("archive is empty")
-    lead = archive.f.shape[:-1]
-    idx = per_run(rng, lambda g, size: g.integers(0, archive.size, size),
-                  (n,), lead)
-    rows = (slice(None),) * (len(lead) + 1 - idx.ndim) + _rows(idx)
-    return idx, archive.x[rows], archive.f[rows], archive.sigma[rows]
+    idx = per_run(rng, lambda g, size: g.integers(0, e, size), (n,),
+                  archive.f.shape[:-1])
+    return (idx,) + parents_at(archive, idx)
 
 
 def gaussian_mutate(x, sigma, rng):

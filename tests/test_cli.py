@@ -251,6 +251,18 @@ def test_analyze_rejects_more_than_one_task(tmp_path, capsys, checkpoint):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algorithm, sigma0", [("gaussian", "nan"),
+                                               ("mr15", "inf")])
+def test_non_finite_sigma0_exits_2(tmp_path, capsys, algorithm, sigma0):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["evaluate", "--tasks", "sphere:2", "--algorithms",
+                   algorithm, "--sigma0", sigma0, "--out", str(out)])
+    assert rc == 2
+    assert "initial mutation rate must be positive and finite" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     rc = cli.main(["evaluate", "--tasks", "sphere:2", "--algorithms",
                    "foo", "--out", str(tmp_path / "x.csv")])

@@ -30,8 +30,9 @@ def test_config_validation():
         engine.GaConfig(n_pop=0)
     with pytest.raises(ValueError):
         engine.GaConfig(elite_ratio=1.5)
-    with pytest.raises(ValueError):
-        engine.GaConfig(sigma0=0.0)
+    for sigma0 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="initial mutation rate"):
+            engine.GaConfig(sigma0=sigma0)
     with pytest.raises(ValueError):
         engine.GaConfig(selection="roulette")
     with pytest.raises(ValueError):
@@ -390,21 +391,45 @@ def test_non_finite_fitness_in_one_run_raises_as_that_run(selection, mra):
     assert tasks[1].calls == 4
 
 
-@pytest.mark.parametrize("settings, debug", [({"sampling": "learned"}, False),
-                                             ({"crossover": "learned"}, False),
-                                             ({}, True)])
-def test_single_run_slots_reject_a_batch(settings, debug):
-    """A batch of runs or of candidates."""
+def _assert_rows_match(batch, r, alone):
+    """Row ``r`` of a batch's trajectory, debug records too, is ``alone``."""
+    for name in TRAJECTORY_FIELDS:
+        np.testing.assert_array_equal(getattr(batch, name)[r],
+                                      getattr(alone, name), err_msg=name)
+    assert len(batch.debug) == len(alone.debug)
+    for got, want in zip(batch.debug, alone.debug):
+        assert got.keys() == want.keys()
+        assert got["generation"] == want["generation"]
+        for key in got.keys() - {"generation"}:
+            np.testing.assert_array_equal(got[key][r], want[key],
+                                          err_msg=key)
+
+
+@pytest.mark.parametrize("settings, debug", [
+    ({"sampling": "learned"}, False), ({"crossover": "learned"}, False),
+    ({}, True), ({"sampling": "learned", "crossover": "learned"}, True)])
+def test_learned_sampling_crossover_and_debug_run_as_a_batch(settings, debug):
+    """A batch of runs and one of M candidates: each row is its own run."""
     cfg = FeatureConfig(with_sampling=True, with_crossover=True)
-    params = LgaParams.random(cfg, np.random.default_rng(3))
-    config = engine.GaConfig(n_pop=4, selection="learned", mra="learned",
-                             generations=2, **settings)
-    with pytest.raises(ValueError, match="one run at a time"):
-        engine.run(config, _sphere_task(), params=params, seeds=[1, 2],
-                   debug=debug)
-    batch = LgaParams.from_vector(cfg, np.stack([params.to_vector()] * 2))
-    with pytest.raises(ValueError, match="one run at a time"):
-        engine.run(config, _sphere_task(), params=batch, debug=debug)
+    params = LgaParams.random(cfg, np.random.default_rng(3), scale=0.5)
+    task = make_task("rastrigin", dim=4, seed=2, noise=True)
+    config = engine.GaConfig(n_pop=12, elite_ratio=0.5, sigma0=0.3,
+                             selection="learned", mra="learned",
+                             generations=15, seed=[4, 1], **settings)
+    seeds = [[4, r] for r in range(3)]
+    batch = engine.run(config, task, params=params, seeds=seeds, debug=debug)
+    for r, seed in enumerate(seeds):
+        _assert_rows_match(batch, r, engine.run(
+            _seeded(config, seed), task, params=params, debug=debug))
+    rows = 0.5 * np.random.default_rng(5).standard_normal(
+        (3, params.n_params))
+    singles, _ = _candidates(cfg, rows)
+    for m in (1, 2, 3):
+        _, candidates = _candidates(cfg, rows[:m])
+        batch = engine.run(config, task, params=candidates, debug=debug)
+        for r in range(m):
+            _assert_rows_match(batch, r, engine.run(
+                config, task, params=singles[r], debug=debug))
 
 
 def test_task_sequence_needs_one_seed_per_task():

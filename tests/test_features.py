@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from attnga.features import (FITNESS_DIM, SIGMA_DIM, average_ranks,
-                             centered_ranks, fitness_features,
-                             rows_joint_features, rows_parent_features,
+                             centered_ranks, rows_crossover_features,
+                             rows_fitness_features, rows_joint_features,
+                             rows_parent_features, rows_sampling_features,
                              rows_z_score, sigma_features, z_score)
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3,
@@ -73,6 +74,11 @@ def test_scale_invariance(values, log2_a, b16):
                                atol=1e-12)
 
 
+def fitness_features(f, best_so_far):
+    return rows_fitness_features(f, best_so_far,
+                                 np.empty(f.shape + (FITNESS_DIM,)))
+
+
 def test_fitness_features_columns():
     f = np.array([5.0, 1.0, 3.0])
     feats = fitness_features(f, best_so_far=3.0)
@@ -120,6 +126,24 @@ def test_sampled_parent_features_concatenation():
     assert feats.shape == (2, 5)
     np.testing.assert_array_equal(feats[:, :3], fitness_features(f, 5.0))
     np.testing.assert_array_equal(feats[:, 3:], sigma_features(sigma))
+
+
+def test_sampling_and_crossover_feature_blocks():
+    f = np.array([2.0, 8.0, 5.0])
+    age = np.array([0, 20, 3])
+    feats = rows_sampling_features(f, age, 5.0, np.empty((3, 4)))
+    np.testing.assert_array_equal(feats[:, :3], fitness_features(f, 5.0))
+    np.testing.assert_array_equal(feats[:, 3], np.tanh(age / 20.0))
+    # One row of coordinates per parent; coordinate 1 has converged.
+    x = np.array([[1.0, 0.5], [2.0, 0.5], [4.0, 0.5]])
+    feats = rows_crossover_features(f, x, 5.0, np.empty((2, 3, 5)))
+    for d in range(2):
+        np.testing.assert_array_equal(feats[d, :, :3],
+                                      fitness_features(f, 5.0))
+        np.testing.assert_array_equal(feats[d, :, 3], z_score(x[:, d]))
+        np.testing.assert_array_equal(feats[d, :, 4],
+                                      np.abs(z_score(x[:, d])))
+    assert np.all(feats[1, :, 3:] == 0.0)
 
 
 # -- exact fast paths ---------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnga import operators as ops
-from attnga.attention import multi_head_sdpa, row_softmax
+from attnga.attention import multi_head_sdpa, row_softmax, sdpa
+from attnga.features import FITNESS_DIM, rows_crossover_features
 from attnga.params import FeatureConfig, LgaParams, unflatten
 
 
@@ -61,9 +62,9 @@ def _unfolded(w, prefix, f_q, f_kv):
     return multi_head_sdpa(heads, w.get(f"{prefix}_out"))
 
 
-def _fold_case(heads, lead, seed):
+def _fold_case(heads, lead, seed, **cfg_kwargs):
     """float32 weights with leading axes ``lead``, and their float64 copy."""
-    cfg = FeatureConfig(heads=heads)
+    cfg = FeatureConfig(heads=heads, **cfg_kwargs)
     rng = np.random.default_rng(seed)
     n_params = LgaParams.zeros(cfg).n_params
     w32 = unflatten(cfg, (0.5 * rng.standard_normal(lead + (n_params,)))
@@ -168,7 +169,12 @@ def test_apply_selection_semantics():
     child_sigma = np.array([0.2, 0.3])
     # Parent 0 keeps, parents 1 and 2 both take child 1.
     sample = np.array([[0, 0, 1], [0, 1, 0], [0, 1, 0]], dtype=float)
+    before = [getattr(arch, name).copy() for name in ("x", "f", "sigma",
+                                                      "age")]
     new = ops.apply_selection(sample, child_x, child_f, child_sigma, arch)
+    for name, old in zip(("x", "f", "sigma", "age"), before):
+        np.testing.assert_array_equal(getattr(arch, name), old,
+                                      err_msg=name)   # input left as it was
     assert new.age[0] == arch.age[0] + 1
     np.testing.assert_array_equal(new.x[0], arch.x[0])
     for row in (1, 2):
@@ -217,17 +223,59 @@ def test_mra_multiplier_is_clamped():
     assert np.all(delta >= np.exp(-10.0) - 1e-30)
 
 
+def _unfolded_per_row(w, prefix, feats, tail=None):
+    """sdpa self-attention of each (rows, d) block of ``feats`` alone.
+
+    The output is then multiplied by weight ``tail``, if given. The weights
+    carry the last leading axes of the blocks (a coordinate axis may lead).
+    """
+    lead = w[f"{prefix}_q"].shape[:-2]
+    out = []
+    for idx in np.ndindex(feats.shape[:-2]):
+        wi = {name: v[idx[len(idx) - len(lead):]] for name, v in w.items()}
+        f = feats[idx]
+        attn = sdpa(*(f @ wi[f"{prefix}_{p}"] for p in ("q", "k", "v")))
+        out.append(attn if tail is None else attn @ wi[tail])
+    return np.reshape(out, feats.shape[:-1] + (-1,))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_folded_sampling_core_matches_unfolded_attention(lead):
+    w32, w, rng = _fold_case(1, lead, 50, with_sampling=True)
+    feats = rng.standard_normal(lead + (6, 4))
+    raw = _unfolded_per_row(w, "smp", feats)[..., 0]
+    folded = ops.fold(w32, "smp")
+    assert folded.forms[0].shape == lead + (4, 4)
+    assert folded.value.shape == lead + (4, 1)
+    np.testing.assert_allclose(ops.sampling_core(folded, feats),
+                               row_softmax(raw.reshape(-1, 6))
+                               .reshape(raw.shape), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_folded_crossover_core_matches_unfolded_attention(lead):
+    w32, w, rng = _fold_case(1, lead, 60, with_crossover=True)
+    feats = rng.standard_normal((4,) + lead + (6, 5))   # 4 coordinates
+    x = rng.standard_normal(lead + (6, 4))
+    delta = _unfolded_per_row(w, "co", feats, tail="co_dx")[..., 0]
+    folded = ops.fold(w32, "co", w32["co_dx"])
+    assert folded.forms[0].shape == lead + (5, 5)
+    assert folded.value.shape == lead + (5, 1)
+    np.testing.assert_allclose(ops.crossover_core(folded, feats, x),
+                               x + np.moveaxis(delta, 0, -1), rtol=1e-12,
+                               atol=1e-12)
+
+
 def test_learned_sampling_probs_is_distribution():
+    """Positive probabilities over the archive members, summing to one."""
     params = _params(22, with_sampling=True)
     rng = np.random.default_rng(23)
-    feats = rng.standard_normal((6, 3))
-    age = rng.integers(0, 40, 6)
-    probs = ops.learned_sampling_probs(params, feats, age)
+    feats = np.column_stack([rng.standard_normal((6, 3)),
+                             np.tanh(rng.integers(0, 40, 6) / 20.0)])
+    probs = ops.sampling_core(ops.fold(params.weights, "smp"), feats)
     assert probs.shape == (6,)
     assert np.all(probs > 0.0)
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        ops.learned_sampling_probs(_params(22), feats, age)
 
 
 def _crossover_oracle(params, feats, x):
@@ -255,17 +303,20 @@ def _crossover_oracle(params, feats, x):
 
 
 def test_learned_crossover_matches_per_dimension_oracle():
+    """Features, fold and core together, a coordinate converged too."""
     params = _params(24, with_crossover=True)
+    folded = ops.fold(params.weights, "co", params.weights["co_dx"])
     rng = np.random.default_rng(25)
     for _ in range(10):
         e, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))
-        feats = rng.standard_normal((e, 3))
+        f = rng.standard_normal(e)
         x = rng.standard_normal((e, d))
+        x[:, 0] = 0.5
+        feats = rows_crossover_features(f, x, 0.0, np.empty((d, e, 5)))
         np.testing.assert_allclose(
-            ops.learned_crossover(params, feats, x),
-            _crossover_oracle(params, feats, x), rtol=1e-10, atol=1e-10)
-    with pytest.raises(ValueError):
-        ops.learned_crossover(_params(24), feats, x)
+            ops.crossover_core(folded, feats, x),
+            _crossover_oracle(params, feats[0, :, :FITNESS_DIM], x),
+            rtol=1e-10, atol=1e-10)
 
 
 def test_uniform_sampling_and_mutation():

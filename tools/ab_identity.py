@@ -8,12 +8,14 @@ checkout in a fresh interpreter with that checkout's ``src`` on
 ``PYTHONPATH`` and single-threaded BLAS, records the outputs below, and
 reports every one that differs. It exits non-zero if any does.
 
-Each output is labelled "learned" if it runs a learned selection or MRA
-step and "baseline" otherwise, and the report counts the differing outputs
-per label: a change to the learned step alone must leave every baseline
-output byte-identical. The CSVs of ``evaluate``, ``sweep`` and
-``transfer`` are split into one output per algorithm (or slot pair), so
-their baseline rows are compared on their own.
+Each output is labelled "sampling+cross-over" if it runs learned sampling
+and cross-over, "learned" if it runs a learned selection or MRA step, and
+"baseline" otherwise, and the report counts the differing outputs per
+label: a change to one learned step alone must leave every output of the
+other labels byte-identical. An output that only one checkout records (a
+checkout that cannot run it) counts as differing. The CSVs of
+``evaluate``, ``sweep`` and ``transfer`` are split into one output per
+algorithm (or slot pair), so their baseline rows are compared on their own.
 
 - Sweep scores (``metabbo.evaluate_candidates_on_task``) of the first 64,
   3 and 1 candidates on the 32 desk tasks of meta-generations 0 and 1
@@ -29,8 +31,8 @@ their baseline rows are compared on their own.
   repetitions at N=48, all with the desk checkpoint.
 - The CSV bytes of an ``attnga evaluate`` run with a random 2-head
   checkpoint that carries sampling and cross-over weights, and the
-  trajectory of an ``engine.run`` that uses those weights (learned
-  sampling and cross-over).
+  trajectories of an ``engine.run`` that uses those weights (learned
+  sampling and cross-over), alone and as a batch of three runs.
 - The trajectories (fitness, best-so-far and mean-sigma bytes) of
   ``engine.run`` for the five ``evaluate`` algorithms at the
   ``evaluate-mlp`` settings, for the four ``transfer`` slot compositions
@@ -158,6 +160,13 @@ def record(checkout, tmp):
                             params=wide)
     out["engine.run learned sampling+cross-over"] = trajectory_bytes(
         trajectory)
+    try:
+        trajectory = engine.run(config, make_task("rastrigin", dim=5, seed=7),
+                                params=wide, seeds=[[7], [8], [9]])
+        out["engine.run learned sampling+cross-over seeds=[7],[8],[9]"] = \
+            trajectory_bytes(trajectory)
+    except ValueError:      # a checkout that runs these slots unbatched
+        pass
 
     desk = LgaParams.load(checkpoint)
     mlp = make_task("mlp-sine")
@@ -195,8 +204,13 @@ def record(checkout, tmp):
     return out
 
 
+LABELS = ("baseline", "learned", "sampling+cross-over")
+
+
 def label(key):
-    """'learned' if the output runs a learned selection or MRA step."""
+    """Which of ``LABELS`` the output's steps fall under."""
+    if "sampling+cross-over" in key:
+        return "sampling+cross-over"
     learned = (key.startswith(("sweep ", "meta_train ", "attnga analyze"))
                or any(word in key for word in ("lga", "learned", "debug")))
     return "learned" if learned else "baseline"
@@ -236,14 +250,15 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp_old, \
             tempfile.TemporaryDirectory() as tmp_new:
         a, b = run_checkout(old, tmp_old), run_checkout(new, tmp_new)
-    differ = [key for key in a if a[key] != b.get(key)]
+    keys = list(a) + [key for key in b if key not in a]
+    differ = [key for key in keys if a.get(key) != b.get(key)]
     sweeps = sum(len(v) // 8 for k, v in a.items() if k.startswith("sweep"))
-    print(f"{len(a)} outputs ({sweeps} sweep scores); "
+    print(f"{len(keys)} outputs ({sweeps} sweep scores); "
           f"{len(differ)} differ")
-    for group in ("learned", "baseline"):
-        keys = [key for key in a if label(key) == group]
+    for group in LABELS:
+        in_group = [key for key in keys if label(key) == group]
         changed = [key for key in differ if label(key) == group]
-        print(f"{group}: {len(changed)} of {len(keys)} differ")
+        print(f"{group}: {len(changed)} of {len(in_group)} differ")
     for key in differ:
         print(f"DIFFERS ({label(key)}): {key}")
     return 1 if differ else 0
