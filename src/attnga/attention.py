@@ -8,8 +8,12 @@ import math
 
 import numpy as np
 
-__all__ = ["row_softmax", "softmax_last", "last_axis_first", "reduce_rows",
-           "attend", "sdpa", "multi_head_sdpa"]
+__all__ = ["row_softmax", "softmax_last", "last_axis_first", "many_short_rows",
+           "reduce_rows", "pairwise_sum_first", "PAIRWISE_BLOCK", "attend",
+           "sdpa", "multi_head_sdpa"]
+
+# numpy sums a contiguous row pairwise, in blocks of at most this many values.
+PAIRWISE_BLOCK = 128
 
 
 def last_axis_first(a):
@@ -17,15 +21,47 @@ def last_axis_first(a):
     return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))).copy()
 
 
+def many_short_rows(a):
+    """Whether ``a`` has at least four times as many rows as columns.
+
+    Work along such rows (the sweep's) runs faster over the leading axis of
+    a transposed copy (:func:`last_axis_first`), where each numpy call
+    covers every row, than along the rows, where numpy pays per row.
+    """
+    return a.size >= 4 * a.shape[-1] ** 2
+
+
 def reduce_rows(ufunc, a):
     """Order-free reduction (max or min) along the rows.
 
-    Over many short rows (at least four times as many rows as columns, as
-    in the sweep) it runs over the leading axis of a transposed copy.
+    Over many short rows it runs over the leading axis of a transposed copy.
     """
-    if a.size >= 4 * a.shape[-1] ** 2:
+    if many_short_rows(a):
         return ufunc.reduce(last_axis_first(a), axis=0)
     return ufunc.reduce(a, axis=-1)
+
+
+def pairwise_sum_first(cols):
+    """``a.sum(axis=-1)`` bit for bit, given ``cols = last_axis_first(a)``.
+
+    Rows of k <= ``PAIRWISE_BLOCK`` values only. numpy adds a row of fewer
+    than 8 values in sequence, and a longer one into 8 accumulators,
+    r_j = a_j + a_j+8 + ..., then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the values past the last multiple of 8 in sequence.
+    This makes the same additions, each over every row at once.
+    """
+    k = len(cols)
+    if k < 8:
+        return np.add.reduce(cols, axis=0)
+    body = k - k % 8
+    r = np.add.reduce(cols[:body].reshape((body // 8, 8) + cols.shape[1:]),
+                      axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for col in cols[body:]:
+        total += col
+    return total
 
 
 def softmax_last(logits, out=None):

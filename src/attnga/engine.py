@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .attention import reduce_rows, softmax_last
+from .attention import reduce_rows
 from .draws import per_run
 from .features import (CROSSOVER_DIM, FITNESS_DIM, SIGMA_DIM,
                        rows_crossover_features, rows_joint_features,
@@ -101,6 +101,10 @@ class GaConfig:
             raise ValueError(f"unknown sampling slot {self.sampling!r}")
         if self.crossover not in CROSSOVER_SLOTS:
             raise ValueError(f"unknown cross-over slot {self.crossover!r}")
+        if self.generations < 1:
+            raise ValueError("generation count must be positive")
+        if self.gesmr_groups < 1:
+            raise ValueError("gesmr group count must be positive")
         if self.mra == "gesmr" and self.n_pop % self.gesmr_groups != 0:
             raise ValueError("gesmr group count must divide the population")
 
@@ -168,6 +172,8 @@ class GeneticAlgorithm:
             self.shape = (len(seeds),)
         # Runs are validated; a batch of candidates runs on unchecked.
         self._checked = not candidates
+        self._mutate = (ops.gaussian_mutate if self._checked
+                        else ops.mutate_core)
         self.reinit()
         # The learned operators run their cores on weights folded, and
         # feature and logit buffers built, once per run or batch.
@@ -240,7 +246,7 @@ class GeneticAlgorithm:
             sigma_c = np.repeat(self._sigma_groups, n // cfg.gesmr_groups,
                                 axis=-1)
 
-        x_c = ops.gaussian_mutate(x_s, sigma_c, self.rng)
+        x_c = self._mutate(x_s, sigma_c, self.rng)
         self._pending = {"f_sampled": f_s, "delta": delta}
         return x_c, sigma_c
 
@@ -334,10 +340,10 @@ class GeneticAlgorithm:
             f_child, np.minimum(arch.f, FITNESS_CLIP), self.best_f[..., None],
             self._joint)
         ops.selection_core(self._sel, feats_p, feats_c, self._logits)
-        probs = softmax_last(self._logits)
-        chosen = ops.categorical_indices(
-            probs, per_run(self.rng, lambda g, size: g.random(size),
-                           arch.f.shape[-1:], self.shape))
+        chosen, probs = ops.softmax_categorical(
+            self._logits, per_run(self.rng, lambda g, size: g.random(size),
+                                  arch.f.shape[-1:], self.shape),
+            self.debug)
         if self.config.mra == "learned" and self._checked:
             _check_archive_rates(arch.sigma)
         self.archive = ops.replacement_core(chosen, x_child, f_child,

@@ -11,7 +11,7 @@ builds over any leading axes; every z-score is :func:`rows_z_score`.
 
 import numpy as np
 
-from .attention import reduce_rows
+from .attention import last_axis_first, many_short_rows
 
 __all__ = [
     "average_ranks",
@@ -62,7 +62,7 @@ def average_ranks(values):
     rows = values.reshape(-1, n)
     # Sort every row, then work on the flat sorted sequence.
     offsets = np.arange(0, rows.size, n)[:, None]
-    order = np.argsort(rows, axis=-1)
+    order = rows.argsort(axis=-1)
     order += offsets
     order = order.ravel()
     ordered = rows.ravel()[order]
@@ -70,7 +70,7 @@ def average_ranks(values):
     starts = np.empty(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     starts[::n] = True
-    starts = np.flatnonzero(starts)
+    starts = starts.nonzero()[0]
     sizes = np.empty_like(starts)
     sizes[-1] = ordered.size
     sizes[:-1] = starts[1:]
@@ -79,7 +79,7 @@ def average_ranks(values):
     # offset leaves the 1-based rank in the row. All exact in floats.
     mean_rank = (sizes + 1) * 0.5
     mean_rank += starts
-    flat = np.repeat(mean_rank, sizes).reshape(rows.shape)
+    flat = mean_rank.repeat(sizes).reshape(rows.shape)
     flat -= offsets
     ranks = np.empty(ordered.size)
     ranks[order] = flat.ravel()
@@ -128,32 +128,26 @@ def centered_ranks(f):
     return rows_centered_ranks(_finite(f, "centered_ranks").ravel())
 
 
-def _row_sums(values):
-    """Row sums added in sequence, so every memory layout gives one result.
-
-    numpy's own sum is pairwise along a contiguous row but sequential along
-    a strided one, which would make a row's z-score depend on how a batch
-    lays it out; an accumulate adds in sequence either way.
-    """
-    return np.add.accumulate(values, axis=-1)[..., -1:]
-
-
 def _row_moments(values):
     """Row mean, deviations and std in the steps of numpy's mean and std.
 
     Those are sum/n, deviations, squares, sum/n and sqrt, with the sums
-    taken in sequence (:func:`_row_sums`).
+    added in sequence (an accumulate), so every memory layout gives one
+    result: numpy's own sum is pairwise along a contiguous row but
+    sequential along a strided one, which would make a row's z-score
+    depend on how a batch lays it out.
     """
     count = values.shape[-1]
-    mean = _row_sums(values)
-    np.true_divide(mean, count, out=mean)
-    dev = np.subtract(values, mean)
-    std = _row_sums(np.square(dev))
-    np.true_divide(std, count, out=std)
+    mean = np.add.accumulate(values, axis=-1)[..., -1:]
+    mean /= count
+    dev = values - mean
+    std = np.add.accumulate(np.square(dev), axis=-1)[..., -1:]
+    std /= count
     np.sqrt(std, out=std)
     return mean, dev, std
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def rows_z_score(values, out=None):
     """z-scores along the last axis; zero where the variance guard fires.
 
@@ -165,25 +159,25 @@ def rows_z_score(values, out=None):
     without floating-point warnings.
     """
     values = np.asarray(values, dtype=np.float64)
+    mean, dev, std = _row_moments(values)
     unit = 1.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean, dev, std = _row_moments(values)
-        # A non-finite mean makes every deviation, hence the std, non-finite.
+    # A non-finite mean makes every deviation, hence the std, non-finite.
+    if not np.isfinite(std).all():
         lost = ~np.isfinite(std)
-        if lost.any():
-            top = np.abs(values).max(axis=-1, keepdims=True)
-            lost &= np.isfinite(top)    # rows holding inf or NaN stay lost
-            _, exponent = np.frexp(top)
-            exponent[~lost] = 0
-            rescued = _row_moments(np.ldexp(values, -exponent))
-            for kept, new in zip((mean, dev, std), rescued):
-                np.copyto(kept, new, where=lost)
-            # The guard's floor of 1, in the units of the scaled rows.
-            unit = np.ldexp(1.0, -exponent)
-        z = np.divide(dev, std, out=dev if out is None else out)
-    guard = std < _VAR_GUARD * np.maximum(unit, np.abs(mean))
-    if guard.any():
-        z[np.broadcast_to(guard, z.shape)] = 0.0
+        top = np.abs(values).max(axis=-1, keepdims=True)
+        lost &= np.isfinite(top)    # rows holding inf or NaN stay lost
+        _, exponent = np.frexp(top)
+        exponent[~lost] = 0
+        rescued = _row_moments(np.ldexp(values, -exponent))
+        for kept, new in zip((mean, dev, std), rescued):
+            np.copyto(kept, new, where=lost)
+        # The guard's floor of 1, in the units of the scaled rows.
+        unit = np.ldexp(1.0, -exponent)
+    floor = np.abs(mean)
+    np.maximum(floor, unit, out=floor)
+    floor *= _VAR_GUARD
+    z = np.divide(dev, std, out=dev if out is None else out)
+    np.copyto(z, 0.0, where=std < floor)
     return z
 
 
@@ -207,8 +201,10 @@ def rows_fitness_features(f, best_so_far, out):
 def rows_sigma_features(sigma, out):
     """[z-score, min-max map to [-1, 1]] of the mutation rates ``sigma``."""
     rows_z_score(sigma, out=out[..., 0])
-    lo = reduce_rows(np.minimum, sigma)[..., None]
-    span = reduce_rows(np.maximum, sigma)[..., None] - lo
+    rows, axis = ((last_axis_first(sigma), 0) if many_short_rows(sigma)
+                  else (sigma, -1))
+    lo = np.minimum.reduce(rows, axis=axis)[..., None]
+    span = np.maximum.reduce(rows, axis=axis)[..., None] - lo
     flat = span < _VAR_GUARD
     span[flat] = 1.0
     minmax = np.subtract(sigma, lo, out=out[..., 1])

@@ -15,13 +15,14 @@ forms, Q_h K_h^T = F A_h F^T, and the value path after the softmax into a
 small matrix. The engine folds them once per run or candidate batch.
 """
 
-import copy
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import last_axis_first, row_softmax, softmax_last
+from .attention import (PAIRWISE_BLOCK, last_axis_first, many_short_rows,
+                        pairwise_sum_first, row_softmax, softmax_last)
 from .draws import per_run
 from .features import FITNESS_DIM, SIGMA_DIM
 
@@ -43,12 +44,14 @@ __all__ = [
     "mra_multiplier",
     "parents_at",
     "uniform_sample_parents",
+    "mutate_core",
     "gaussian_mutate",
     "truncation_selection",
     "mr_one_fifth",
     "samr_adapt",
     "gesmr_adapt",
     "categorical_indices",
+    "softmax_categorical",
 ]
 
 # Mutation-rate clamps shared by the white-box adaptation rules.
@@ -82,6 +85,13 @@ class ParentArchive:
         return self.f.shape[-1]
 
 
+def _archive(x, f, sigma, age):
+    """A :class:`ParentArchive` of arrays an operator built, unchecked."""
+    new = object.__new__(ParentArchive)
+    new.x, new.f, new.sigma, new.age = x, f, sigma, age
+    return new
+
+
 class FoldedAttention:
     """An attention operator folded into bilinear forms of its features.
 
@@ -107,7 +117,7 @@ class FoldedAttention:
             self._scratch = (np.empty(shape),
                              np.empty(shape[:-1] + (d * len(self.forms),)))
         logits, mixed = self._scratch
-        keys = np.swapaxes(feats_kv, -1, -2)
+        keys = feats_kv.swapaxes(-1, -2)
         for h, form in enumerate(self.forms):
             np.matmul(feats_q @ form, keys, out=logits)
             softmax_last(logits, out=logits)
@@ -167,7 +177,7 @@ def fold_mra(w):
 def selection_core(folded, feats_parents, feats_children, out):
     """Unchecked :func:`selection_logits` into ``out``, keep column preset."""
     mixed = folded.attend(feats_parents, feats_children)
-    np.matmul(mixed @ folded.value, np.swapaxes(feats_children, -1, -2),
+    np.matmul(mixed @ folded.value, feats_children.swapaxes(-1, -2),
               out=out[..., :-1])
     return out
 
@@ -223,19 +233,48 @@ def categorical_indices(probs, u):
     ``u`` holds one uniform per row; leading candidate axes may share it.
     The CDF is summed in sequence over the leading axis of a transposed
     view, which gives the bits of a cumulative sum along each row. Over
-    many short rows (the rule of ``attention.reduce_rows``) the view is a
+    many short rows (``attention.many_short_rows``) the view is a
     contiguous copy summed one column at a time: the same additions in the
     same order, without a strided accumulate. Over few long rows the
     accumulate stays, as the loop's one call per column costs more there.
     """
-    k = probs.shape[-1]
-    if probs.size >= 4 * k * k:
-        cdf = last_axis_first(probs)
-        for j in range(1, k):
-            np.add(cdf[j - 1], cdf[j], out=cdf[j])
-    else:
-        cdf = np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0)
-    return np.minimum(np.add.reduce(cdf < u, axis=0), k - 1)
+    if many_short_rows(probs):
+        return _draw_columns(last_axis_first(probs), u)
+    cdf = np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0)
+    return np.minimum(np.add.reduce(cdf < u, axis=0), probs.shape[-1] - 1)
+
+
+def _draw_columns(cols, u):
+    """:func:`categorical_indices` of ``cols``, the probabilities column-first.
+
+    The CDF overwrites ``cols``.
+    """
+    k = len(cols)
+    for j in range(1, k):
+        np.add(cols[j - 1], cols[j], out=cols[j])
+    return np.minimum(np.add.reduce(cols < u, axis=0), k - 1)
+
+
+def softmax_categorical(logits, u, keep_probs=False):
+    """``categorical_indices(softmax_last(logits), u)`` and the probabilities.
+
+    Returns the indices, and with ``keep_probs`` the probabilities (else
+    None). Over many short rows of at most ``PAIRWISE_BLOCK`` columns the
+    softmax and the draw share one transposed copy of the logits: its max,
+    exp and denominators (``attention.pairwise_sum_first``, the bits of
+    the row sums ``softmax_last`` takes) run over the leading axis, and the
+    probabilities go back to rows only when they are kept. Other shapes
+    take the softmax along the rows.
+    """
+    if not (many_short_rows(logits) and logits.shape[-1] <= PAIRWISE_BLOCK):
+        probs = softmax_last(logits)
+        return categorical_indices(probs, u), probs if keep_probs else None
+    cols = last_axis_first(logits)
+    cols -= np.maximum.reduce(cols, axis=0)
+    np.exp(cols, out=cols)
+    cols /= pairwise_sum_first(cols)
+    probs = np.moveaxis(cols, 0, -1).copy() if keep_probs else None
+    return _draw_columns(cols, u), probs
 
 
 def sample_selection(probs, rng):
@@ -271,9 +310,17 @@ def _rows(idx):
     ``idx`` is (..., K) and ``a`` (..., E, *tail); ``a[_rows(idx)]`` is
     (..., K, *tail), and is ``a[idx]`` with no leading axes.
     """
-    lead = idx.shape[:-1]
-    return tuple(np.arange(k).reshape((k,) + (1,) * (len(lead) - i))
-                 for i, k in enumerate(lead)) + (idx,)
+    return _lead_index(idx.shape[:-1]) + (idx,)
+
+
+@functools.lru_cache(maxsize=16)
+def _lead_index(lead):
+    """Read-only aranges of the leading axes ``lead``, one per axis."""
+    index = tuple(np.arange(k).reshape((k,) + (1,) * (len(lead) - i))
+                  for i, k in enumerate(lead))
+    for axis in index:
+        axis.flags.writeable = False
+    return index
 
 
 def replacement_core(chosen, child_x, child_f, child_sigma, archive):
@@ -281,13 +328,11 @@ def replacement_core(chosen, child_x, child_f, child_sigma, archive):
     n = child_f.shape[-1]
     keep = chosen == n
     child = _rows(np.minimum(chosen, n - 1))
-    new = copy.copy(archive)
-    new.x = np.where(keep[..., None], archive.x, child_x[child])
-    new.f = np.where(keep, archive.f, child_f[child])
-    new.sigma = np.where(keep, archive.sigma, child_sigma[child])
-    new.age = archive.age + 1
-    new.age *= keep
-    return new
+    age = archive.age + 1
+    age *= keep
+    return _archive(np.where(keep[..., None], archive.x, child_x[child]),
+                    np.where(keep, archive.f, child_f[child]),
+                    np.where(keep, archive.sigma, child_sigma[child]), age)
 
 
 def mra_multiplier(params, mra_feats):
@@ -315,9 +360,21 @@ def uniform_sample_parents(archive, n, rng):
     e = archive.f.shape[-1]
     if e < 1:
         raise ValueError("archive is empty")
+    if isinstance(rng, np.random.Generator):
+        # The one draw of ``draws.per_run``, shared by every leading index.
+        idx = rng.integers(0, e, n)
+        rows = (slice(None),) * (archive.f.ndim - 1) + (idx,)
+        return idx, archive.x[rows], archive.f[rows], archive.sigma[rows]
     idx = per_run(rng, lambda g, size: g.integers(0, e, size), (n,),
                   archive.f.shape[:-1])
     return (idx,) + parents_at(archive, idx)
+
+
+def mutate_core(x, sigma, rng):
+    """Unchecked :func:`gaussian_mutate` of float64 arrays."""
+    return x + sigma[..., None] * per_run(
+        rng, lambda g, size: g.standard_normal(size), x.shape[-2:],
+        x.shape[:-2])
 
 
 def gaussian_mutate(x, sigma, rng):
@@ -326,9 +383,7 @@ def gaussian_mutate(x, sigma, rng):
     sigma = np.asarray(sigma, dtype=np.float64)
     if (sigma < 0).any():
         raise ValueError("mutation rates must be non-negative")
-    return x + sigma[..., None] * per_run(
-        rng, lambda g, size: g.standard_normal(size), x.shape[-2:],
-        x.shape[:-2])
+    return mutate_core(x, sigma, rng)
 
 
 def truncation_selection(child_x, child_f, child_sigma, archive):
@@ -345,13 +400,11 @@ def truncation_selection(child_x, child_f, child_sigma, archive):
     pool_f = np.concatenate([child_f, archive.f], axis=-1)
     order = _rows(np.argsort(pool_f, axis=-1, kind="stable")
                   [..., :archive.size])
-    kept = copy.copy(archive)
-    kept.x = np.concatenate([child_x, archive.x], axis=-2)[order]
-    kept.f = pool_f[order]
-    kept.sigma = np.concatenate([child_sigma, archive.sigma], axis=-1)[order]
-    kept.age = np.concatenate([np.zeros(child_f.shape, dtype=np.int64),
-                               archive.age + 1], axis=-1)[order]
-    return kept
+    return _archive(
+        np.concatenate([child_x, archive.x], axis=-2)[order], pool_f[order],
+        np.concatenate([child_sigma, archive.sigma], axis=-1)[order],
+        np.concatenate([np.zeros(child_f.shape, dtype=np.int64),
+                        archive.age + 1], axis=-1)[order])
 
 
 def mr_one_fifth(sigma, successes, trials):

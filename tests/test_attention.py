@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnga.attention import (last_axis_first, multi_head_sdpa, row_softmax,
-                              sdpa, softmax_last)
+from attnga.attention import (last_axis_first, multi_head_sdpa,
+                              pairwise_sum_first, row_softmax, sdpa,
+                              softmax_last)
 
 
 def _softmax_oracle(row):
@@ -134,3 +135,15 @@ def test_last_axis_first_is_a_contiguous_transpose():
     moved = last_axis_first(a)
     assert moved.flags.c_contiguous and moved.shape == (4, 2, 3)
     np.testing.assert_array_equal(moved.max(axis=0), a.max(axis=-1))
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 33, 65, 128])
+def test_pairwise_sum_first_is_numpys_row_sum(k):
+    """The same additions as numpy's pairwise sum of contiguous rows."""
+    rng = np.random.default_rng(k)
+    for a in (rng.standard_normal((64, 16, k)),
+              np.exp(rng.standard_normal((5, k)) * 30.0),
+              rng.standard_normal((3, k)) * 10.0 ** rng.integers(
+                  -200, 200, (3, k))):
+        assert pairwise_sum_first(last_axis_first(a)).tobytes() \
+            == a.sum(axis=-1).tobytes()

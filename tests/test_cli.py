@@ -251,6 +251,17 @@ def test_analyze_rejects_more_than_one_task(tmp_path, capsys, checkpoint):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generations", ["0", "-3"])
+def test_generations_below_one_exit_2(tmp_path, capsys, generations):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["evaluate", "--tasks", "sphere:2", "--algorithms",
+                   "gaussian", "--generations", generations,
+                   "--out", str(out)])
+    assert rc == 2
+    assert "generation count must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algorithm, sigma0", [("gaussian", "nan"),
                                                ("mr15", "inf")])
 def test_non_finite_sigma0_exits_2(tmp_path, capsys, algorithm, sigma0):

@@ -39,6 +39,13 @@ def test_config_validation():
         engine.GaConfig(mra="cosine")
     with pytest.raises(ValueError):
         engine.GaConfig(n_pop=12, mra="gesmr", gesmr_groups=5)
+    for generations in (0, -1):
+        with pytest.raises(ValueError, match="generation count"):
+            engine.GaConfig(generations=generations)
+    for groups in (0, -4):
+        with pytest.raises(ValueError, match="gesmr group count must be "
+                           "positive"):
+            engine.GaConfig(n_pop=8, mra="gesmr", gesmr_groups=groups)
 
 
 def test_elite_count_rounding():

@@ -219,6 +219,55 @@ def test_rows_z_score_equals_textbook_formula(shape):
     assert _same_bits(out.copy(), _z_textbook(values))
 
 
+def _z_pre_change(values):
+    """rows_z_score as written before its moments and guard were inlined."""
+    unit = 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = _sequential_mean(values)
+        dev = values - mean
+        std = np.sqrt(_sequential_mean(np.square(dev)))
+        lost = ~np.isfinite(std)
+        if lost.any():
+            top = np.abs(values).max(axis=-1, keepdims=True)
+            lost &= np.isfinite(top)
+            _, exponent = np.frexp(top)
+            exponent[~lost] = 0
+            scaled = np.ldexp(values, -exponent)
+            s_mean = _sequential_mean(scaled)
+            s_dev = scaled - s_mean
+            s_std = np.sqrt(_sequential_mean(np.square(s_dev)))
+            mean, dev, std = (np.where(lost, new, old) for new, old in
+                              ((s_mean, mean), (s_dev, dev), (s_std, std)))
+            unit = np.ldexp(1.0, -exponent)
+        z = dev / std
+    guard = std < 1e-10 * np.maximum(unit, np.abs(mean))
+    z[np.broadcast_to(guard, z.shape)] = 0.0
+    return z
+
+
+@pytest.mark.parametrize("n", [2, 16, 17, 33])
+def test_rows_z_score_equals_pre_change_formula(n):
+    """Constant, sentinel, overflowing and non-finite rows, in one batch."""
+    rng = np.random.default_rng(n)
+    rows = [rng.standard_normal(n), np.full(n, 3.25), np.full(n, 1e30),
+            np.where(rng.random(n) < 0.5, 1e30, rng.standard_normal(n)),
+            rng.standard_normal(n) * 1e160, np.full(n, 1e200),
+            np.where(rng.random(n) < 0.5, 1e300, 1.0),
+            np.concatenate([[np.inf], rng.standard_normal(n - 1)]),
+            np.concatenate([[np.nan], rng.standard_normal(n - 1)]),
+            np.concatenate([[-np.inf, np.inf], np.ones(n - 2)]),
+            1.0 + 1e-12 * rng.standard_normal(n)]
+    values = np.stack(rows * 6)             # 66 rows: many short ones
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for batch in (values, values[:11], values[:, None, :], values[4]):
+            expected = _z_pre_change(batch)
+            assert _same_bits(rows_z_score(batch), expected)
+            out = np.empty(batch.shape + (3,))[..., 1]
+            rows_z_score(batch, out=out)
+            assert _same_bits(out.copy(), expected)
+
+
 def test_z_score_equals_textbook_formula():
     rng = np.random.default_rng(5)
     for n in RANK_SIZES[1:]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnga import operators as ops
-from attnga.attention import multi_head_sdpa, row_softmax, sdpa
+from attnga.attention import multi_head_sdpa, row_softmax, sdpa, softmax_last
 from attnga.features import FITNESS_DIM, rows_crossover_features
 from attnga.params import FeatureConfig, LgaParams, unflatten
 
@@ -150,6 +150,42 @@ def test_categorical_indices_match_searchsorted():
                              for p, ui in zip(probs, u)])
         np.testing.assert_array_equal(idx.ravel(),
                                       np.minimum(expected, shape[-1] - 1))
+
+
+@pytest.mark.parametrize("shape, u_shape", [
+    ((64, 16, 17), (16,)),        # a sweep: the draw on one transposed copy
+    ((32, 65), (32,)),            # an engine run: along the rows
+    ((5, 32, 65), (5, 32)),       # a batch of runs, one generator each
+    ((5, 32, 65), (32,)),
+    ((600, 130), (600,)),         # many rows, but beyond one numpy block
+])
+def test_softmax_categorical_equals_softmax_then_draw(shape, u_shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (0.1, 3.0, 300.0):
+        logits = scale * rng.standard_normal(shape)
+        logits[..., -1] = 1.0                      # the keep column
+        u = rng.random(u_shape)
+        probs = softmax_last(logits)
+        expected = ops.categorical_indices(probs, u)
+        idx, kept = ops.softmax_categorical(logits.copy(), u, True)
+        assert idx.tobytes() == expected.tobytes()
+        assert kept.shape == shape and kept.tobytes() == probs.tobytes()
+        idx, kept = ops.softmax_categorical(logits, u)
+        assert idx.tobytes() == expected.tobytes() and kept is None
+
+
+def test_row_gathers_for_two_leading_shapes():
+    """The cached leading-axis index serves each shape its own gather."""
+    rng = np.random.default_rng(21)
+    for _ in range(2):
+        for lead in [(3,), (2, 4), (3,)]:
+            a = rng.standard_normal(lead + (5, 2))
+            idx = rng.integers(0, 5, lead + (6,))
+            got = a[ops._rows(idx)]
+            expected = np.empty(lead + (6, 2))
+            for r in np.ndindex(*lead):
+                expected[r] = a[r][idx[r]]
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_sample_selection_is_one_hot():
