@@ -157,6 +157,7 @@ def test_categorical_indices_match_searchsorted():
     ((32, 65), (32,)),            # an engine run: along the rows
     ((5, 32, 65), (5, 32)),       # a batch of runs, one generator each
     ((5, 32, 65), (32,)),
+    ((5, 64, 65), (5, 64)),       # evaluate-mlp's runs: one copy, k = 65
     ((600, 130), (600,)),         # many rows, but beyond one numpy block
 ])
 def test_softmax_categorical_equals_softmax_then_draw(shape, u_shape):
@@ -174,18 +175,19 @@ def test_softmax_categorical_equals_softmax_then_draw(shape, u_shape):
         assert idx.tobytes() == expected.tobytes() and kept is None
 
 
-def test_row_gathers_for_two_leading_shapes():
-    """The cached leading-axis index serves each shape its own gather."""
+def test_take_rows_for_several_leading_shapes():
+    """The cached row offsets serve each shape its own gather."""
     rng = np.random.default_rng(21)
     for _ in range(2):
-        for lead in [(3,), (2, 4), (3,)]:
+        for lead in [(3,), (2, 4), (), (3,)]:
             a = rng.standard_normal(lead + (5, 2))
+            f = rng.standard_normal(lead + (5,))
             idx = rng.integers(0, 5, lead + (6,))
-            got = a[ops._rows(idx)]
-            expected = np.empty(lead + (6, 2))
+            got_a, got_f = ops.take_rows(idx, a, f)
             for r in np.ndindex(*lead):
-                expected[r] = a[r][idx[r]]
-            np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(got_a[r], a[r][idx[r]])
+                np.testing.assert_array_equal(got_f[r], f[r][idx[r]])
+            assert got_a.shape == lead + (6, 2) and got_f.shape == lead + (6,)
 
 
 def test_sample_selection_is_one_hot():
