@@ -181,6 +181,8 @@ _CORES = {
 }
 
 FUNCTION_NAMES = tuple(_CORES)
+# The cores that pair neighbouring coordinates, so need two or more.
+_TWO_DIM_FUNCTIONS = ("schaffers_f7", "griewank_rosenbrock")
 
 
 def core_function(name):
@@ -207,7 +209,6 @@ class TaskSpec:
     offset: np.ndarray          # optimum location, within [-5, 5]^D
     sigma0: float = 0.1         # suggested initial mutation rate
     noise: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         core_function(self.function)
@@ -266,6 +267,14 @@ class TaskFamily:
             raise ValueError("task family has no functions")
         for name in self.functions:
             core_function(name)
+        lo, hi = self.dim_range
+        if not 1 <= lo <= hi:
+            raise ValueError(f"dimension range ({lo}, {hi}) must satisfy "
+                             f"1 <= low <= high")
+        for name in _TWO_DIM_FUNCTIONS:
+            if lo < 2 and name in self.functions:
+                raise ValueError(f"{name} needs at least two dimensions, "
+                                 f"but the dimension range starts at {lo}")
 
 
 def sample_task(family, rng):
@@ -277,6 +286,6 @@ def sample_task(family, rng):
     sigma0 = float(rng.uniform(*SIGMA0_RANGE))
     # Nothing reads the seed; it is still drawn, so later draws keep their
     # place in the stream.
-    seed = int(rng.integers(0, 2 ** 31 - 1))
+    rng.integers(0, 2 ** 31 - 1)
     return TaskSpec(function=name, dim=dim, offset=offset, sigma0=sigma0,
-                    noise=family.noise, seed=seed)
+                    noise=family.noise)

@@ -81,14 +81,14 @@ def parse_task_list(spec):
 
 def build_task(name, dim, offset_seed):
     if name == "mlp-sine":
-        return _mlp_sine()  # fixed dataset; runs vary via the GA seed
+        return _mlp_sine(dim)  # fixed dataset; runs vary via the GA seed
     return make_task(name, dim=dim, seed=offset_seed)
 
 
 @functools.cache
-def _mlp_sine():
-    """The one mlp-sine task of a process, shared by all its runs."""
-    return make_task("mlp-sine")
+def _mlp_sine(dim):
+    """The mlp-sine task of a process and ``dim``, shared by all its runs."""
+    return make_task("mlp-sine", dim=dim)
 
 
 # One cell of an evaluate, sweep or transfer grid, its repetitions run as

@@ -68,6 +68,8 @@ FITNESS_CLIP = 1e30
 INIT_LOW, INIT_HIGH = -5.0, 5.0
 # SAMR multiplies or divides each child's rate by this factor.
 SAMR_META_RATE = 2.0
+# GESMR splits the population into this many groups of consecutive children.
+GESMR_GROUPS = 8
 
 
 @dataclass
@@ -83,7 +85,6 @@ class GaConfig:
     crossover: str = "none"
     generations: int = 50
     seed: object = 0
-    gesmr_groups: int = 8
 
     def __post_init__(self):
         if self.n_pop < 1:
@@ -103,9 +104,7 @@ class GaConfig:
             raise ValueError(f"unknown cross-over slot {self.crossover!r}")
         if self.generations < 1:
             raise ValueError("generation count must be positive")
-        if self.gesmr_groups < 1:
-            raise ValueError("gesmr group count must be positive")
-        if self.mra == "gesmr" and self.n_pop % self.gesmr_groups != 0:
+        if self.mra == "gesmr" and self.n_pop % GESMR_GROUPS != 0:
             raise ValueError("gesmr group count must divide the population")
 
     @property
@@ -174,10 +173,22 @@ class GeneticAlgorithm:
         self._checked = not candidates
         self._mutate = (ops.gaussian_mutate if self._checked
                         else ops.mutate_core)
-        self.reinit()
+        n, e = config.n_pop, config.n_elite
+        self.generation = 0
+        self.best_f = np.full(self.shape, np.inf)
+        self._pending = None
+        self._sigma_groups = np.full(self.shape + (GESMR_GROUPS,),
+                                     config.sigma0)
+        # A fresh archive drawn from the initial box, every rate sigma0.
+        x0 = per_run(self.rng, lambda g, size: g.uniform(
+            INIT_LOW, INIT_HIGH, size=size), (e, dim), self.shape)
+        lead = self.shape + (e,)
+        self.archive = ops.ParentArchive(
+            x=np.broadcast_to(x0, lead + (dim,)).copy(),
+            f=np.full(lead, np.inf), sigma=np.full(lead, config.sigma0),
+            age=np.zeros(lead, dtype=np.int64))
         # The learned operators run their cores on weights folded, and
         # feature and logit buffers built, once per run or batch.
-        n, e = config.n_pop, config.n_elite
         if config.sampling == "learned":
             self._smp = ops.fold(params.weights, "smp")
             self._smp_feats = np.empty(self.shape + (e, FITNESS_DIM + 1))
@@ -193,24 +204,6 @@ class GeneticAlgorithm:
             self._sel = ops.fold_selection(params.weights)
             self._joint = np.empty(self.shape + (n + e, FITNESS_DIM))
             self._logits = np.ones(self.shape + (e, n + 1))  # keep column
-
-    def reinit(self):
-        """Reset the archive to a fresh draw from the initial box."""
-        cfg = self.config
-        e = cfg.n_elite
-        self.generation = 0
-        self.best_f = np.full(self.shape, np.inf)
-        self._pending = None
-        self._sigma_scalar = np.full(self.shape, cfg.sigma0)  # one_fifth
-        self._sigma_groups = np.full(self.shape + (cfg.gesmr_groups,),
-                                     cfg.sigma0)
-        x0 = per_run(self.rng, lambda g, size: g.uniform(
-            INIT_LOW, INIT_HIGH, size=size), (e, self.dim), self.shape)
-        x = np.broadcast_to(x0, self.shape + (e, self.dim)).copy()
-        lead = self.shape + (e,)
-        self.archive = ops.ParentArchive(
-            x=x, f=np.full(lead, np.inf), sigma=np.full(lead, cfg.sigma0),
-            age=np.zeros(lead, dtype=np.int64))
 
     # -- ask ---------------------------------------------------------------
 
@@ -235,16 +228,13 @@ class GeneticAlgorithm:
         if cfg.mra == "learned":
             delta = self._mra_multiplier(f_s, sigma_s)
             sigma_c = delta * sigma_s
-        elif cfg.mra == "fixed":
-            sigma_c = np.full(self.shape + (n,), cfg.sigma0)
-        elif cfg.mra == "one_fifth":
-            sigma_c = np.repeat(np.expand_dims(self._sigma_scalar, -1), n,
-                                axis=-1)
         elif cfg.mra == "samr":
             sigma_c = ops.samr_adapt(sigma_s, SAMR_META_RATE, self.rng)
-        else:  # gesmr: consecutive children share a group's rate
-            sigma_c = np.repeat(self._sigma_groups, n // cfg.gesmr_groups,
+        elif cfg.mra == "gesmr":  # consecutive children share a group's rate
+            sigma_c = np.repeat(self._sigma_groups, n // GESMR_GROUPS,
                                 axis=-1)
+        else:  # fixed, one_fifth: every archive member holds the one rate
+            sigma_c = sigma_s
 
         x_c = self._mutate(x_s, sigma_c, self.rng)
         self._pending = {"f_sampled": f_s, "delta": delta}
@@ -307,13 +297,11 @@ class GeneticAlgorithm:
 
         f_sampled = self._pending["f_sampled"]
         if cfg.mra == "one_fifth":
-            successes = np.sum(f_child < f_sampled, axis=-1)
-            self._sigma_scalar = ops.mr_one_fifth(self._sigma_scalar,
-                                                  successes, cfg.n_pop)
-            self.archive.sigma[...] = np.expand_dims(self._sigma_scalar, -1)
+            successes = np.sum(f_child < f_sampled, axis=-1, keepdims=True)
+            self.archive.sigma[...] = ops.mr_one_fifth(
+                self.archive.sigma[..., :1], successes, cfg.n_pop)
         elif cfg.mra == "gesmr":
-            k = cfg.gesmr_groups
-            groups = self.shape + (k, cfg.n_pop // k)
+            groups = self.shape + (GESMR_GROUPS, cfg.n_pop // GESMR_GROUPS)
             improvements = f_child.reshape(groups).min(axis=-1) - np.minimum(
                 f_sampled.reshape(groups).min(axis=-1), FITNESS_CLIP)
             self._sigma_groups = ops.gesmr_adapt(self._sigma_groups,

@@ -233,27 +233,10 @@ def categorical_indices(probs, u):
 
     ``u`` holds one uniform per row; leading candidate axes may share it.
     The CDF is summed in sequence over the leading axis of a transposed
-    view, which gives the bits of a cumulative sum along each row. Over
-    many short rows (``attention.many_short_rows``) the view is a
-    contiguous copy summed one column at a time: the same additions in the
-    same order, without a strided accumulate. Over few long rows the
-    accumulate stays, as the loop's one call per column costs more there.
+    view, which gives the bits of a cumulative sum along each row.
     """
-    if many_short_rows(probs):
-        return _draw_columns(last_axis_first(probs), u)
     cdf = np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0)
     return np.minimum(np.add.reduce(cdf < u, axis=0), probs.shape[-1] - 1)
-
-
-def _draw_columns(cols, u):
-    """:func:`categorical_indices` of ``cols``, the probabilities column-first.
-
-    The CDF overwrites ``cols``.
-    """
-    k = len(cols)
-    for j in range(1, k):
-        np.add(cols[j - 1], cols[j], out=cols[j])
-    return np.minimum(np.add.reduce(cols < u, axis=0), k - 1)
 
 
 def softmax_categorical(logits, u, keep_probs=False):
@@ -263,9 +246,11 @@ def softmax_categorical(logits, u, keep_probs=False):
     None). Over many short rows of at most ``PAIRWISE_BLOCK`` columns the
     softmax and the draw share one transposed copy of the logits: its max,
     exp and denominators (``attention.pairwise_sum_first``, the bits of
-    the row sums ``softmax_last`` takes) run over the leading axis, and the
-    probabilities go back to rows only when they are kept. Other shapes
-    take the softmax along the rows.
+    the row sums ``softmax_last`` takes) run over the leading axis, the
+    probabilities go back to rows only when they are kept, and the CDF
+    overwrites the copy one column at a time: the additions of
+    :func:`categorical_indices` in its order, without a strided
+    accumulate. Other shapes take the softmax along the rows.
     """
     if not (many_short_rows(logits) and logits.shape[-1] <= PAIRWISE_BLOCK):
         probs = softmax_last(logits)
@@ -275,7 +260,10 @@ def softmax_categorical(logits, u, keep_probs=False):
     np.exp(cols, out=cols)
     cols /= pairwise_sum_first(cols)
     probs = np.moveaxis(cols, 0, -1).copy() if keep_probs else None
-    return _draw_columns(cols, u), probs
+    k = len(cols)
+    for j in range(1, k):
+        np.add(cols[j - 1], cols[j], out=cols[j])
+    return np.minimum(np.add.reduce(cols < u, axis=0), k - 1), probs
 
 
 def sample_selection(probs, rng):

@@ -18,6 +18,9 @@ CHECKPOINT_VERSION = 1
 # Feature widths a checkpoint records, which the operators fix.
 FEATURE_WIDTHS = {"d_fit": FITNESS_DIM, "d_sigma": SIGMA_DIM,
                   "d_elite": CROSSOVER_DIM}
+# Every key of a checkpoint's [config] block.
+CONFIG_KEYS = ("d_k", "heads", *FEATURE_WIDTHS, "with_sampling",
+               "with_crossover")
 
 
 @dataclass(frozen=True)
@@ -201,14 +204,19 @@ class LgaParams:
         version = int(lines[0].split(":", 1)[1])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        cfg_kv, matrices, i = {}, {}, 1
-        if lines[i] != "[config]":
+        cfg_kv, matrices = {}, {}
+        if lines[1:2] != ["[config]"]:
             raise ValueError(f"{path}: expected [config] block")
-        i += 1
+        i = 2
         while i < len(lines) and not lines[i].startswith("["):
-            key, val = lines[i].split(":", 1)
+            key, sep, val = lines[i].partition(":")
+            if not sep:
+                raise ValueError(f"{path}: bad config line {lines[i]!r}")
             cfg_kv[key.strip()] = int(val)
             i += 1
+        missing = [key for key in CONFIG_KEYS if key not in cfg_kv]
+        if missing:
+            raise ValueError(f"{path}: [config] lacks {', '.join(missing)}")
         for key, width in FEATURE_WIDTHS.items():
             if cfg_kv[key] != width:
                 raise ValueError(f"{path}: {key} is {cfg_kv[key]}, but the "
@@ -222,13 +230,22 @@ class LgaParams:
             if not (header.startswith("[matrix ") and header.endswith("]")):
                 raise ValueError(f"{path}: bad block header {header!r}")
             name = header[len("[matrix "):-1]
-            i += 1  # rows line (redundant, kept for readability)
-            shape = tuple(int(d) for d in lines[i + 1].split()[1:])
-            values = np.array([np.float32(tok)
-                               for tok in lines[i + 2].split()],
+            # The rows line is redundant, kept for readability.
+            block = lines[i + 1:i + 4]
+            if not (len(block) == 3 and block[0].startswith("rows:")
+                    and block[1].startswith("shape:")
+                    and not block[2].startswith("[")):
+                raise ValueError(f"{path}: matrix {name} needs rows, shape "
+                                 f"and value lines")
+            _, shape, values = block
+            shape = tuple(int(d) for d in shape.split()[1:])
+            values = np.array([np.float32(tok) for tok in values.split()],
                               dtype=np.float32)
+            if values.size != np.prod(shape, dtype=np.int64):
+                raise ValueError(f"{path}: matrix {name} holds {values.size} "
+                                 f"values, not the {shape} its shape needs")
             matrices[name] = values.reshape(shape)
-            i += 3
+            i += 4
         return cls(cfg, matrices)
 
 

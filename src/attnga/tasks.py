@@ -123,9 +123,15 @@ def task_names():
 
 
 def make_task(name, dim=None, seed=0, sigma0=0.1, noise=False):
-    """Build a task by string id; BBOB offsets are drawn from ``seed``."""
+    """Build a task by string id; BBOB offsets are drawn from ``seed``.
+
+    mlp-sine has a fixed dimension: ``dim`` is None or that dimension.
+    """
     if name == "mlp-sine":
-        return MlpTask(seed=seed)
+        task = MlpTask(seed=seed)
+        if dim not in (None, task.dim):
+            raise ValueError(f"mlp-sine has {task.dim} dimensions, not {dim}")
+        return task
     if name not in bbob.FUNCTION_NAMES:
         raise ValueError(f"unknown task {name!r}; known: "
                          f"{', '.join(task_names())}")
@@ -133,4 +139,4 @@ def make_task(name, dim=None, seed=0, sigma0=0.1, noise=False):
         raise ValueError(f"task {name!r} needs an explicit dimension")
     offset = np.random.default_rng([seed, 0xB0B]).uniform(-5.0, 5.0, dim)
     return bbob.TaskSpec(function=name, dim=dim, offset=offset,
-                         sigma0=sigma0, noise=noise, seed=seed)
+                         sigma0=sigma0, noise=noise)

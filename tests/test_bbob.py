@@ -146,6 +146,27 @@ def test_sample_task_respects_family_ranges():
         bbob.TaskFamily(functions=("nope",))
 
 
+@pytest.mark.parametrize("dim_range, match", [
+    ((0, 2), "must satisfy 1 <= low <= high"),
+    ((5, 2), "must satisfy 1 <= low <= high"),
+    ((1, 1), "schaffers_f7 needs at least two dimensions"),
+])
+def test_task_family_rejects_bad_dimension_ranges(dim_range, match):
+    with pytest.raises(ValueError, match=match):
+        bbob.TaskFamily(dim_range=dim_range)
+
+
+def test_task_family_dimension_floor_is_per_function():
+    """One-dimensional tasks are fine without the two pairing cores."""
+    family = bbob.TaskFamily(functions=("sphere", "rastrigin"),
+                             dim_range=(1, 1))
+    assert bbob.sample_task(family, np.random.default_rng(1)).dim == 1
+    with pytest.raises(ValueError, match="griewank_rosenbrock needs"):
+        bbob.TaskFamily(functions=("sphere", "griewank_rosenbrock"),
+                        dim_range=(1, 3))
+    bbob.TaskFamily(functions=("griewank_rosenbrock",), dim_range=(2, 2))
+
+
 def test_batched_rows_match_single_rows():
     rng = np.random.default_rng(7)
     for name in bbob.FUNCTION_NAMES:

@@ -274,6 +274,26 @@ def test_non_finite_sigma0_exits_2(tmp_path, capsys, algorithm, sigma0):
     assert not out.exists()
 
 
+def test_mlp_sine_with_another_dimension_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["evaluate", "--tasks", "mlp-sine:5", "--algorithms",
+                   "gaussian", "--n-pop", "4", "--generations", "2",
+                   "--repetitions", "1", "--out", str(out)])
+    assert rc == 2
+    assert "mlp-sine has 33 dimensions, not 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncated_checkpoint_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "ckpt.txt", tmp_path / "x.csv"
+    path.write_text("format-version: 1\n")
+    rc = cli.main(["analyze", "--checkpoint", str(path), "--tasks",
+                   "sphere:2", "--out", str(out)])
+    assert rc == 2
+    assert f"{path}: expected [config] block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     rc = cli.main(["evaluate", "--tasks", "sphere:2", "--algorithms",
                    "foo", "--out", str(tmp_path / "x.csv")])

@@ -37,15 +37,11 @@ def test_config_validation():
         engine.GaConfig(selection="roulette")
     with pytest.raises(ValueError):
         engine.GaConfig(mra="cosine")
-    with pytest.raises(ValueError):
-        engine.GaConfig(n_pop=12, mra="gesmr", gesmr_groups=5)
+    with pytest.raises(ValueError, match="gesmr group count must divide"):
+        engine.GaConfig(n_pop=12, mra="gesmr")
     for generations in (0, -1):
         with pytest.raises(ValueError, match="generation count"):
             engine.GaConfig(generations=generations)
-    for groups in (0, -4):
-        with pytest.raises(ValueError, match="gesmr group count must be "
-                           "positive"):
-            engine.GaConfig(n_pop=8, mra="gesmr", gesmr_groups=groups)
 
 
 def test_elite_count_rounding():
@@ -165,26 +161,61 @@ def test_one_fifth_updates_scalar_sigma():
     np.testing.assert_array_equal(sigma, np.full(10, 0.4))
     # All children "improve" on the +inf archive: rate doubles.
     ga.tell(x, np.ones(10), sigma)
-    assert ga._sigma_scalar == 0.8
+    np.testing.assert_array_equal(ga.archive.sigma, np.full(5, 0.8))
     x, sigma = ga.ask()
     np.testing.assert_array_equal(sigma, np.full(10, 0.8))
     # No child improves on its sampled parent: rate halves.
     ga.tell(x, np.full(10, 2.0), sigma)
-    assert ga._sigma_scalar == 0.4
+    np.testing.assert_array_equal(ga.archive.sigma, np.full(5, 0.4))
+
+
+@pytest.mark.parametrize("selection", engine.SELECTION_SLOTS)
+@pytest.mark.parametrize("mra", ["fixed", "one_fifth"])
+@pytest.mark.parametrize("seeds", [None, [[1], [2], [3]]])
+def test_single_rate_slots_keep_one_rate_in_the_archive(selection, mra,
+                                                        seeds):
+    """Every archive member holds the slot's rate after each tell.
+
+    The rate is sigma0 for ``fixed``; for ``one_fifth`` it is sigma0
+    doubled or halved per generation by the one-fifth rule, so each run
+    keeps one rate, and the children of the next ask carry it.
+    """
+    config = engine.GaConfig(n_pop=10, elite_ratio=0.5, sigma0=0.3,
+                             selection=selection, mra=mra, generations=8,
+                             seed=5)
+    ga = engine.GeneticAlgorithm(config, dim=3, params=_params(),
+                                 seeds=seeds)
+    task = make_task("rastrigin", dim=3, seed=2)
+    rate = np.full(ga.shape + (1,), 0.3)
+    for _ in range(config.generations):
+        x, sigma = ga.ask()
+        np.testing.assert_array_equal(sigma,
+                                      np.broadcast_to(rate, sigma.shape))
+        f = task.evaluate(x)
+        if mra == "one_fifth":
+            successes = np.sum(f < ga._pending["f_sampled"], axis=-1,
+                               keepdims=True)
+            rate = np.where(successes >= 2, 2.0 * rate, 0.5 * rate)
+        ga.tell(x, f, sigma)
+        np.testing.assert_array_equal(
+            ga.archive.sigma, np.broadcast_to(rate, ga.archive.sigma.shape))
 
 
 def test_gesmr_group_layout():
-    config = engine.GaConfig(n_pop=8, elite_ratio=1.0, sigma0=0.3,
-                             mra="gesmr", gesmr_groups=4, generations=1,
-                             seed=8)
+    config = engine.GaConfig(n_pop=16, elite_ratio=1.0, sigma0=0.3,
+                             mra="gesmr", generations=1, seed=8)
     ga = engine.GeneticAlgorithm(config, dim=2)
     x, sigma = ga.ask()
-    np.testing.assert_array_equal(sigma, np.full(8, 0.3))
-    ga.tell(x, np.arange(8, dtype=float), sigma)
+    np.testing.assert_array_equal(sigma, np.full(16, 0.3))
+    ga.tell(x, np.arange(16, dtype=float), sigma)
     # Group 0 had the best improvement statistic and keeps its rate.
+    assert ga._sigma_groups.shape == (engine.GESMR_GROUPS,)
     assert ga._sigma_groups[0] == 0.3
     assert np.all(ga._sigma_groups >= 0.15 - 1e-12)
     assert np.all(ga._sigma_groups <= 0.6 + 1e-12)
+    # Consecutive pairs of children share their group's rate.
+    x, sigma = ga.ask()
+    np.testing.assert_array_equal(sigma, np.repeat(ga._sigma_groups, 2))
 
 
 def test_samr_rates_ride_with_children():

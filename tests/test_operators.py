@@ -139,7 +139,7 @@ def test_selection_feature_width_validation():
 
 
 def test_categorical_indices_match_searchsorted():
-    """Both CDF paths: many short rows, and few long ones."""
+    """Over many short rows and over few long ones."""
     rng = np.random.default_rng(15)
     for shape in [(50, 7), (3, 40), (5, 32, 65), (64, 16, 17)]:
         probs = row_softmax(rng.standard_normal(shape).reshape(-1, shape[-1]))

@@ -122,6 +122,34 @@ def test_checkpoint_rejects_bad_header(tmp_path):
         LgaParams.load(path)
 
 
+def _desk_lines(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    LgaParams.zeros(FeatureConfig()).save(path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("keep, match", [
+    (lambda lines: lines[:1], "expected \\[config\\] block"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("d_fit:")],
+     "\\[config\\] lacks d_fit"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("heads:")],
+     "\\[config\\] lacks heads"),
+    (lambda lines: lines[:2] + ["d_k 16"] + lines[3:], "bad config line"),
+    (lambda lines: lines[:-1], "matrix mra_sigma needs rows, shape and value"),
+    (lambda lines: lines[:11] + lines[12:],     # sel_q's shape line
+     "matrix sel_q needs rows, shape and value"),
+    (lambda lines: lines[:-1] + [lines[-1] + " 0"],
+     "matrix mra_sigma holds 17 values"),
+])
+def test_checkpoint_rejects_malformed_files(tmp_path, keep, match):
+    """A missing block, line or key raises ValueError naming the file."""
+    path, lines = _desk_lines(tmp_path)
+    path.write_text("\n".join(keep(lines)) + "\n")
+    with pytest.raises(ValueError, match=match) as info:
+        LgaParams.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("key, value", [("d_fit", 4), ("d_sigma", 3),
                                         ("d_elite", 3)])
 def test_checkpoint_rejects_other_feature_widths(tmp_path, key, value):

@@ -89,6 +89,10 @@ def test_make_task_registry():
     assert not np.array_equal(task.offset,
                               make_task("sphere", dim=4, seed=10).offset)
     assert isinstance(make_task("mlp-sine"), MlpTask)
+    assert make_task("mlp-sine", dim=33).dim == 33
+    for dim in (5, 0, 34):
+        with pytest.raises(ValueError, match=f"33 dimensions, not {dim}"):
+            make_task("mlp-sine", dim=dim)
     with pytest.raises(ValueError):
         make_task("unknown-task", dim=2)
     with pytest.raises(ValueError):

@@ -36,8 +36,10 @@ algorithm (or slot pair), so their baseline rows are compared on their own.
 - The trajectories (fitness, best-so-far and mean-sigma bytes) of
   ``engine.run`` for the five ``evaluate`` algorithms at the
   ``evaluate-mlp`` settings, for the four ``transfer`` slot compositions
-  on sphere-10, and of one ``debug=True`` run, whose debug arrays are
-  recorded too (the evaluate CSV keeps only the final best).
+  on sphere-10, for every (selection, MRA) slot pair on a noisy
+  rastrigin-6, alone and as a batch of three runs, and of one
+  ``debug=True`` run, whose debug arrays are recorded too (the evaluate
+  CSV keeps only the final best).
 - The ``meta_log.csv`` and final checkpoint bytes of a 3-meta-generation
   desk ``meta_train``.
 """
@@ -185,6 +187,17 @@ def record(checkout, tmp):
         trajectory = engine.run(config, sphere, params=desk)
         out[f"engine.run {selection}/{mra} sphere-10"] = trajectory_bytes(
             trajectory)
+    rastrigin = make_task("rastrigin", dim=6, seed=4, noise=True)
+    for selection in engine.SELECTION_SLOTS:
+        for mra in engine.MRA_SLOTS:
+            config = engine.GaConfig(n_pop=16, elite_ratio=0.5, sigma0=0.25,
+                                     selection=selection, mra=mra,
+                                     generations=40, seed=[4])
+            key = f"engine.run {selection}/{mra} rastrigin-6"
+            out[key] = trajectory_bytes(engine.run(config, rastrigin,
+                                                   params=desk))
+            out[f"{key} seeds=[4],[5],[6]"] = trajectory_bytes(engine.run(
+                config, rastrigin, params=desk, seeds=[[4], [5], [6]]))
     config = engine.GaConfig(n_pop=12, elite_ratio=0.25, sigma0=0.25,
                              selection="learned", mra="learned",
                              generations=20, seed=[6])
