@@ -62,21 +62,39 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def parse_task_list(spec):
-    """'sphere:20,rastrigin:10,mlp-sine' -> [(name, dim-or-None), ...]."""
+def _comma_list(spec, what, parse):
+    """The entries of the comma list ``spec``, each through ``parse``.
+
+    Blank entries are skipped. A ``ValueError`` from ``parse`` is raised
+    again naming the entry, and an empty list is an error too.
+    """
     items = []
     for token in spec.split(","):
         token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            name, dim = token.split(":", 1)
-            items.append((name.strip(), int(dim)))
-        else:
-            items.append((token, None))
+        if token:
+            try:
+                items.append(parse(token))
+            except ValueError as exc:
+                raise ValueError(f"{what} {token!r}: {exc}") from None
     if not items:
-        raise ValueError("empty task list")
+        raise ValueError(f"empty {what} list")
     return items
+
+
+def _algorithm(name):
+    if name not in ALGORITHMS:
+        raise ValueError(f"not one of {', '.join(ALGORITHMS)}")
+    return name
+
+
+def _task_entry(token):
+    name, sep, dim = token.partition(":")
+    return (name.strip(), int(dim)) if sep else (token, None)
+
+
+def parse_task_list(spec):
+    """'sphere:20,rastrigin:10,mlp-sine' -> [(name, dim-or-None), ...]."""
+    return _comma_list(spec, "task", _task_entry)
 
 
 def build_task(name, dim, offset_seed):
@@ -92,43 +110,16 @@ def _mlp_sine(dim):
 
 
 # One cell of an evaluate, sweep or transfer grid, its repetitions run as
-# one batched GA run: the runs' engine.GaConfig and seeds, the task as
-# (name, dim, one offset seed per run) and the learned weights, if any.
-Job = namedtuple("Job", "config seeds task params")
-
-
-def _cell(opts, slots, params, task_idx, name, dim, rho, sigma0, *key):
-    """The repetitions of ``slots`` at ``rho`` and ``sigma0`` as one job.
-
-    Run ``rep`` is seeded with ``[seed, task_idx, *key, rep]``.
-    """
-    reps = range(opts["repetitions"])
-    if not reps:
-        raise ValueError("repetitions must be at least 1")
-    config = engine.GaConfig(n_pop=opts["n_pop"],
-                             generations=opts["generations"],
-                             elite_ratio=rho, sigma0=sigma0, **slots)
-    return Job(config, [[opts["seed"], task_idx, *key, rep] for rep in reps],
-               (name, dim, [_offset_seed(opts["seed"], task_idx, rep)
-                            for rep in reps]),
-               params if "learned" in slots.values() else None)
+# one batched GA run: the runs' engine.GaConfig, seeds and built tasks and
+# the learned weights, if any.
+Job = namedtuple("Job", "config seeds tasks params")
 
 
 def _run_job(job):
     """Top-level worker: one cell's runs, returns their final best-so-far."""
-    name, dim, offsets = job.task
-    tasks = [build_task(name, dim, offset) for offset in offsets]
-    trajectory = engine.run(job.config, tasks, params=job.params,
+    trajectory = engine.run(job.config, job.tasks, params=job.params,
                             seeds=job.seeds)
     return trajectory.best_so_far[:, -1].tolist()
-
-
-def _map_jobs(jobs, workers):
-    """Each job's list of final bests, in job order."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_job, jobs, chunksize=1))
-    return [_run_job(job) for job in jobs]
 
 
 def _offset_seed(master, task_idx, rep):
@@ -139,15 +130,39 @@ def _label(name, dim):
     return name if dim is None else f"{name}:{dim}"
 
 
-def _parse_algorithms(spec):
-    algos = [a.strip() for a in spec.split(",") if a.strip()]
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}; one of "
-                             f"{sorted(ALGORITHMS)}")
-    if not algos:
-        raise ValueError("empty algorithm list")
-    return algos
+def _run_grid(opts, params, cells):
+    """Run every task of ``--tasks`` in every cell; one row per run.
+
+    A cell is (CSV columns, slots, rho, sigma0, seed key). Each task's R
+    run instances and each cell's config are built before any job runs,
+    so a bad spec fails at once. A task's cells run as one job each, in
+    task-major order, and share the task's instances; repetition ``rep``
+    is seeded with ``[seed, task_idx, *key, rep]``. A row is [task,
+    *columns, rep, final best].
+    """
+    reps = range(opts["repetitions"])
+    if not reps:
+        raise ValueError("repetitions must be at least 1")
+    seed = opts["seed"]
+    heads, jobs = [], []
+    for task_idx, (name, dim) in enumerate(parse_task_list(opts["tasks"])):
+        tasks = [build_task(name, dim, _offset_seed(seed, task_idx, rep))
+                 for rep in reps]
+        for columns, slots, rho, sigma0, key in cells:
+            config = engine.GaConfig(
+                n_pop=opts["n_pop"], generations=opts["generations"],
+                elite_ratio=rho, sigma0=sigma0, **slots)
+            heads.append([_label(name, dim), *columns])
+            jobs.append(Job(config, [[seed, task_idx, *key, rep]
+                                     for rep in reps], tasks,
+                            params if "learned" in slots.values() else None))
+    if opts["workers"] > 1:
+        with ProcessPoolExecutor(max_workers=opts["workers"]) as pool:
+            results = list(pool.map(_run_job, jobs, chunksize=1))
+    else:
+        results = [_run_job(job) for job in jobs]
+    return [[*head, rep, best] for head, bests in zip(heads, results)
+            for rep, best in enumerate(bests)]
 
 
 def _load_params(opts, required):
@@ -161,77 +176,50 @@ def _load_params(opts, required):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_evaluate(opts):
-    tasks = parse_task_list(opts["tasks"])
-    algos = _parse_algorithms(opts["algorithms"])
+    algos = _comma_list(opts["algorithms"], "algorithm", _algorithm)
     params = _load_params(opts, required="lga" in algos)
 
     # The Gaussian baseline is always run: it is the normalization
     # denominator even when not among the requested algorithms.
-    denom_algos = algos if "gaussian" in algos else algos + ["gaussian"]
-    cells, jobs = [], []
-    for task_idx, (name, dim) in enumerate(tasks):
-        for algo in denom_algos:
-            cells.append((task_idx, algo))
-            jobs.append(_cell(opts, ALGORITHMS[algo], params, task_idx,
-                              name, dim, opts["rho"], opts["sigma0"]))
-    results = dict(zip(cells, _map_jobs(jobs, opts["workers"])))
+    runs = algos if "gaussian" in algos else algos + ["gaussian"]
+    rows = _run_grid(opts, params, [
+        ((algo,), ALGORITHMS[algo], opts["rho"], opts["sigma0"], ())
+        for algo in runs])
 
-    rows = []
-    for task_idx, (name, dim) in enumerate(tasks):
-        denom = max(float(np.mean(results[task_idx, "gaussian"])),
-                    NORM_FLOOR)
-        for algo in algos:
-            rows.extend([_label(name, dim), algo, rep, best, best / denom]
-                        for rep, best in enumerate(results[task_idx, algo]))
+    reps = opts["repetitions"]
+    block, denom_at = len(runs) * reps, runs.index("gaussian") * reps
+    normalized = []
+    for task in (rows[i:i + block] for i in range(0, len(rows), block)):
+        gaussian = [row[-1] for row in task[denom_at:denom_at + reps]]
+        denom = max(float(np.mean(gaussian)), NORM_FLOOR)
+        normalized.extend([*row, row[-1] / denom]
+                          for row in task[:len(algos) * reps])
     _write_csv(opts["out"], ["task", "algo", "seed", "best_final",
-                             "normalized"], rows)
-
-
-def _grid_rows(cells, jobs, workers):
-    """One row per repetition: its cell's columns, the repetition, best."""
-    return [[*cell, rep, best]
-            for cell, bests in zip(cells, _map_jobs(jobs, workers))
-            for rep, best in enumerate(bests)]
+                             "normalized"], normalized)
 
 
 def cmd_sweep(opts):
-    tasks = parse_task_list(opts["tasks"])
-    algos = _parse_algorithms(opts["algorithms"])
+    algos = _comma_list(opts["algorithms"], "algorithm", _algorithm)
     params = _load_params(opts, required="lga" in algos)
-    rho_grid = [float(v) for v in opts["rho_grid"].split(",") if v.strip()]
-    sigma_grid = [float(v) for v in opts["sigma0_grid"].split(",")
-                  if v.strip()]
-    if not rho_grid or not sigma_grid:
-        raise ValueError("sweep grids must be non-empty")
-
-    cells, jobs = [], []
-    for task_idx, (name, dim) in enumerate(tasks):
-        for algo in algos:
-            for gi, rho in enumerate(rho_grid):
-                for gj, sigma0 in enumerate(sigma_grid):
-                    cells.append((_label(name, dim), algo, rho, sigma0))
-                    jobs.append(_cell(opts, ALGORITHMS[algo], params,
-                                      task_idx, name, dim, rho, sigma0,
-                                      gi, gj))
+    rho_grid = _comma_list(opts["rho_grid"], "rho grid value", float)
+    sigma_grid = _comma_list(opts["sigma0_grid"], "sigma0 grid value", float)
     _write_csv(opts["out"], ["task", "algo", "rho", "sigma0", "seed",
                              "best_final"],
-               _grid_rows(cells, jobs, opts["workers"]))
+               _run_grid(opts, params, [
+                   ((algo, rho, sigma0), ALGORITHMS[algo], rho, sigma0,
+                    (gi, gj))
+                   for algo in algos for gi, rho in enumerate(rho_grid)
+                   for gj, sigma0 in enumerate(sigma_grid)]))
 
 
 def cmd_transfer(opts):
-    tasks = parse_task_list(opts["tasks"])
     params = _load_params(opts, required=True)
-
-    cells, jobs = [], []
-    for task_idx, (name, dim) in enumerate(tasks):
-        for selection, mra in TRANSFER_COMPOSITIONS:
-            cells.append((_label(name, dim), selection, mra))
-            jobs.append(_cell(opts, {"selection": selection, "mra": mra},
-                              params, task_idx, name, dim, opts["rho"],
-                              opts["sigma0"]))
     _write_csv(opts["out"], ["task", "selection", "mra", "seed",
                              "best_final"],
-               _grid_rows(cells, jobs, opts["workers"]))
+               _run_grid(opts, params, [
+                   ((selection, mra), {"selection": selection, "mra": mra},
+                    opts["rho"], opts["sigma0"], ())
+                   for selection, mra in TRANSFER_COMPOSITIONS]))
 
 
 def _print_folded(params):
@@ -294,8 +282,8 @@ def cmd_analyze(opts):
 
 
 def cmd_meta_train(opts):
-    functions = tuple(f.strip() for f in opts["functions"].split(",")
-                      if f.strip())
+    # TaskFamily rejects an unknown function by name.
+    functions = _comma_list(opts["functions"], "function", str)
     family = TaskFamily(functions=functions,
                         dim_range=(opts["dim_min"], opts["dim_max"]),
                         noise=bool(opts["noise"]))

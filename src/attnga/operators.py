@@ -354,11 +354,8 @@ def uniform_sample_parents(archive, n, rng):
     e = archive.f.shape[-1]
     if e < 1:
         raise ValueError("archive is empty")
-    if isinstance(rng, np.random.Generator):
-        idx = rng.integers(0, e, n)     # the one draw of ``draws.per_run``
-    else:
-        idx = per_run(rng, lambda g, size: g.integers(0, e, size), (n,),
-                      archive.f.shape[:-1])
+    idx = per_run(rng, lambda g, size: g.integers(0, e, size), (n,),
+                  archive.f.shape[:-1])
     return (idx,) + parents_at(archive, idx)
 
 

@@ -201,7 +201,8 @@ class LgaParams:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         if not lines or not lines[0].startswith("format-version:"):
             raise ValueError(f"{path}: missing format-version header")
-        version = int(lines[0].split(":", 1)[1])
+        version = _parsed(int, lines[0].split(":", 1)[1], path,
+                          f"line {lines[0]!r}")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
         cfg_kv, matrices = {}, {}
@@ -212,7 +213,8 @@ class LgaParams:
             key, sep, val = lines[i].partition(":")
             if not sep:
                 raise ValueError(f"{path}: bad config line {lines[i]!r}")
-            cfg_kv[key.strip()] = int(val)
+            cfg_kv[key.strip()] = _parsed(int, val, path,
+                                          f"config line {lines[i]!r}")
             i += 1
         missing = [key for key in CONFIG_KEYS if key not in cfg_kv]
         if missing:
@@ -238,15 +240,25 @@ class LgaParams:
                 raise ValueError(f"{path}: matrix {name} needs rows, shape "
                                  f"and value lines")
             _, shape, values = block
-            shape = tuple(int(d) for d in shape.split()[1:])
-            values = np.array([np.float32(tok) for tok in values.split()],
-                              dtype=np.float32)
+            shape = _parsed(lambda t: tuple(int(d) for d in t.split()[1:]),
+                            shape, path, f"matrix {name} shape")
+            values = np.array(_parsed(
+                lambda t: [np.float32(v) for v in t.split()], values, path,
+                f"matrix {name} values"), dtype=np.float32)
             if values.size != np.prod(shape, dtype=np.int64):
                 raise ValueError(f"{path}: matrix {name} holds {values.size} "
                                  f"values, not the {shape} its shape needs")
             matrices[name] = values.reshape(shape)
             i += 4
         return cls(cfg, matrices)
+
+
+def _parsed(parse, text, path, where):
+    """``parse(text)``; its ``ValueError`` names the file and ``where``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from None
 
 
 def _f32_repr(value):

@@ -294,10 +294,45 @@ def test_truncated_checkpoint_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["evaluate", "sweep", "transfer"])
+def test_bad_task_spec_fails_before_any_job(tmp_path, capsys, monkeypatch,
+                                            checkpoint, mode):
+    jobs = []
+    monkeypatch.setattr(cli, "_run_job", lambda job: jobs.append(job) or [])
+    out = tmp_path / "x.csv"
+    algorithms = [] if mode == "transfer" else ["--algorithms", "gaussian"]
+    rc = cli.main([mode, "--tasks", "mlp-sine,sphere", *algorithms,
+                   "--checkpoint", checkpoint, "--n-pop", "4",
+                   "--generations", "2", "--repetitions", "2",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "needs an explicit dimension" in capsys.readouterr().err
+    assert not out.exists()
+    assert len(jobs) == 0
+
+
+@pytest.mark.parametrize("mode, flag, value, named", [
+    ("sweep", "--tasks", "sphere:x", "task 'sphere:x'"),
+    ("sweep", "--rho-grid", "0.1,x", "rho grid value 'x'"),
+    ("sweep", "--sigma0-grid", "y,0.5", "sigma0 grid value 'y'"),
+    ("meta-train", "--functions", "sphere,bogus", "function 'bogus'"),
+])
+def test_bad_list_entry_exits_2_naming_it(tmp_path, capsys, mode, flag,
+                                          value, named):
+    out = tmp_path / "x.csv"
+    argv = [mode, flag, value, "--out", str(out)]
+    if mode == "sweep":
+        argv += ["--algorithms", "gaussian"]
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     rc = cli.main(["evaluate", "--tasks", "sphere:2", "--algorithms",
-                   "foo", "--out", str(tmp_path / "x.csv")])
+                   "gaussian,foo", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    assert "algorithm 'foo'" in capsys.readouterr().err
 
 
 def test_meta_train_subcommand_smoke(tmp_path):

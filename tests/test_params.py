@@ -150,6 +150,28 @@ def test_checkpoint_rejects_malformed_files(tmp_path, keep, match):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def _replaced(at, line):
+    return lambda lines: lines[:at] + [line] + lines[at + 1:]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_replaced(0, "format-version: x"), "line 'format-version: x': "),
+    (_replaced(3, "heads: one"), "config line 'heads: one': "),
+    (_replaced(11, "shape: 1 3 x"), "matrix sel_q shape: "),
+    (lambda lines: lines[:12] + [lines[12].replace("0.0", "abc", 1)]
+     + lines[13:], "matrix sel_q values: .*'abc'"),
+], ids=["format-version", "config", "shape", "value"])
+def test_checkpoint_rejects_malformed_numbers(tmp_path, edit, match):
+    """A number that does not parse raises ValueError naming the file and
+    the line or matrix that holds it."""
+    path, lines = _desk_lines(tmp_path)
+    assert lines[11] == "shape: 1 3 16"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=match) as info:
+        LgaParams.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("key, value", [("d_fit", 4), ("d_sigma", 3),
                                         ("d_elite", 3)])
 def test_checkpoint_rejects_other_feature_widths(tmp_path, key, value):

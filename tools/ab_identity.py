@@ -27,8 +27,11 @@ algorithm (or slot pair), so their baseline rows are compared on their own.
   settings, on ``sphere:10,rastrigin:10``, and at N=48 with 3 repetitions
   on ``sphere:10,mlp-sine`` (the batched runs' 64-row MLP blocks straddle
   runs); of small ``attnga analyze`` (debug records), ``transfer`` and
-  ``sweep`` (rho x sigma0 grid) runs; and of a ``transfer`` run with 2
-  repetitions at N=48, all with the desk checkpoint.
+  ``sweep`` (rho x sigma0 grid) runs; of a ``transfer`` run with 2
+  repetitions at N=48; of an ``evaluate`` of ``lga,samr`` on
+  ``sphere:4,mlp-sine``, whose Gaussian runs only as the hidden
+  normalization denominator; and of a two-task ``sweep`` on
+  ``sphere:3,mlp-sine`` with two workers, all with the desk checkpoint.
 - The CSV bytes of an ``attnga evaluate`` run with a random 2-head
   checkpoint that carries sampling and cross-over weights, and the
   trajectories of an ``engine.run`` that uses those weights (learned
@@ -145,6 +148,13 @@ def record(checkout, tmp):
                       "--algorithms", "lga,gaussian",
                       "--rho-grid", "0.25,1.0", "--sigma0-grid", "0.1,0.5"]
             + small + reps, by=(1,))
+    cli_csv("evaluate hidden gaussian", [
+        "evaluate", "--tasks", "sphere:4,mlp-sine", "--algorithms",
+        "lga,samr"] + small + rates + reps, by=(1,))
+    cli_csv("sweep sphere:3,mlp-sine", [
+        "sweep", "--tasks", "sphere:3,mlp-sine", "--algorithms",
+        "gaussian,lga", "--rho-grid", "0.5,0.25", "--sigma0-grid",
+        "0.25,0.1", "--workers", "2"] + small + reps, by=(1,))
 
     wide = LgaParams.random(
         FeatureConfig(heads=2, with_sampling=True, with_crossover=True),
