@@ -87,6 +87,18 @@ def _algorithm(name):
     return name
 
 
+def _algorithm_list(spec):
+    """The ``--algorithms`` entries; an entry given twice is an error.
+
+    A repeated entry would run its cell again with the same seeds.
+    """
+    algos = _comma_list(spec, "algorithm", _algorithm)
+    for i, algo in enumerate(algos):
+        if algo in algos[:i]:
+            raise ValueError(f"algorithm {algo!r} is listed twice")
+    return algos
+
+
 def _task_entry(token):
     name, sep, dim = token.partition(":")
     return (name.strip(), int(dim)) if sep else (token, None)
@@ -176,7 +188,7 @@ def _load_params(opts, required):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_evaluate(opts):
-    algos = _comma_list(opts["algorithms"], "algorithm", _algorithm)
+    algos = _algorithm_list(opts["algorithms"])
     params = _load_params(opts, required="lga" in algos)
 
     # The Gaussian baseline is always run: it is the normalization
@@ -199,7 +211,7 @@ def cmd_evaluate(opts):
 
 
 def cmd_sweep(opts):
-    algos = _comma_list(opts["algorithms"], "algorithm", _algorithm)
+    algos = _algorithm_list(opts["algorithms"])
     params = _load_params(opts, required="lga" in algos)
     rho_grid = _comma_list(opts["rho_grid"], "rho grid value", float)
     sigma_grid = _comma_list(opts["sigma0_grid"], "sigma0 grid value", float)

@@ -15,13 +15,30 @@ __all__ = ["MlpTask", "make_task", "task_names"]
 
 
 # Rows per block of MlpTask.core_values: bounds its work buffers (256 KiB
-# each at the default sizes) for any batch size.
+# per (points, rows x hidden) array at the default sizes) for any batch
+# size.
 _BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class MlpTask:
-    """Fit a tiny tanh MLP to a fixed sample of sin(pi*x1) + x2^2."""
+    """Fit a tiny tanh MLP to a fixed sample of sin(pi*x1) + x2^2.
+
+    ``layers`` is (inputs, hidden units, outputs): at least the two inputs
+    the target reads, at least one hidden unit and one output, the
+    prediction. ``n_points`` is the size of the fixed dataset.
+
+    :meth:`core_values` runs blocks of up to ``_BLOCK_ROWS`` networks. The
+    first layer of a block is laid out (points, rows x hidden), so each
+    numpy call in it is one contiguous pass over that block: every input
+    column is tiled once, at construction, to that width, and a block's
+    first-layer weights and biases are copied into one (inputs + 1,
+    rows x hidden) matrix. The sums are those of
+    ``einsum("pi,nih->nph")`` plus the bias, in the same order (input 0's
+    product, then input 1's and so on, then the bias), and the second
+    layer is the same einsum over a transposed view, so every value is
+    bit for bit that of the two-einsum forward pass.
+    """
 
     layers: tuple = (2, 8, 1)
     n_points: int = 64
@@ -30,18 +47,32 @@ class MlpTask:
     def __post_init__(self):
         if len(self.layers) != 3:
             raise ValueError("expected (input, hidden, output) layer sizes")
+        d_in, d_h, d_out = self.layers
+        if d_in < 2:
+            raise ValueError(f"layers[0] must be at least 2 (the target "
+                             f"reads two inputs), got {d_in}")
+        if d_h < 1:
+            raise ValueError(f"layers[1] must be at least 1, got {d_h}")
+        if d_out != 1:
+            raise ValueError(f"layers[2] must be 1 (one prediction per "
+                             f"point), got {d_out}")
+        if self.n_points < 1:
+            raise ValueError(f"n_points must be at least 1, "
+                             f"got {self.n_points}")
         rng = np.random.default_rng(self.seed)
-        inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, self.layers[0]))
+        inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, d_in))
         targets = np.sin(np.pi * inputs[:, 0]) + inputs[:, 1] ** 2
         object.__setattr__(self, "_inputs", inputs)
-        object.__setattr__(self, "_columns", np.ascontiguousarray(inputs.T))
         object.__setattr__(self, "_targets", targets)
         # Work buffers for one block of rows, reused by every call: freeing
         # fresh 256 KiB temporaries each call makes glibc return them to
         # the system and fault them back in on the next call.
-        d_h, p = self.layers[1], self.n_points
-        object.__setattr__(self, "_hidden", np.empty((_BLOCK_ROWS, d_h, p)))
-        object.__setattr__(self, "_scratch", np.empty(_BLOCK_ROWS * d_h * p))
+        p, width = self.n_points, _BLOCK_ROWS * d_h
+        object.__setattr__(self, "_tiles", np.repeat(
+            inputs.T[:, :, None], width, axis=2))
+        object.__setattr__(self, "_w1", np.empty((d_in + 1, width)))
+        object.__setattr__(self, "_hidden", np.empty((p, width)))
+        object.__setattr__(self, "_term", np.empty((p, width)))
         object.__setattr__(self, "_pred", np.empty((_BLOCK_ROWS, p, 1)))
 
     def __reduce__(self):
@@ -77,41 +108,36 @@ class MlpTask:
 
     def _block_values(self, x, out):
         """:meth:`core_values` of at most ``_BLOCK_ROWS`` rows into ``out``."""
-        d_in, d_h, d_out = self.layers
+        d_in, d_h, _ = self.layers
         n, p = x.shape[0], self.n_points
-        i = 0
-        w1 = x[:, i:i + d_in * d_h].reshape(-1, d_in, d_h); i += d_in * d_h
-        b1 = x[:, i:i + d_h]; i += d_h
-        w2 = x[:, i:i + d_h * d_out].reshape(-1, d_h, d_out); i += d_h * d_out
-        b2 = x[:, i:i + d_out]
+        width, split = n * d_h, (d_in + 1) * d_h
+        w2 = x[:, split:split + d_h, None]
+        b2 = x[:, split + d_h:]
 
-        # First layer: einsum("pi,nih->nph") spelled as d_in broadcast
-        # multiply-adds in einsum's order of i, laid out (n, h, p) so the
-        # inner loops run over the data points; the sums are the same.
-        # (einsum starts from +0.0, so an all -0.0 sum may differ in sign;
-        # the squared error below cannot.) Each product is a column copy
-        # scaled in place, so no ufunc call broadcasts two operands (each
-        # one gets its own 64 KiB iterator buffer). tanh writes into the
-        # (n, p, h) layout that the second einsum reads, which fixes its
-        # summation order.
-        hidden = self._hidden[:n]
-        scratch = self._scratch[:n * d_h * p]
-        term = scratch.reshape(n, d_h, p)
-        np.copyto(hidden, self._columns[0])
-        hidden *= w1[:, 0, :, None]
+        # First layer, (p, n*h): w1[k] holds row r's weights of input k at
+        # r*h..r*h+h-1, and w1[d_in] the biases. (einsum starts its sums
+        # from +0.0, so an all -0.0 sum may differ in sign; the squared
+        # error below cannot.)
+        w1 = self._w1[:, :width]
+        np.copyto(w1.reshape(d_in + 1, n, d_h),
+                  x[:, :split].reshape(n, d_in + 1, d_h).swapaxes(0, 1))
+        hidden = self._hidden[:, :width]
+        term = self._term[:, :width]
+        np.multiply(self._tiles[0, :, :width], w1[0], out=hidden)
         for k in range(1, d_in):
-            np.copyto(term, self._columns[k])
-            term *= w1[:, k, :, None]
+            np.multiply(self._tiles[k, :, :width], w1[k], out=term)
             hidden += term
-        hidden += b1[:, :, None]
-        hidden_t = scratch.reshape(n, p, d_h)
-        np.tanh(hidden, out=np.swapaxes(hidden_t, 1, 2))
-        pred = np.einsum("nph,nho->npo", hidden_t, w2,
+        hidden += w1[d_in]
+        np.tanh(hidden, out=hidden)
+        pred = np.einsum("nph,nho->npo",
+                         hidden.reshape(p, n, d_h).swapaxes(0, 1), w2,
                          out=self._pred[:n])[:, :, 0]
         pred += b2
         pred -= self._targets
         np.square(pred, out=pred)
-        np.mean(pred, axis=1, out=out)
+        # np.mean's own steps: the sum, then one true division.
+        np.add.reduce(pred, axis=1, out=out)
+        out /= p
 
     def evaluate(self, x, rng=None):
         """Noiseless fitness of each row of an (..., N, D) batch."""

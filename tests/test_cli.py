@@ -335,6 +335,21 @@ def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     assert "algorithm 'foo'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["evaluate", "sweep"])
+def test_repeated_algorithm_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                              mode):
+    jobs = []
+    monkeypatch.setattr(cli, "_run_job", lambda job: jobs.append(job) or [])
+    out = tmp_path / "x.csv"
+    rc = cli.main([mode, "--tasks", "sphere:2", "--algorithms",
+                   "gaussian,mr15, gaussian", "--repetitions", "2",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "algorithm 'gaussian' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+    assert len(jobs) == 0
+
+
 def test_meta_train_subcommand_smoke(tmp_path):
     out = tmp_path / "meta"
     rc = cli.main(["meta-train", "--meta-popsize", "8", "--n-tasks", "2",

@@ -1,6 +1,7 @@
 """Unit tests for the task registry and the synthetic MLP-fitting task."""
 
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -99,19 +100,37 @@ def test_make_task_registry():
         make_task("sphere")       # BBOB tasks need a dimension
 
 
-@pytest.mark.parametrize("layers", [(2, 8, 1), (3, 5, 1)])
+@pytest.mark.parametrize("layers", [(2, 8, 1), (3, 5, 1), (2, 3, 1)])
 def test_mlp_fast_path_equals_einsum_oracle_bit_for_bit(layers):
-    task = MlpTask(layers=layers, seed=4)
-    rng = np.random.default_rng(51)
-    # Row counts below, at and across the 64-row block, and many blocks.
-    for rows, scale in ((1, 1.0), (3, 1.0), (7, 0.1), (64, 1.0), (65, 1.0),
-                        (256, 5.0), (1000, 1.0)):
-        x = scale * rng.standard_normal((rows, task.dim))
-        expected = _mlp_einsum_oracle(task, x)
-        assert task.core_values(x).tobytes() == expected.tobytes()
-        single = task.core_values(x[0])
-        assert np.isscalar(single) and single == expected[0]
-        assert np.float64(single).tobytes() == expected[:1].tobytes()
+    # Row counts below, at and across the 64-row block, and many blocks;
+    # scale 1e3 saturates tanh, and 17 points leave a tail past a multiple
+    # of 8 in the pairwise mean.
+    cases = ((1, 1.0), (3, 1.0), (7, 0.1), (63, 1.0), (64, 1.0), (65, 1e3),
+             (129, 1.0), (256, 5.0), (1000, 1.0))
+    for n_points in (64, 17):
+        task = MlpTask(layers=layers, n_points=n_points, seed=4)
+        rng = np.random.default_rng(51)
+        for rows, scale in cases:
+            x = scale * rng.standard_normal((rows, task.dim))
+            if rows > 2:      # signed zeros: an all +0.0 and an all -0.0 row
+                x[1] = 0.0
+                x[2] = -0.0
+            expected = _mlp_einsum_oracle(task, x)
+            assert task.core_values(x).tobytes() == expected.tobytes()
+            single = task.core_values(x[0])
+            assert np.isscalar(single) and single == expected[0]
+            assert np.float64(single).tobytes() == expected[:1].tobytes()
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"layers": (1, 4, 1)}, "layers[0]"),
+    ({"layers": (2, 0, 1)}, "layers[1]"),
+    ({"layers": (2, 8, 2)}, "layers[2]"),
+    ({"n_points": 0}, "n_points"),
+])
+def test_mlp_rejects_bad_fields_when_built(fields, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MlpTask(**fields)
 
 
 def test_mlp_call_allocates_no_large_block():

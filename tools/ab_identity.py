@@ -45,6 +45,10 @@ algorithm (or slot pair), so their baseline rows are compared on their own.
   CSV keeps only the final best).
 - The ``meta_log.csv`` and final checkpoint bytes of a 3-meta-generation
   desk ``meta_train``.
+- The bytes of ``MlpTask.core_values`` itself for layers (2, 8, 1) and
+  (3, 5, 1), on 1, 7, 64, 65 and 320 rows drawn from N(0, s^2) with s in
+  {0.1, 1, 100}: a change to the fitness kernel can hide in the GA
+  trajectories above, which see its values only through ranks.
 """
 
 import os
@@ -67,7 +71,7 @@ def record(checkout, tmp):
     from attnga import cli, engine, metabbo
     from attnga.bbob import TaskSpec, sample_task
     from attnga.params import FeatureConfig, LgaParams
-    from attnga.tasks import make_task
+    from attnga.tasks import MlpTask, make_task
 
     out = {}
     cfg = desk_meta_config(0, 3, eval_every=1, workers=1)
@@ -218,6 +222,15 @@ def record(checkout, tmp):
                  "delta_sigma", "sigma_child"):
         out[f"engine.run debug {name}"] = b"".join(
             record[name].tobytes() for record in trajectory.debug)
+
+    kernel_rng = np.random.default_rng(10)
+    for layers in ((2, 8, 1), (3, 5, 1)):
+        task = MlpTask(layers=layers)
+        for rows in (1, 7, 64, 65, 320):
+            for scale in (0.1, 1.0, 100.0):
+                x = scale * kernel_rng.standard_normal((rows, task.dim))
+                out[f"MlpTask{layers}.core_values rows={rows} "
+                    f"scale={scale}"] = task.core_values(x).tobytes()
 
     run_dir = os.path.join(tmp, "meta")
     metabbo.meta_train(cfg, out_dir=run_dir)
