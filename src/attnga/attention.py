@@ -121,7 +121,7 @@ def multi_head_sdpa(heads, w_out=None):
     """Multi-head attention over explicit per-head (Q, K, V) triples.
 
     The unfolded form of the learned selection and MRA attention, which
-    ``operators.fold_selection``/``fold_mra`` fold into bilinear forms.
+    ``operators.fold`` folds into bilinear forms.
     Works over any leading axes, unchecked but for the head count. Per-head
     outputs are concatenated along the last axis and projected by
     ``w_out``; with a single head and ``w_out=None`` this reduces exactly

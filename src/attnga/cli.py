@@ -241,8 +241,8 @@ def _print_folded(params):
     stacked 3H x 3 selection value map B and the 5H-vector u (as a row):
     48 numbers for one head, the learned operator pair up to its features.
     """
-    sel = ops.fold_selection(params.weights)
-    mra = ops.fold_mra(params.weights)
+    sel = ops.fold(params.weights, "sel")
+    mra = ops.fold(params.weights, "mra")
     blocks = ([(f"selection A[{h}]", a) for h, a in enumerate(sel.forms)]
               + [("selection B", sel.value)]
               + [(f"mra A'[{h}]", a) for h, a in enumerate(mra.forms)]

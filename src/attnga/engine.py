@@ -48,8 +48,7 @@ import numpy as np
 from . import operators as ops
 from .attention import reduce_rows
 from .draws import per_run
-from .features import (CROSSOVER_DIM, FITNESS_DIM, SIGMA_DIM,
-                       rows_crossover_features, rows_joint_features,
+from .features import (rows_crossover_features, rows_joint_features,
                        rows_parent_features, rows_sampling_features)
 
 __all__ = ["GaConfig", "GeneticAlgorithm", "Trajectory", "run",
@@ -129,16 +128,6 @@ class Trajectory:
     debug: list = field(default_factory=list)
 
 
-def _check_archive_rates(sigma):
-    """Raise unless every rate of an archive that selection formed is > 0.
-
-    Only learned MRA leaves its rates unclamped, so only it checks: the
-    archive learned replacement writes into and the one truncation keeps.
-    """
-    if np.any(sigma <= 0):
-        raise ValueError("archive mutation rates must be positive")
-
-
 class GeneticAlgorithm:
     """Single-owner ask/tell state machine of one population or a batch.
 
@@ -191,18 +180,17 @@ class GeneticAlgorithm:
         # feature and logit buffers built, once per run or batch.
         if config.sampling == "learned":
             self._smp = ops.fold(params.weights, "smp")
-            self._smp_feats = np.empty(self.shape + (e, FITNESS_DIM + 1))
+            self._smp_feats = np.empty(self.shape + (e, self._smp.width))
         if config.crossover == "learned":
-            self._co = ops.fold(params.weights, "co", params.weights["co_dx"])
+            self._co = ops.fold(params.weights, "co")
             self._co_feats = np.empty((dim,) + self.shape
-                                      + (n, FITNESS_DIM + CROSSOVER_DIM))
+                                      + (n, self._co.width))
         if config.mra == "learned":
-            self._mra = ops.fold_mra(params.weights)
-            self._mra_feats = np.empty(self.shape
-                                       + (n, FITNESS_DIM + SIGMA_DIM))
+            self._mra = ops.fold(params.weights, "mra")
+            self._mra_feats = np.empty(self.shape + (n, self._mra.width))
         if config.selection == "learned":
-            self._sel = ops.fold_selection(params.weights)
-            self._joint = np.empty(self.shape + (n + e, FITNESS_DIM))
+            self._sel = ops.fold(params.weights, "sel")
+            self._joint = np.empty(self.shape + (n + e, self._sel.width))
             self._logits = np.ones(self.shape + (e, n + 1))  # keep column
 
     # -- ask ---------------------------------------------------------------
@@ -291,8 +279,10 @@ class GeneticAlgorithm:
         else:
             kept = ops.truncation_selection(x_child, f_child, sigma_child,
                                             self.archive)
+            # Only learned MRA leaves its rates unclamped, so only it
+            # checks the archive that selection forms.
             if cfg.mra == "learned" and self._checked:
-                _check_archive_rates(kept.sigma)
+                ops.ParentArchive.check_rates(kept.sigma)
             self.archive = kept
 
         f_sampled = self._pending["f_sampled"]
@@ -333,7 +323,7 @@ class GeneticAlgorithm:
                                   arch.f.shape[-1:], self.shape),
             self.debug)
         if self.config.mra == "learned" and self._checked:
-            _check_archive_rates(arch.sigma)
+            ops.ParentArchive.check_rates(arch.sigma)
         self.archive = ops.replacement_core(chosen, x_child, f_child,
                                             sigma_child, arch)
         if not self.debug:

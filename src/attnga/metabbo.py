@@ -72,8 +72,13 @@ class MetaConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.meta_popsize % 2 != 0:
-            raise ValueError("meta population must be even")
+        if self.meta_popsize < 2 or self.meta_popsize % 2 != 0:
+            raise ValueError("meta_popsize must be even and at least 2")
+        for name in ("meta_generations", "eval_every", "checkpoint_every"):
+            if getattr(self, name) < 0:     # 0 runs none / turns it off
+                raise ValueError(f"{name} must be non-negative")
+        if not 0.0 <= self.mean_decay < 1.0:
+            raise ValueError("mean_decay must lie in [0, 1)")
         if self.n_tasks < 1:
             raise ValueError("need at least one task per meta-generation")
         if self.objective not in OBJECTIVES:

@@ -24,14 +24,11 @@ import numpy as np
 from .attention import (PAIRWISE_BLOCK, last_axis_first, many_short_rows,
                         pairwise_sum_first, row_softmax, softmax_last)
 from .draws import per_run
-from .features import FITNESS_DIM, SIGMA_DIM
 
 __all__ = [
     "ParentArchive",
     "FoldedAttention",
     "fold",
-    "fold_selection",
-    "fold_mra",
     "selection_core",
     "mra_core",
     "sampling_core",
@@ -76,10 +73,15 @@ class ParentArchive:
         self.f = np.asarray(self.f, dtype=np.float64)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
         self.age = np.asarray(self.age, dtype=np.int64)
-        if np.any(self.sigma <= 0):
-            raise ValueError("archive mutation rates must be positive")
+        self.check_rates(self.sigma)
         if np.any(self.age < 0):
             raise ValueError("archive ages must be non-negative")
+
+    @staticmethod
+    def check_rates(sigma):
+        """Raise unless every mutation rate of an archive is positive."""
+        if np.any(sigma <= 0):
+            raise ValueError("archive mutation rates must be positive")
 
     @property
     def size(self):
@@ -110,6 +112,11 @@ class FoldedAttention:
         self.value = value
         self._scratch = None
 
+    @property
+    def width(self):
+        """Feature columns the operator reads: the size of its forms."""
+        return self.forms[0].shape[-1]
+
     def attend(self, feats_q, feats_kv):
         """concat_h softmax((F_q A_h) F_kv^T) F_kv, into a reused buffer."""
         d = feats_kv.shape[-1]
@@ -126,23 +133,36 @@ class FoldedAttention:
         return mixed
 
 
-def fold(w, prefix, tail=None):
-    """Fold attention block ``prefix`` and the linear map ``tail`` after it.
+def fold(w, op):
+    """Fold learned operator ``op``: ``sel``, ``mra``, ``smp`` or ``co``.
 
-    ``tail`` is T for selection, w_sigma for MRA and W_dx for cross-over;
-    sampling has none, so its value is W_v. d_k is the width of W_q. The
-    float32 weights are cast to float64 before any product.
+    Per head, A_h = W_q,h W_k,h^T / sqrt(d_k) (d_k the width of W_q), and
+    the value is W_v,h (W_out,h T), W_v,h T for one head, with the op's
+    value tail T, the heads' values stacked along rows:
+    - ``sel``: T = W_q2 W_k2^T / sqrt(d_k). The logits are
+      softmax(F_p A_h F_c^T) F_c B_h F_c^T summed over heads; B is (3H, 3).
+    - ``mra``: T = w_sigma. The log-multiplier is
+      1/2 softmax(F_m A'_h F_m^T) F_m u_h summed over heads; u is (5H, 1).
+    - ``co`` (one head): T = W_dx. ``smp`` (one head): no T, value W_v.
+    The float32 weights are cast to float64 before any product.
     """
-    wq, wk, wv = (np.asarray(w[f"{prefix}_{p}"], dtype=np.float64)
+    wq, wk, wv = (np.asarray(w[f"{op}_{p}"], dtype=np.float64)
                   for p in ("q", "k", "v"))
-    if prefix in ("smp", "co"):     # one head, stored without a head axis
+    if op in ("smp", "co"):     # one head, stored without a head axis
         wq, wk, wv = (np.expand_dims(a, -3) for a in (wq, wk, wv))
     heads, d, d_k = wq.shape[-3:]
     forms = wq @ np.swapaxes(wk, -1, -2)
     forms /= math.sqrt(d_k)
-    if tail is not None:    # the value path: W_v, then W_out, then tail
-        tail = np.asarray(tail, dtype=np.float64)[..., None, :, :]
-        w_out = w.get(f"{prefix}_out")
+    if op != "smp":     # the value path: W_v, then W_out, then the tail
+        if op == "sel":
+            tail = np.asarray(w["sel_q2"], dtype=np.float64) @ np.swapaxes(
+                np.asarray(w["sel_k2"], dtype=np.float64), -1, -2)
+            tail /= math.sqrt(d_k)
+        else:
+            tail = np.asarray(w["mra_sigma" if op == "mra" else "co_dx"],
+                              dtype=np.float64)
+        tail = tail[..., None, :, :]
+        w_out = w.get(f"{op}_out")
         if w_out is not None:
             w_out = np.asarray(w_out, dtype=np.float64)
             tail = w_out.reshape(w_out.shape[:-2] + (heads, d_k, d_k)) @ tail
@@ -150,29 +170,6 @@ def fold(w, prefix, tail=None):
     return FoldedAttention(
         tuple(forms[..., h, :, :] for h in range(heads)),
         wv.reshape(wv.shape[:-3] + (heads * d, wv.shape[-1])))
-
-
-def fold_selection(w):
-    """Selection attention as A_h = W_q,h W_k,h^T / sqrt(d_k) and B.
-
-    The logits are softmax(F_p A_h F_c^T) F_c B_h F_c^T summed over heads,
-    with B_h = W_v,h (W_out,h T) (W_v,h T for one head) and
-    T = W_q2 W_k2^T / sqrt(d_k); B stacks the B_h along rows, (3H, 3).
-    """
-    w_q2 = np.asarray(w["sel_q2"], dtype=np.float64)
-    w_k2 = np.asarray(w["sel_k2"], dtype=np.float64)
-    tail = w_q2 @ np.swapaxes(w_k2, -1, -2)
-    tail /= math.sqrt(w_q2.shape[-1])
-    return fold(w, "sel", tail)
-
-
-def fold_mra(w):
-    """MRA attention as A'_h and u_h = W_v,h (W_out,h w_sigma), (5H, 1).
-
-    The log-multiplier is 1/2 softmax(F_m A'_h F_m^T) F_m u_h summed over
-    heads (u_h = W_v,h w_sigma for one head).
-    """
-    return fold(w, "mra", w["mra_sigma"])
 
 
 def selection_core(folded, feats_parents, feats_children, out):
@@ -215,11 +212,11 @@ def _checked_features(feats, width, what):
 
 def selection_logits(params, feats_parents, feats_children):
     """E x (N+1) selection logits; the last column is the fixed keep offset."""
-    feats_parents = _checked_features(feats_parents, FITNESS_DIM, "parent")
-    feats_children = _checked_features(feats_children, FITNESS_DIM, "child")
+    folded = fold(params.weights, "sel")
+    feats_parents = _checked_features(feats_parents, folded.width, "parent")
+    feats_children = _checked_features(feats_children, folded.width, "child")
     out = np.ones((feats_parents.shape[0], feats_children.shape[0] + 1))
-    return selection_core(fold_selection(params.weights), feats_parents,
-                          feats_children, out)
+    return selection_core(folded, feats_parents, feats_children, out)
 
 
 def learned_selection_probs(params, feats_parents, feats_children):
@@ -330,8 +327,8 @@ def replacement_core(chosen, child_x, child_f, child_sigma, archive):
 
 def mra_multiplier(params, mra_feats):
     """Per-member multiplicative mutation-rate change from self-attention."""
-    mra_feats = _checked_features(mra_feats, FITNESS_DIM + SIGMA_DIM, "MRA")
-    return mra_core(fold_mra(params.weights), mra_feats)
+    folded = fold(params.weights, "mra")
+    return mra_core(folded, _checked_features(mra_feats, folded.width, "MRA"))
 
 
 def parents_at(archive, idx):

@@ -5,7 +5,7 @@ operates on the float32 values); all kernels upcast to float64 for the
 actual arithmetic.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -180,12 +180,9 @@ class LgaParams:
 
     def save(self, path):
         self._single("save")
-        lines = [f"format-version: {CHECKPOINT_VERSION}", "[config]",
-                 f"d_k: {self.cfg.d_k}", f"heads: {self.cfg.heads}"]
-        for key, width in FEATURE_WIDTHS.items():
-            lines.append(f"{key}: {width}")
-        lines.append(f"with_sampling: {int(self.cfg.with_sampling)}")
-        lines.append(f"with_crossover: {int(self.cfg.with_crossover)}")
+        values = {**asdict(self.cfg), **FEATURE_WIDTHS}
+        lines = [f"format-version: {CHECKPOINT_VERSION}", "[config]"]
+        lines += [f"{key}: {int(values[key])}" for key in CONFIG_KEYS]
         for name in weight_shapes(self.cfg):
             arr = self.weights[name]
             lines.append(f"[matrix {name}]")
@@ -211,10 +208,12 @@ class LgaParams:
         i = 2
         while i < len(lines) and not lines[i].startswith("["):
             key, sep, val = lines[i].partition(":")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"{path}: bad config line {lines[i]!r}")
-            cfg_kv[key.strip()] = _parsed(int, val, path,
-                                          f"config line {lines[i]!r}")
+            if key in cfg_kv:
+                raise ValueError(f"{path}: [config] repeats {key}")
+            cfg_kv[key] = _parsed(int, val, path, f"config line {lines[i]!r}")
             i += 1
         missing = [key for key in CONFIG_KEYS if key not in cfg_kv]
         if missing:
@@ -223,15 +222,15 @@ class LgaParams:
             if cfg_kv[key] != width:
                 raise ValueError(f"{path}: {key} is {cfg_kv[key]}, but the "
                                  f"operators' features have {width} columns")
-        cfg = FeatureConfig(
-            d_k=cfg_kv["d_k"], heads=cfg_kv["heads"],
-            with_sampling=bool(cfg_kv["with_sampling"]),
-            with_crossover=bool(cfg_kv["with_crossover"]))
+        cfg = FeatureConfig(**{f.name: type(f.default)(cfg_kv[f.name])
+                               for f in fields(FeatureConfig)})
         while i < len(lines):
             header = lines[i]
             if not (header.startswith("[matrix ") and header.endswith("]")):
                 raise ValueError(f"{path}: bad block header {header!r}")
             name = header[len("[matrix "):-1]
+            if name in matrices:
+                raise ValueError(f"{path}: matrix {name} appears twice")
             # The rows line is redundant, kept for readability.
             block = lines[i + 1:i + 4]
             if not (len(block) == 3 and block[0].startswith("rows:")

@@ -103,8 +103,8 @@ def test_analyze_prints_the_folded_operators(tmp_path, checkpoint, capsys):
     numbers = [float(v) for line in printed if line.startswith(" ")
                for v in line.split()]
     params = LgaParams.load(checkpoint)
-    sel = ops.fold_selection(params.weights)
-    mra = ops.fold_mra(params.weights)
+    sel = ops.fold(params.weights, "sel")
+    mra = ops.fold(params.weights, "mra")
     expected = np.concatenate([sel.forms[0].ravel(), sel.value.ravel(),
                                mra.forms[0].ravel(), mra.value.ravel()])
     assert len(numbers) == 48
@@ -348,6 +348,15 @@ def test_repeated_algorithm_exits_2_naming_it(tmp_path, capsys, monkeypatch,
     assert "algorithm 'gaussian' is listed twice" in capsys.readouterr().err
     assert not out.exists()
     assert len(jobs) == 0
+
+
+def test_meta_train_bad_setting_exits_2_before_out(tmp_path, capsys):
+    out = tmp_path / "meta"
+    rc = cli.main(["meta-train", "--meta-popsize", "0", "--n-tasks", "2",
+                   "--n-pop", "8", "--generations", "3", "--out", str(out)])
+    assert rc == 2
+    assert "meta_popsize" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_meta_train_subcommand_smoke(tmp_path):

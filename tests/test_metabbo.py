@@ -87,6 +87,19 @@ def test_meta_config_validation():
         metabbo.MetaConfig(n_tasks=0)
     with pytest.raises(ValueError):
         metabbo.MetaConfig(objective="bestN")
+    metabbo.MetaConfig(meta_popsize=2, meta_generations=0, eval_every=0,
+                       checkpoint_every=0, mean_decay=0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("meta_popsize", 0), ("meta_generations", -1), ("eval_every", -1),
+    ("checkpoint_every", -2), ("mean_decay", 2.0), ("mean_decay", -1.0)])
+def test_meta_config_rejects_settings_that_misbehave(name, value):
+    """Each raises naming its field: a meta population of 0 crashes, a
+    negative period fires every generation and a mean decay outside [0, 1)
+    flips or grows the search mean."""
+    with pytest.raises(ValueError, match=name):
+        metabbo.MetaConfig(**{name: value})
 
 
 @pytest.mark.parametrize("noise", [False, True])

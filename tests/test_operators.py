@@ -80,7 +80,8 @@ def test_folded_selection_core_matches_unfolded_attention(heads, lead):
     f_c = rng.standard_normal(lead + (7, 3))
     keys = np.swapaxes(f_c @ w["sel_k2"], -1, -2)
     expected = (_unfolded(w, "sel", f_p, f_c) @ w["sel_q2"]) @ keys / 4.0
-    folded = ops.fold_selection(w32)
+    folded = ops.fold(w32, "sel")
+    assert folded.width == 3
     assert folded.value.shape == lead + (3 * heads, 3)
     out = np.ones(lead + (5, 8))
     assert ops.selection_core(folded, f_p, f_c, out) is out
@@ -96,7 +97,8 @@ def test_folded_mra_core_matches_unfolded_attention(heads, lead):
     feats = rng.standard_normal(lead + (6, 5))
     log_delta = 0.5 * (_unfolded(w, "mra", feats, feats)
                        @ w["mra_sigma"])[..., 0]
-    folded = ops.fold_mra(w32)
+    folded = ops.fold(w32, "mra")
+    assert folded.width == 5
     assert folded.value.shape == lead + (5 * heads, 1)
     np.testing.assert_allclose(ops.mra_core(folded, feats),
                                np.exp(np.clip(log_delta, -10.0, 10.0)),
@@ -104,18 +106,23 @@ def test_folded_mra_core_matches_unfolded_attention(heads, lead):
 
 
 def test_folded_forms_are_the_scaled_projection_products():
-    """A_h = W_q,h W_k,h^T / sqrt(d_k): 3x3 and 5x5 per head."""
-    params = _params(5, heads=2)
+    """A_h = W_q,h W_k,h^T / sqrt(d_k), as wide as the op's features.
+
+    Selection and MRA have a form per head; sampling and cross-over have
+    one head whatever the head count.
+    """
+    params = _params(5, heads=2, with_sampling=True, with_crossover=True)
     w = {k: v.astype(np.float64) for k, v in params.weights.items()}
-    for fold, prefix, d in ((ops.fold_selection, "sel", 3),
-                            (ops.fold_mra, "mra", 5)):
-        folded = fold(params.weights)
-        assert len(folded.forms) == 2
+    for op, d, heads in (("sel", 3, 2), ("mra", 5, 2), ("smp", 4, 1),
+                         ("co", 5, 1)):
+        folded = ops.fold(params.weights, op)
+        assert folded.width == d
+        assert len(folded.forms) == heads
+        wq, wk = (w[f"{op}_{p}"].reshape(heads, d, 16) for p in "qk")
         for h, form in enumerate(folded.forms):
             assert form.shape == (d, d)
-            np.testing.assert_allclose(
-                form, w[f"{prefix}_q"][h] @ w[f"{prefix}_k"][h].T / 4.0,
-                rtol=1e-15)
+            np.testing.assert_allclose(form, wq[h] @ wk[h].T / 4.0,
+                                       rtol=1e-15)
 
 
 def test_zero_weight_selection_probabilities():
@@ -132,10 +139,15 @@ def test_zero_weight_selection_probabilities():
 
 def test_selection_feature_width_validation():
     params = _params(14)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parent feature width 4 != 3"):
         ops.selection_logits(params, np.zeros((2, 4)), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="child feature width 2 != 3"):
         ops.selection_logits(params, np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+def test_mra_feature_width_validation():
+    with pytest.raises(ValueError, match="MRA feature width 3 != 5"):
+        ops.mra_multiplier(_params(14), np.zeros((4, 3)))
 
 
 def test_categorical_indices_match_searchsorted():
@@ -283,6 +295,7 @@ def test_folded_sampling_core_matches_unfolded_attention(lead):
     feats = rng.standard_normal(lead + (6, 4))
     raw = _unfolded_per_row(w, "smp", feats)[..., 0]
     folded = ops.fold(w32, "smp")
+    assert folded.width == 4
     assert folded.forms[0].shape == lead + (4, 4)
     assert folded.value.shape == lead + (4, 1)
     np.testing.assert_allclose(ops.sampling_core(folded, feats),
@@ -296,7 +309,8 @@ def test_folded_crossover_core_matches_unfolded_attention(lead):
     feats = rng.standard_normal((4,) + lead + (6, 5))   # 4 coordinates
     x = rng.standard_normal(lead + (6, 4))
     delta = _unfolded_per_row(w, "co", feats, tail="co_dx")[..., 0]
-    folded = ops.fold(w32, "co", w32["co_dx"])
+    folded = ops.fold(w32, "co")
+    assert folded.width == 5
     assert folded.forms[0].shape == lead + (5, 5)
     assert folded.value.shape == lead + (5, 1)
     np.testing.assert_allclose(ops.crossover_core(folded, feats, x),
@@ -343,7 +357,7 @@ def _crossover_oracle(params, feats, x):
 def test_learned_crossover_matches_per_dimension_oracle():
     """Features, fold and core together, a coordinate converged too."""
     params = _params(24, with_crossover=True)
-    folded = ops.fold(params.weights, "co", params.weights["co_dx"])
+    folded = ops.fold(params.weights, "co")
     rng = np.random.default_rng(25)
     for _ in range(10):
         e, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))

@@ -140,9 +140,13 @@ def _desk_lines(tmp_path):
      "matrix sel_q needs rows, shape and value"),
     (lambda lines: lines[:-1] + [lines[-1] + " 0"],
      "matrix mra_sigma holds 17 values"),
+    (lambda lines: lines[:4] + ["heads: 1"] + lines[4:],
+     "\\[config\\] repeats heads"),
+    (lambda lines: lines + lines[9:13], "matrix sel_q appears twice"),
 ])
 def test_checkpoint_rejects_malformed_files(tmp_path, keep, match):
-    """A missing block, line or key raises ValueError naming the file."""
+    """A missing or repeated block, line or key raises ValueError naming
+    the file."""
     path, lines = _desk_lines(tmp_path)
     path.write_text("\n".join(keep(lines)) + "\n")
     with pytest.raises(ValueError, match=match) as info:

@@ -26,16 +26,20 @@ algorithm (or slot pair), so their baseline rows are compared on their own.
 - The CSV bytes of ``attnga evaluate`` at the ``evaluate-mlp`` benchmark
   settings, on ``sphere:10,rastrigin:10``, and at N=48 with 3 repetitions
   on ``sphere:10,mlp-sine`` (the batched runs' 64-row MLP blocks straddle
-  runs); of small ``attnga analyze`` (debug records), ``transfer`` and
+  runs); of small ``attnga analyze`` (debug records; its stdout, the
+  printed folded selection and MRA matrices, too), ``transfer`` and
   ``sweep`` (rho x sigma0 grid) runs; of a ``transfer`` run with 2
   repetitions at N=48; of an ``evaluate`` of ``lga,samr`` on
   ``sphere:4,mlp-sine``, whose Gaussian runs only as the hidden
   normalization denominator; and of a two-task ``sweep`` on
   ``sphere:3,mlp-sine`` with two workers, all with the desk checkpoint.
-- The CSV bytes of an ``attnga evaluate`` run with a random 2-head
-  checkpoint that carries sampling and cross-over weights, and the
-  trajectories of an ``engine.run`` that uses those weights (learned
-  sampling and cross-over), alone and as a batch of three runs.
+- The bytes ``LgaParams.save`` writes for the loaded desk checkpoint and
+  for a random 2-head checkpoint that carries sampling and cross-over
+  weights.
+- The CSV bytes of an ``attnga evaluate`` run with that 2-head
+  checkpoint, and the trajectories of an ``engine.run`` that uses those
+  weights (learned sampling and cross-over), alone and as a batch of
+  three runs.
 - The trajectories (fitness, best-so-far and mean-sigma bytes) of
   ``engine.run`` for the five ``evaluate`` algorithms at the
   ``evaluate-mlp`` settings, for the four ``transfer`` slot compositions
@@ -51,6 +55,8 @@ algorithm (or slot pair), so their baseline rows are compared on their own.
   trajectories above, which see its values only through ranks.
 """
 
+import contextlib
+import io
 import os
 import pickle
 import subprocess
@@ -113,10 +119,18 @@ def record(checkout, tmp):
             out[f"sweep {key} M={m}"] = scores.tobytes()
 
     def cli_csv(key, argv, by=()):
-        """The CSV's bytes, one output per value of the ``by`` columns."""
+        """The CSV's bytes, one output per value of the ``by`` columns.
+
+        What the run prints to stdout, if anything, is one output more.
+        """
         path = os.path.join(tmp, "out.csv")
-        if cli.main(argv + ["--out", path]) != 0:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv + ["--out", path])
+        if rc != 0:
             raise SystemExit(f"attnga {' '.join(argv)} failed")
+        if stdout.getvalue():
+            out[f"attnga {key} stdout"] = stdout.getvalue().encode()
         with open(path, "rb") as fh:
             header, *rows = fh.read().splitlines(keepends=True)
         parts = {}
@@ -165,6 +179,12 @@ def record(checkout, tmp):
         np.random.default_rng(8), scale=0.5)
     wide_path = os.path.join(tmp, "wide.txt")
     wide.save(wide_path)
+    desk_path = os.path.join(tmp, "desk.txt")
+    LgaParams.load(checkpoint).save(desk_path)
+    for key, path in (("desk", desk_path),
+                      ("2-head sampling+cross-over", wide_path)):
+        with open(path, "rb") as fh:
+            out[f"checkpoint save {key}"] = fh.read()
     cli_csv("evaluate 2-head", ["evaluate", "--tasks", "sphere:6,mlp-sine",
                                 "--algorithms", "lga,gaussian"]
             + small[:-1] + [wide_path] + rates + reps, by=(1,))
