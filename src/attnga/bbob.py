@@ -105,16 +105,12 @@ def _weierstrass(z):
 
 
 def _schaffers_f7(z):
-    if z.shape[-1] < 2:
-        raise ValueError("schaffers_f7 needs at least two dimensions")
     s = np.sqrt(z[..., :-1] ** 2 + z[..., 1:] ** 2)
     inner = np.sqrt(s) * (1.0 + np.sin(50.0 * s ** 0.2) ** 2)
     return (np.mean(inner, axis=-1)) ** 2
 
 
 def _griewank_rosenbrock(z):
-    if z.shape[-1] < 2:
-        raise ValueError("griewank_rosenbrock needs at least two dimensions")
     w = z + 1.0
     s = 100.0 * (w[..., :-1] ** 2 - w[..., 1:]) ** 2 + (w[..., :-1] - 1.0) ** 2
     d = z.shape[-1]
@@ -212,13 +208,18 @@ class TaskSpec:
 
     def __post_init__(self):
         core_function(self.function)
+        if self.dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dim}")
+        if self.dim < 2 and self.function in _TWO_DIM_FUNCTIONS:
+            raise ValueError(f"{self.function} needs at least two "
+                             f"dimensions, got {self.dim}")
         offset = np.asarray(self.offset, dtype=np.float64)
         if offset.shape != (self.dim,):
             raise ValueError("offset shape must match the dimension")
         if np.any(np.abs(offset) > 5.0):
             raise ValueError("offset must lie within [-5, 5]^D")
         object.__setattr__(self, "offset", offset)
-        if self.dim < 1 or self.sigma0 <= 0:
+        if self.sigma0 <= 0:
             raise ValueError("invalid task spec")
 
     def core_values(self, x):

@@ -15,7 +15,6 @@ flag or key outside the table is an error (exit 2).
 
 import argparse
 import configparser
-import csv
 import functools
 import sys
 from collections import namedtuple
@@ -26,17 +25,10 @@ import numpy as np
 from . import engine
 from . import operators as ops
 from .bbob import TaskFamily, META_TRAIN_FUNCTIONS
-from .metabbo import MetaConfig, meta_train
+from .engine import ALGORITHMS
+from .metabbo import MetaConfig, meta_train, write_csv
 from .params import FeatureConfig, LgaParams
 from .tasks import make_task
-
-ALGORITHMS = {
-    "lga": {"selection": "learned", "mra": "learned"},
-    "gaussian": {"selection": "truncation", "mra": "fixed"},
-    "mr15": {"selection": "truncation", "mra": "one_fifth"},
-    "samr": {"selection": "truncation", "mra": "samr"},
-    "gesmr": {"selection": "truncation", "mra": "gesmr"},
-}
 
 TRANSFER_COMPOSITIONS = [
     ("truncation", "fixed"),
@@ -47,19 +39,6 @@ TRANSFER_COMPOSITIONS = [
 
 # Guard for exact-zero denominators (the Gaussian GA can hit 0 on sphere).
 NORM_FLOOR = 1e-12
-
-
-def _fmt(value):
-    return repr(float(value)) if isinstance(value, (float, np.floating)) \
-        else value
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _comma_list(spec, what, parse):
@@ -110,9 +89,13 @@ def parse_task_list(spec):
 
 
 def build_task(name, dim, offset_seed):
-    if name == "mlp-sine":
-        return _mlp_sine(dim)  # fixed dataset; runs vary via the GA seed
-    return make_task(name, dim=dim, seed=offset_seed)
+    """The task of a ``--tasks`` entry; a bad entry raises naming it."""
+    try:
+        if name == "mlp-sine":
+            return _mlp_sine(dim)  # fixed dataset; runs vary via the GA seed
+        return make_task(name, dim=dim, seed=offset_seed)
+    except ValueError as exc:
+        raise ValueError(f"task {_label(name, dim)!r}: {exc}") from None
 
 
 @functools.cache
@@ -155,6 +138,8 @@ def _run_grid(opts, params, cells):
     reps = range(opts["repetitions"])
     if not reps:
         raise ValueError("repetitions must be at least 1")
+    if opts["workers"] < 1:
+        raise ValueError("workers must be at least 1")
     seed = opts["seed"]
     heads, jobs = [], []
     for task_idx, (name, dim) in enumerate(parse_task_list(opts["tasks"])):
@@ -206,8 +191,8 @@ def cmd_evaluate(opts):
         denom = max(float(np.mean(gaussian)), NORM_FLOOR)
         normalized.extend([*row, row[-1] / denom]
                           for row in task[:len(algos) * reps])
-    _write_csv(opts["out"], ["task", "algo", "seed", "best_final",
-                             "normalized"], normalized)
+    write_csv(opts["out"], ["task", "algo", "seed", "best_final",
+                            "normalized"], normalized)
 
 
 def cmd_sweep(opts):
@@ -215,23 +200,23 @@ def cmd_sweep(opts):
     params = _load_params(opts, required="lga" in algos)
     rho_grid = _comma_list(opts["rho_grid"], "rho grid value", float)
     sigma_grid = _comma_list(opts["sigma0_grid"], "sigma0 grid value", float)
-    _write_csv(opts["out"], ["task", "algo", "rho", "sigma0", "seed",
-                             "best_final"],
-               _run_grid(opts, params, [
-                   ((algo, rho, sigma0), ALGORITHMS[algo], rho, sigma0,
-                    (gi, gj))
-                   for algo in algos for gi, rho in enumerate(rho_grid)
-                   for gj, sigma0 in enumerate(sigma_grid)]))
+    write_csv(opts["out"], ["task", "algo", "rho", "sigma0", "seed",
+                            "best_final"],
+              _run_grid(opts, params, [
+                  ((algo, rho, sigma0), ALGORITHMS[algo], rho, sigma0,
+                   (gi, gj))
+                  for algo in algos for gi, rho in enumerate(rho_grid)
+                  for gj, sigma0 in enumerate(sigma_grid)]))
 
 
 def cmd_transfer(opts):
     params = _load_params(opts, required=True)
-    _write_csv(opts["out"], ["task", "selection", "mra", "seed",
-                             "best_final"],
-               _run_grid(opts, params, [
-                   ((selection, mra), {"selection": selection, "mra": mra},
-                    opts["rho"], opts["sigma0"], ())
-                   for selection, mra in TRANSFER_COMPOSITIONS]))
+    write_csv(opts["out"], ["task", "selection", "mra", "seed",
+                            "best_final"],
+              _run_grid(opts, params, [
+                  ((selection, mra), {"selection": selection, "mra": mra},
+                   opts["rho"], opts["sigma0"], ())
+                  for selection, mra in TRANSFER_COMPOSITIONS]))
 
 
 def _print_folded(params):
@@ -263,34 +248,28 @@ def cmd_analyze(opts):
     task = build_task(name, dim, _offset_seed(opts["seed"], 0, 0))
     config = engine.GaConfig(
         n_pop=opts["n_pop"], elite_ratio=opts["rho"], sigma0=opts["sigma0"],
-        selection="learned", mra="learned", generations=opts["generations"],
-        seed=[opts["seed"], 0])
+        generations=opts["generations"], seed=[opts["seed"], 0],
+        **ALGORITHMS["lga"])
     trajectory = engine.run(config, task, params=params, debug=True)
 
     rows = []
     for record in trajectory.debug:
         gen = record["generation"]
-        feats = record["child_features"]
-        n = feats.shape[0]
+        # The last column, the fixed keep-parent slot, has no features.
+        features = [[z, rank, int(flag)] for z, rank, flag
+                    in record["child_features"]] + [["", "", ""]]
         for parent in range(record["probs"].shape[0]):
-            for child in range(n + 1):
-                if child < n:
-                    z, rank, flag = feats[child]
-                    rows.append(["selection", gen, parent, child, z, rank,
-                                 int(flag), record["logits"][parent, child],
-                                 record["probs"][parent, child], "", ""])
-                else:  # fixed keep-parent slot
-                    rows.append(["selection", gen, parent, child, "", "", "",
-                                 record["logits"][parent, child],
-                                 record["probs"][parent, child], "", ""])
-        for child in range(n):
-            rows.append(["mra", gen, "", child, "", "", "", "", "",
-                         record["delta_sigma"][child],
-                         record["sigma_child"][child]])
-    _write_csv(opts["out"],
-               ["kind", "generation", "parent", "child", "z_score",
-                "centered_rank", "improvement", "logit", "prob",
-                "delta_sigma", "sigma_child"], rows)
+            for child, cells in enumerate(features):
+                rows.append(["selection", gen, parent, child, *cells,
+                             record["logits"][parent, child],
+                             record["probs"][parent, child], "", ""])
+        for child, sigmas in enumerate(zip(record["delta_sigma"],
+                                           record["sigma_child"])):
+            rows.append(["mra", gen, "", child, "", "", "", "", "", *sigmas])
+    write_csv(opts["out"],
+              ["kind", "generation", "parent", "child", "z_score",
+               "centered_rank", "improvement", "logit", "prob",
+               "delta_sigma", "sigma_child"], rows)
 
 
 def cmd_meta_train(opts):
@@ -357,7 +336,11 @@ def resolve_options(mode, args):
                 if key not in opts:
                     raise ValueError(f"unknown config key {key!r} in "
                                      f"[{mode}]")
-                opts[key] = type(defaults[key])(value)
+                try:
+                    opts[key] = type(defaults[key])(value)
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r} in [{mode}]: "
+                                     f"{exc}") from None
     opts.update((key, value) for key, value in vars(args).items()
                 if key in opts)
     return opts

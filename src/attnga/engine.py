@@ -53,12 +53,22 @@ from .features import (rows_crossover_features, rows_joint_features,
 
 __all__ = ["GaConfig", "GeneticAlgorithm", "Trajectory", "run",
            "SELECTION_SLOTS", "MRA_SLOTS", "SAMPLING_SLOTS",
-           "CROSSOVER_SLOTS", "FITNESS_CLIP"]
+           "CROSSOVER_SLOTS", "ALGORITHMS", "FITNESS_CLIP"]
 
 SELECTION_SLOTS = ("learned", "truncation")
 MRA_SLOTS = ("learned", "fixed", "one_fifth", "samr", "gesmr")
 SAMPLING_SLOTS = ("uniform", "learned")
 CROSSOVER_SLOTS = ("none", "learned")
+
+# The named algorithms: each name's (selection, MRA) slot pair. "lga" is
+# the learned GA that meta-training scores and the front ends deploy.
+ALGORITHMS = {
+    "lga": {"selection": "learned", "mra": "learned"},
+    "gaussian": {"selection": "truncation", "mra": "fixed"},
+    "mr15": {"selection": "truncation", "mra": "one_fifth"},
+    "samr": {"selection": "truncation", "mra": "samr"},
+    "gesmr": {"selection": "truncation", "mra": "gesmr"},
+}
 
 # Never-evaluated archive slots carry +inf fitness; features need finite
 # inputs, so +inf is clipped to this sentinel before feature construction.

@@ -33,7 +33,7 @@ from .tasks import make_task
 
 __all__ = ["MetaConfig", "MetaTrainResult", "OBJECTIVES", "reduce_scores",
            "meta_fitness", "evaluate_candidates_on_task", "meta_train",
-           "write_meta_log"]
+           "write_csv"]
 
 OBJECTIVES = ("minN-minT", "minN-finalT", "meanN-minT", "meanN-finalT")
 
@@ -44,9 +44,14 @@ OBJECTIVES = ("minN-minT", "minN-finalT", "meanN-minT", "meanN-finalT")
 # the training signal drowns in float round-off.
 WINSOR_PCT = 80.0
 
+# The held-out evals of the ES mean, every ``eval_every`` meta-generations:
+# (meta-log column, task, dimension, seed).
+HELD_OUT = (("eval_sphere", "sphere", 10, 11),
+            ("eval_rosenbrock", "rosenbrock", 10, 13),
+            ("eval_mlp", "mlp-sine", None, 17))
+
 META_LOG_COLUMNS = ("meta_gen", "mf_mean", "mf_median", "mf_best",
-                    "sigma_meta", "lr", "eval_sphere", "eval_rosenbrock",
-                    "eval_mlp")
+                    "sigma_meta", "lr", *(column for column, *_ in HELD_OUT))
 
 
 @dataclass
@@ -84,6 +89,11 @@ class MetaConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; one of "
                              f"{OBJECTIVES}")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        # Each task brings its own sigma0; any valid one checks the rest.
+        _inner_config(self.inner_popsize, self.inner_generations, 1.0,
+                      self.seed)
 
 
 @dataclass
@@ -110,8 +120,8 @@ def reduce_scores(fitness, objective):
 def _inner_config(n_pop, generations, sigma0, seed):
     """The inner GA that meta-training scores and the held-out evals run."""
     return engine.GaConfig(
-        n_pop=n_pop, elite_ratio=1.0, sigma0=sigma0, selection="learned",
-        mra="learned", generations=generations, seed=seed)
+        n_pop=n_pop, elite_ratio=1.0, sigma0=sigma0, generations=generations,
+        seed=seed, **engine.ALGORITHMS["lga"])
 
 
 def meta_fitness(scores):
@@ -155,15 +165,11 @@ def _winsorize_columns(scores):
 
 
 def _patch_non_finite(scores):
-    """Replace non-finite entries by their column's worst finite score."""
-    scores = np.array(scores, dtype=np.float64)
-    for j in range(scores.shape[1]):
-        col = scores[:, j]
-        bad = ~np.isfinite(col)
-        if bad.any():
-            finite = col[~bad]
-            col[bad] = finite.max() if finite.size else 0.0
-    return scores
+    """Non-finite entries become their column's worst finite score, or 0."""
+    scores = np.asarray(scores, dtype=np.float64)
+    finite = np.isfinite(scores)
+    worst = np.max(scores, axis=0, where=finite, initial=-np.inf)
+    return np.where(finite, scores, np.where(finite.any(axis=0), worst, 0.0))
 
 
 def _held_out_score(params, cfg, name, dim, seed):
@@ -213,26 +219,20 @@ def meta_train(cfg, out_dir=None, progress=None):
             mf = meta_fitness(scores)
             es.tell(mf)
             mean_history[gen] = es.mean
-
-            row = {"meta_gen": gen, "mf_mean": float(mf.mean()),
-                   "mf_median": float(np.median(mf)),
-                   "mf_best": float(mf.min()), "sigma_meta": es.sigma,
-                   "lr": es.lr, "eval_sphere": "", "eval_rosenbrock": "",
-                   "eval_mlp": ""}
-            if cfg.eval_every and gen % cfg.eval_every == 0:
-                mean_params = LgaParams.from_vector(cfg.feature_cfg, es.mean)
-                row["eval_sphere"] = _held_out_score(mean_params, cfg,
-                                                     "sphere", 10, 11)
-                row["eval_rosenbrock"] = _held_out_score(mean_params, cfg,
-                                                         "rosenbrock", 10, 13)
-                row["eval_mlp"] = _held_out_score(mean_params, cfg,
-                                                  "mlp-sine", None, 17)
+            mean_params = LgaParams.from_vector(cfg.feature_cfg, es.mean)
+            evals = ([_held_out_score(mean_params, cfg, name, dim, seed)
+                      for _, name, dim, seed in HELD_OUT]
+                     if cfg.eval_every and gen % cfg.eval_every == 0
+                     else [""] * len(HELD_OUT))
+            row = dict(zip(META_LOG_COLUMNS, [
+                gen, float(mf.mean()), float(np.median(mf)), float(mf.min()),
+                es.sigma, es.lr, *evals]))
             log.append(row)
             if progress is not None:
                 progress(row)
             if out_dir and cfg.checkpoint_every \
                     and (gen + 1) % cfg.checkpoint_every == 0:
-                LgaParams.from_vector(cfg.feature_cfg, es.mean).save(
+                mean_params.save(
                     os.path.join(out_dir, f"checkpoint_gen{gen + 1:05d}.txt"))
     finally:
         if executor is not None:
@@ -241,17 +241,17 @@ def meta_train(cfg, out_dir=None, progress=None):
     final = LgaParams.from_vector(cfg.feature_cfg, es.mean)
     if out_dir:
         final.save(os.path.join(out_dir, "checkpoint_final.txt"))
-        write_meta_log(log, os.path.join(out_dir, "meta_log.csv"))
+        write_csv(os.path.join(out_dir, "meta_log.csv"), META_LOG_COLUMNS,
+                  [row.values() for row in log])
     return MetaTrainResult(params=final, log=log, mean_history=mean_history)
 
 
-def write_meta_log(log, path):
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as ASCII CSV, each float as its repr."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=META_LOG_COLUMNS)
-        writer.writeheader()
-        for row in log:
-            out = dict(row)
-            for key, value in out.items():
-                if isinstance(value, float):
-                    out[key] = repr(value)
-            writer.writerow(out)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v))
+                             if isinstance(v, (float, np.floating)) else v
+                             for v in row])

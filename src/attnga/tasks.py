@@ -161,8 +161,9 @@ def make_task(name, dim=None, seed=0, sigma0=0.1, noise=False):
     if name not in bbob.FUNCTION_NAMES:
         raise ValueError(f"unknown task {name!r}; known: "
                          f"{', '.join(task_names())}")
-    if dim is None:
-        raise ValueError(f"task {name!r} needs an explicit dimension")
+    if dim is None or dim < 1:
+        raise ValueError(f"{name} needs an explicit dimension of at least "
+                         f"1, got {dim}")
     offset = np.random.default_rng([seed, 0xB0B]).uniform(-5.0, 5.0, dim)
     return bbob.TaskSpec(function=name, dim=dim, offset=offset,
                          sigma0=sigma0, noise=noise)

@@ -93,6 +93,19 @@ def test_task_spec_validation():
             .core_values(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("name, dim, match", [
+    ("sphere", 0, "dimension must be at least 1, got 0"),
+    ("sphere", -1, "dimension must be at least 1, got -1"),
+    ("schaffers_f7", 1, "schaffers_f7 needs at least two dimensions, got 1"),
+    ("griewank_rosenbrock", 1,
+     "griewank_rosenbrock needs at least two dimensions, got 1"),
+])
+def test_task_spec_rejects_too_few_dimensions_when_built(name, dim, match):
+    """The two pairing cores need two dimensions, every core one."""
+    with pytest.raises(ValueError, match=match):
+        bbob.TaskSpec(function=name, dim=dim, offset=np.zeros(max(dim, 0)))
+
+
 def test_noise_is_multiplicative_and_reproducible():
     task = bbob.TaskSpec(function="sphere", dim=2, offset=np.zeros(2),
                          noise=True)

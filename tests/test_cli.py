@@ -166,6 +166,10 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("[evaluate]\nnot_a_key = 1\n")
     assert cli.main(["evaluate", "--config", str(bad)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    bad.write_text("[evaluate]\nn_pop = eight\n")
+    assert cli.main(["evaluate", "--config", str(bad)]) == 2
+    assert "config key 'n_pop' in [evaluate]: invalid literal" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["evaluate", "sweep", "transfer"])
@@ -181,6 +185,21 @@ def test_repetitions_below_one_exit_nonzero(tmp_path, capsys, checkpoint,
                    "--out", str(out)])
     assert rc == 2
     assert "repetitions must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["evaluate", "sweep", "transfer"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(tmp_path, capsys, checkpoint, mode,
+                                  workers):
+    out = tmp_path / "x.csv"
+    algorithms = [] if mode == "transfer" else ["--algorithms", "gaussian"]
+    rc = cli.main([mode, "--tasks", "sphere:2", *algorithms,
+                   "--checkpoint", checkpoint, "--n-pop", "4",
+                   "--generations", "2", "--repetitions", "1",
+                   "--workers", workers, "--out", str(out)])
+    assert rc == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -313,12 +332,20 @@ def test_bad_task_spec_fails_before_any_job(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("mode, flag, value, named", [
     ("sweep", "--tasks", "sphere:x", "task 'sphere:x'"),
+    ("sweep", "--tasks", "sphere:-1", "task 'sphere:-1': sphere needs"),
+    ("sweep", "--tasks", "sphere:0", "task 'sphere:0': sphere needs"),
+    ("sweep", "--tasks", "sphere:2,schaffers_f7:1",
+     "task 'schaffers_f7:1': schaffers_f7 needs at least two dimensions"),
+    ("sweep", "--tasks", "griewank_rosenbrock:1",
+     "task 'griewank_rosenbrock:1': griewank_rosenbrock needs"),
     ("sweep", "--rho-grid", "0.1,x", "rho grid value 'x'"),
     ("sweep", "--sigma0-grid", "y,0.5", "sigma0 grid value 'y'"),
     ("meta-train", "--functions", "sphere,bogus", "function 'bogus'"),
 ])
-def test_bad_list_entry_exits_2_naming_it(tmp_path, capsys, mode, flag,
-                                          value, named):
+def test_bad_list_entry_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                          mode, flag, value, named):
+    jobs = []
+    monkeypatch.setattr(cli, "_run_job", lambda job: jobs.append(job) or [])
     out = tmp_path / "x.csv"
     argv = [mode, flag, value, "--out", str(out)]
     if mode == "sweep":
@@ -326,6 +353,7 @@ def test_bad_list_entry_exits_2_naming_it(tmp_path, capsys, mode, flag,
     assert cli.main(argv) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+    assert len(jobs) == 0
 
 
 def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
@@ -356,6 +384,22 @@ def test_meta_train_bad_setting_exits_2_before_out(tmp_path, capsys):
                    "--n-pop", "8", "--generations", "3", "--out", str(out)])
     assert rc == 2
     assert "meta_popsize" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-pop", "0", "population size must be positive"),
+    ("--generations", "0", "generation count must be positive"),
+    ("--workers", "0", "workers must be at least 1"),
+    ("--workers", "-2", "workers must be at least 1")])
+def test_meta_train_bad_inner_ga_or_workers_exits_2_before_out(
+        tmp_path, capsys, flag, value, message):
+    out = tmp_path / "meta"
+    rc = cli.main(["meta-train", "--meta-popsize", "4", "--n-tasks", "2",
+                   "--n-pop", "8", "--generations", "3",
+                   "--meta-generations", "1", flag, value, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

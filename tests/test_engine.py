@@ -37,6 +37,10 @@ def test_config_validation():
         engine.GaConfig(selection="roulette")
     with pytest.raises(ValueError):
         engine.GaConfig(mra="cosine")
+    with pytest.raises(ValueError, match="unknown sampling slot 'roulette'"):
+        engine.GaConfig(sampling="roulette")
+    with pytest.raises(ValueError, match="unknown cross-over slot 'blend'"):
+        engine.GaConfig(crossover="blend")
     with pytest.raises(ValueError, match="gesmr group count must divide"):
         engine.GaConfig(n_pop=12, mra="gesmr")
     for generations in (0, -1):

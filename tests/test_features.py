@@ -188,6 +188,12 @@ def test_average_ranks_infinities_and_nan_rows():
                       expected[:, None, :])
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+def test_average_ranks_of_empty_arrays(shape):
+    ranks = average_ranks(np.empty(shape))
+    assert ranks.shape == shape and ranks.dtype == np.float64
+
+
 def _sequential_mean(values):
     """Row means with the terms added one after another, left to right."""
     total = values[..., 0].copy()

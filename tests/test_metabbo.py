@@ -74,10 +74,14 @@ def test_meta_fitness_normalizes_per_task():
 
 
 def test_patch_non_finite_uses_column_worst():
-    scores = np.array([[1.0, np.nan], [np.inf, 2.0], [3.0, 5.0]])
+    """A column with no finite score is patched to 0.0."""
+    scores = np.array([[1.0, np.nan, -3.0, np.nan],
+                       [np.inf, 2.0, np.nan, np.inf],
+                       [3.0, 5.0, -1.0, -np.inf]])
     patched = metabbo._patch_non_finite(scores)
-    np.testing.assert_array_equal(patched, [[1.0, 5.0], [3.0, 2.0],
-                                            [3.0, 5.0]])
+    np.testing.assert_array_equal(patched, [[1.0, 5.0, -3.0, 0.0],
+                                            [3.0, 2.0, -1.0, 0.0],
+                                            [3.0, 5.0, -1.0, 0.0]])
 
 
 def test_meta_config_validation():
@@ -93,13 +97,24 @@ def test_meta_config_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("meta_popsize", 0), ("meta_generations", -1), ("eval_every", -1),
-    ("checkpoint_every", -2), ("mean_decay", 2.0), ("mean_decay", -1.0)])
+    ("checkpoint_every", -2), ("mean_decay", 2.0), ("mean_decay", -1.0),
+    ("workers", 0), ("workers", -2)])
 def test_meta_config_rejects_settings_that_misbehave(name, value):
     """Each raises naming its field: a meta population of 0 crashes, a
-    negative period fires every generation and a mean decay outside [0, 1)
-    flips or grows the search mean."""
+    negative period fires every generation, a mean decay outside [0, 1)
+    flips or grows the search mean and fewer than one worker ran
+    serially."""
     with pytest.raises(ValueError, match=name):
         metabbo.MetaConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, match", [
+    ("inner_popsize", "population size must be positive"),
+    ("inner_generations", "generation count must be positive")])
+def test_meta_config_checks_its_inner_ga(name, match):
+    """The inner GA's own checks run when the config is built."""
+    with pytest.raises(ValueError, match=match):
+        metabbo.MetaConfig(**{name: 0})
 
 
 @pytest.mark.parametrize("noise", [False, True])
@@ -226,8 +241,10 @@ def _tiny_config(workers=1, out_of=None):
 
 
 def test_meta_train_writes_checkpoints_and_log(tmp_path):
-    out = tmp_path / "run"
-    result = metabbo.meta_train(_tiny_config(), out_dir=str(out))
+    out, rows_seen = tmp_path / "run", []
+    result = metabbo.meta_train(_tiny_config(), out_dir=str(out),
+                                progress=rows_seen.append)
+    assert rows_seen == result.log     # each row once, in order
     assert result.params.n_params == 704
     assert result.mean_history.shape == (3, 704)
     assert len(result.log) == 3

@@ -145,6 +145,16 @@ def test_selection_feature_width_validation():
         ops.selection_logits(params, np.zeros((2, 3)), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_selection_logits_reject_non_finite_features(bad):
+    params, children = _params(14), np.zeros((3, 3))
+    children[1, 0] = bad
+    with pytest.raises(ValueError, match="child features must be finite"):
+        ops.selection_logits(params, np.zeros((2, 3)), children)
+    with pytest.raises(ValueError, match="parent features must be finite"):
+        ops.selection_logits(params, children, np.zeros((2, 3)))
+
+
 def test_mra_feature_width_validation():
     with pytest.raises(ValueError, match="MRA feature width 3 != 5"):
         ops.mra_multiplier(_params(14), np.zeros((4, 3)))
@@ -385,6 +395,10 @@ def test_uniform_sampling_and_mutation():
     np.testing.assert_array_equal(x_c, expected)
     with pytest.raises(ValueError):
         ops.gaussian_mutate(x, -sigma_c, mut_rng)
+    empty = ops.ParentArchive(np.zeros((0, 2)), np.zeros(0), np.zeros(0),
+                              np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="archive is empty"):
+        ops.uniform_sample_parents(empty, 4, rng)
 
 
 def _truncation_oracle(child_x, child_f, child_sigma, archive):

@@ -143,6 +143,8 @@ def _desk_lines(tmp_path):
     (lambda lines: lines[:4] + ["heads: 1"] + lines[4:],
      "\\[config\\] repeats heads"),
     (lambda lines: lines + lines[9:13], "matrix sel_q appears twice"),
+    (lambda lines: lines[:9] + ["[weights sel_q]"] + lines[10:],
+     "bad block header '\\[weights sel_q\\]'"),
 ])
 def test_checkpoint_rejects_malformed_files(tmp_path, keep, match):
     """A missing or repeated block, line or key raises ValueError naming
@@ -199,6 +201,15 @@ def test_with_extra_operators_keeps_shared_weights():
         np.testing.assert_array_equal(extended.weights[name],
                                       base.weights[name])
     assert "smp_q" in extended.weights and "co_dx" in extended.weights
+    zeros = base.with_extra_operators(sampling=True)     # no rng: zeros
+    assert zeros.cfg.with_sampling and not zeros.cfg.with_crossover
+    added = set(weight_shapes(zeros.cfg)) - set(weight_shapes(base.cfg))
+    assert "smp_q" in added
+    for name in added:
+        assert not zeros.weights[name].any()
+    for name in weight_shapes(base.cfg):
+        np.testing.assert_array_equal(zeros.weights[name],
+                                      base.weights[name])
 
 
 def test_feature_config_validation():

@@ -96,8 +96,10 @@ def test_make_task_registry():
             make_task("mlp-sine", dim=dim)
     with pytest.raises(ValueError):
         make_task("unknown-task", dim=2)
-    with pytest.raises(ValueError):
-        make_task("sphere")       # BBOB tasks need a dimension
+    for dim in (None, 0, -1):     # checked before the offset is drawn
+        with pytest.raises(ValueError, match="sphere needs an explicit "
+                           f"dimension of at least 1, got {dim}"):
+            make_task("sphere", dim=dim)
 
 
 @pytest.mark.parametrize("layers", [(2, 8, 1), (3, 5, 1), (2, 3, 1)])

@@ -48,7 +48,11 @@ algorithm (or slot pair), so their baseline rows are compared on their own.
   ``debug=True`` run, whose debug arrays are recorded too (the evaluate
   CSV keeps only the final best).
 - The ``meta_log.csv`` and final checkpoint bytes of a 3-meta-generation
-  desk ``meta_train``.
+  desk ``meta_train``, and the ``meta_log.csv`` and checkpoint bytes of a
+  2-meta-generation ``meta_train`` whose candidates diverge (64 of them,
+  meta sigma 2.0, on 8 rosenbrock and rastrigin tasks of dimension 2-5),
+  so it patches and winsorizes non-finite sweep scores; that run is
+  recorded with 1 and with 2 workers.
 - The bytes of ``MlpTask.core_values`` itself for layers (2, 8, 1) and
   (3, 5, 1), on 1, 7, 64, 65 and 320 rows drawn from N(0, s^2) with s in
   {0.1, 1, 100}: a change to the fitness kernel can hide in the GA
@@ -75,7 +79,7 @@ def record(checkout, tmp):
                           desk_meta_config, evaluate_argv)
 
     from attnga import cli, engine, metabbo
-    from attnga.bbob import TaskSpec, sample_task
+    from attnga.bbob import TaskFamily, TaskSpec, sample_task
     from attnga.params import FeatureConfig, LgaParams
     from attnga.tasks import MlpTask, make_task
 
@@ -257,6 +261,20 @@ def record(checkout, tmp):
     for name in ("meta_log.csv", "checkpoint_final.txt"):
         with open(os.path.join(run_dir, name), "rb") as fh:
             out[f"meta_train {name}"] = fh.read()
+    for workers in (1, 2):
+        run_dir = os.path.join(tmp, f"diverging-{workers}")
+        metabbo.meta_train(metabbo.MetaConfig(
+            meta_popsize=64, n_tasks=8, inner_popsize=16,
+            inner_generations=30, meta_generations=2, seed=3,
+            family=TaskFamily(functions=("rosenbrock", "rastrigin"),
+                              dim_range=(2, 5)),
+            sigma_meta=2.0, eval_every=1, checkpoint_every=1,
+            workers=workers), out_dir=run_dir)
+        for name in ("meta_log.csv", "checkpoint_gen00001.txt",
+                     "checkpoint_final.txt"):
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                out[f"meta_train diverging workers={workers} {name}"] = \
+                    fh.read()
     return out
 
 
