@@ -18,7 +18,6 @@ import configparser
 import functools
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import engine
 from . import operators as ops
 from .bbob import TaskFamily, META_TRAIN_FUNCTIONS
 from .engine import ALGORITHMS
-from .metabbo import MetaConfig, meta_train, write_csv
+from .metabbo import MetaConfig, job_map, meta_train, write_csv
 from .params import FeatureConfig, LgaParams
 from .tasks import make_task
 
@@ -153,11 +152,8 @@ def _run_grid(opts, params, cells):
             jobs.append(Job(config, [[seed, task_idx, *key, rep]
                                      for rep in reps], tasks,
                             params if "learned" in slots.values() else None))
-    if opts["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=opts["workers"]) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=1))
-    else:
-        results = [_run_job(job) for job in jobs]
+    with job_map(opts["workers"]) as map_jobs:
+        results = map_jobs(_run_job, jobs)
     return [[*head, rep, best] for head, bests in zip(heads, results)
             for rep, best in enumerate(bests)]
 

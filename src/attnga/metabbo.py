@@ -17,9 +17,9 @@ rollout does not depend on M: each row of a sweep equals that candidate's
 own ``engine.run`` bit for bit.
 """
 
+import contextlib
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +27,13 @@ import numpy as np
 from . import engine
 from .bbob import TaskFamily, sample_task
 from .features import z_score
-from .metaes import OpenAiEs
+from .metaes import OpenAiEs, check_step_sizes
 from .params import FeatureConfig, LgaParams
 from .tasks import make_task
 
 __all__ = ["MetaConfig", "MetaTrainResult", "OBJECTIVES", "reduce_scores",
            "meta_fitness", "evaluate_candidates_on_task", "meta_train",
-           "write_csv"]
+           "job_map", "write_csv"]
 
 OBJECTIVES = ("minN-minT", "minN-finalT", "meanN-minT", "meanN-finalT")
 
@@ -84,6 +84,9 @@ class MetaConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.mean_decay < 1.0:
             raise ValueError("mean_decay must lie in [0, 1)")
+        check_step_sizes(lr=self.lr, lr_final=self.lr_final,
+                         sigma_meta=self.sigma_meta,
+                         sigma_final=self.sigma_final)
         if self.n_tasks < 1:
             raise ValueError("need at least one task per meta-generation")
         if self.objective not in OBJECTIVES:
@@ -196,23 +199,17 @@ def meta_train(cfg, out_dir=None, progress=None):
     es_rng = np.random.default_rng([cfg.seed, 0x0E5])
     log = []
     mean_history = np.empty((cfg.meta_generations, n_params))
-    executor = (ProcessPoolExecutor(max_workers=cfg.workers)
-                if cfg.workers > 1 else None)
-    try:
+    with job_map(cfg.workers) as map_jobs:
         for gen in range(cfg.meta_generations):
             task_rng = np.random.default_rng([cfg.seed, gen, 0x7A5])
             tasks = [sample_task(cfg.family, task_rng)
                      for _ in range(cfg.n_tasks)]
             candidates = es.ask(es_rng).astype(np.float32)
 
-            jobs = [(candidates, cfg.feature_cfg, task,
-                     [cfg.seed, gen, 0x1AEA, l], cfg.inner_popsize,
-                     cfg.inner_generations, cfg.objective)
-                    for l, task in enumerate(tasks)]
-            if executor is not None:
-                columns = list(executor.map(_task_job, jobs, chunksize=1))
-            else:
-                columns = [_task_job(job) for job in jobs]
+            columns = map_jobs(_task_job, [
+                (candidates, cfg.feature_cfg, task, [cfg.seed, gen, 0x1AEA, l],
+                 cfg.inner_popsize, cfg.inner_generations, cfg.objective)
+                for l, task in enumerate(tasks)])
             scores = _patch_non_finite(np.stack(columns, axis=1))
             scores = _winsorize_columns(scores)
 
@@ -234,9 +231,6 @@ def meta_train(cfg, out_dir=None, progress=None):
                     and (gen + 1) % cfg.checkpoint_every == 0:
                 mean_params.save(
                     os.path.join(out_dir, f"checkpoint_gen{gen + 1:05d}.txt"))
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     final = LgaParams.from_vector(cfg.feature_cfg, es.mean)
     if out_dir:
@@ -244,6 +238,22 @@ def meta_train(cfg, out_dir=None, progress=None):
         write_csv(os.path.join(out_dir, "meta_log.csv"), META_LOG_COLUMNS,
                   [row.values() for row in log])
     return MetaTrainResult(params=final, log=log, mean_history=mean_history)
+
+
+@contextlib.contextmanager
+def job_map(workers):
+    """``map_jobs(fn, jobs)``, the list of ``fn(job)`` in job order.
+
+    With one worker the jobs run here, one after another, and
+    ``multiprocessing`` is never imported; with more, one process pool
+    serves every map of the ``with`` block and shuts down at its end.
+    """
+    if workers == 1:
+        yield lambda fn, jobs: [fn(job) for job in jobs]
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield lambda fn, jobs: list(pool.map(fn, jobs, chunksize=1))
 
 
 def write_csv(path, header, rows):

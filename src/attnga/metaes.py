@@ -6,20 +6,36 @@ exponentially decayed-and-floored learning rate and perturbation scale.
 An optional mean decay shrinks the search mean toward zero each step.
 """
 
+import math
+
 import numpy as np
 
 from .features import centered_ranks
 
-__all__ = ["OpenAiEs"]
+__all__ = ["OpenAiEs", "check_step_sizes"]
 
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def check_step_sizes(**sizes):
+    """Raise ``ValueError`` naming the first size not positive and finite.
+
+    A zero or non-finite sigma makes the gradient estimate non-finite, and a
+    negative learning rate climbs the loss.
+    """
+    for name, value in sizes.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
 
 
 class OpenAiEs:
     def __init__(self, n_dim, popsize, lr=0.01, lr_decay=0.999,
                  lr_final=0.001, sigma=0.1, sigma_decay=0.999,
                  sigma_final=0.001, mean_decay=0.0, mean0=None):
+        check_step_sizes(lr=lr, lr_final=lr_final, sigma=sigma,
+                         sigma_final=sigma_final)
         if popsize % 2 != 0:
             raise ValueError("population size must be even for antithetic "
                              "sampling")

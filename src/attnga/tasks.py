@@ -6,6 +6,7 @@ while a fitness evaluation stays in the microsecond range.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +32,17 @@ class MlpTask:
     :meth:`core_values` runs blocks of up to ``_BLOCK_ROWS`` networks. The
     first layer of a block is laid out (points, rows x hidden), so each
     numpy call in it is one contiguous pass over that block: every input
-    column is tiled once, at construction, to that width, and a block's
-    first-layer weights and biases are copied into one (inputs + 1,
-    rows x hidden) matrix. The sums are those of
-    ``einsum("pi,nih->nph")`` plus the bias, in the same order (input 0's
-    product, then input 1's and so on, then the bias), and the second
-    layer is the same einsum over a transposed view, so every value is
-    bit for bit that of the two-einsum forward pass.
+    column is tiled once to that width, and a block's first-layer weights
+    and biases are copied into one (inputs + 1, rows x hidden) matrix. The
+    sums are those of ``einsum("pi,nih->nph")`` plus the bias, in the same
+    order (input 0's product, then input 1's and so on, then the bias), and
+    the second layer is the same einsum over a transposed view, so every
+    value is bit for bit that of the two-einsum forward pass.
+
+    The tiles and the other work buffers (about 1 MiB at the default
+    sizes) are built on the first evaluation, not with the task: a process
+    that only builds a task or pickles it to workers never holds them, and
+    a pickle carries only the fields.
     """
 
     layers: tuple = (2, 8, 1)
@@ -64,20 +69,25 @@ class MlpTask:
         targets = np.sin(np.pi * inputs[:, 0]) + inputs[:, 1] ** 2
         object.__setattr__(self, "_inputs", inputs)
         object.__setattr__(self, "_targets", targets)
-        # Work buffers for one block of rows, reused by every call: freeing
-        # fresh 256 KiB temporaries each call makes glibc return them to
-        # the system and fault them back in on the next call.
-        p, width = self.n_points, _BLOCK_ROWS * d_h
-        object.__setattr__(self, "_tiles", np.repeat(
-            inputs.T[:, :, None], width, axis=2))
-        object.__setattr__(self, "_w1", np.empty((d_in + 1, width)))
-        object.__setattr__(self, "_hidden", np.empty((p, width)))
-        object.__setattr__(self, "_term", np.empty((p, width)))
-        object.__setattr__(self, "_pred", np.empty((_BLOCK_ROWS, p, 1)))
 
     def __reduce__(self):
-        # The dataset and the buffers are rebuilt from the fields.
+        # The dataset is rebuilt from the fields, the buffers when the copy
+        # first evaluates.
         return type(self), (self.layers, self.n_points, self.seed)
+
+    @cached_property
+    def _buffers(self):
+        """(tiles, w1, hidden, term, pred): the work buffers of one block.
+
+        Every call reuses them: freeing fresh 256 KiB temporaries each call
+        makes glibc return them to the system and fault them back in on
+        the next call.
+        """
+        d_in, d_h, _ = self.layers
+        p, width = self.n_points, _BLOCK_ROWS * d_h
+        return (np.repeat(self._inputs.T[:, :, None], width, axis=2),
+                np.empty((d_in + 1, width)), np.empty((p, width)),
+                np.empty((p, width)), np.empty((_BLOCK_ROWS, p, 1)))
 
     @property
     def dim(self):
@@ -110,6 +120,7 @@ class MlpTask:
         """:meth:`core_values` of at most ``_BLOCK_ROWS`` rows into ``out``."""
         d_in, d_h, _ = self.layers
         n, p = x.shape[0], self.n_points
+        tiles, w1, hidden, term, pred = self._buffers
         width, split = n * d_h, (d_in + 1) * d_h
         w2 = x[:, split:split + d_h, None]
         b2 = x[:, split + d_h:]
@@ -118,20 +129,20 @@ class MlpTask:
         # r*h..r*h+h-1, and w1[d_in] the biases. (einsum starts its sums
         # from +0.0, so an all -0.0 sum may differ in sign; the squared
         # error below cannot.)
-        w1 = self._w1[:, :width]
+        w1 = w1[:, :width]
         np.copyto(w1.reshape(d_in + 1, n, d_h),
                   x[:, :split].reshape(n, d_in + 1, d_h).swapaxes(0, 1))
-        hidden = self._hidden[:, :width]
-        term = self._term[:, :width]
-        np.multiply(self._tiles[0, :, :width], w1[0], out=hidden)
+        hidden = hidden[:, :width]
+        term = term[:, :width]
+        np.multiply(tiles[0, :, :width], w1[0], out=hidden)
         for k in range(1, d_in):
-            np.multiply(self._tiles[k, :, :width], w1[k], out=term)
+            np.multiply(tiles[k, :, :width], w1[k], out=term)
             hidden += term
         hidden += w1[d_in]
         np.tanh(hidden, out=hidden)
         pred = np.einsum("nph,nho->npo",
                          hidden.reshape(p, n, d_h).swapaxes(0, 1), w2,
-                         out=self._pred[:n])[:, :, 0]
+                         out=pred[:n])[:, :, 0]
         pred += b2
         pred -= self._targets
         np.square(pred, out=pred)

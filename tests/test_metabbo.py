@@ -98,13 +98,15 @@ def test_meta_config_validation():
 @pytest.mark.parametrize("name, value", [
     ("meta_popsize", 0), ("meta_generations", -1), ("eval_every", -1),
     ("checkpoint_every", -2), ("mean_decay", 2.0), ("mean_decay", -1.0),
-    ("workers", 0), ("workers", -2)])
+    ("workers", 0), ("workers", -2), ("lr", -1.0), ("lr_final", 0.0),
+    ("sigma_meta", 0.0), ("sigma_meta", np.nan), ("sigma_final", np.inf)])
 def test_meta_config_rejects_settings_that_misbehave(name, value):
     """Each raises naming its field: a meta population of 0 crashes, a
     negative period fires every generation, a mean decay outside [0, 1)
-    flips or grows the search mean and fewer than one worker ran
-    serially."""
-    with pytest.raises(ValueError, match=name):
+    flips or grows the search mean, fewer than one worker ran serially,
+    a meta sigma of 0 or NaN ended in a non-finite meta-fitness and a
+    negative learning rate climbed the meta-loss."""
+    with pytest.raises(ValueError, match=f"^{name} "):
         metabbo.MetaConfig(**{name: value})
 
 

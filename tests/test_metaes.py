@@ -12,6 +12,14 @@ def test_popsize_must_be_even():
         OpenAiEs(4, popsize=5)
 
 
+@pytest.mark.parametrize("name", ["lr", "lr_final", "sigma", "sigma_final"])
+def test_step_sizes_must_be_positive_and_finite(name):
+    """sigma 0 made the gradient non-finite and a negative lr climbed."""
+    for value in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            OpenAiEs(4, popsize=4, **{name: value})
+
+
 def test_ask_produces_antithetic_pairs():
     es = OpenAiEs(6, popsize=8, sigma=0.2, mean0=np.arange(6.0))
     pop = es.ask(np.random.default_rng(60))

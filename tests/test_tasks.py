@@ -156,12 +156,34 @@ def test_mlp_call_allocates_no_large_block():
     assert peak < 128 * 1024
 
 
+def test_mlp_builds_its_work_buffers_on_first_evaluation():
+    """Building a task holds only its dataset; the first call adds the
+    tiles and work buffers (about 1 MiB), and later calls add nothing."""
+    x = np.random.default_rng(54).standard_normal((3, MlpTask().dim))
+    tracemalloc.start()
+    try:
+        task = MlpTask()
+        built = tracemalloc.get_traced_memory()[0]
+        task.core_values(x)
+        evaluated = tracemalloc.get_traced_memory()[0]
+        task.core_values(x)
+        again = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built < 16 * 1024
+    assert evaluated - built > 1024 * 1024
+    assert again - evaluated < 1024
+
+
 def test_mlp_pickles_and_compares_by_fields():
+    """A copy pickled before or after the first evaluation is the same
+    task and evaluates bit for bit like it."""
     task = MlpTask(seed=5)
-    x = np.random.default_rng(53).standard_normal((3, task.dim))
-    task.core_values(x)
-    data = pickle.dumps(task)
-    assert len(data) < 1024                  # no dataset, no buffers
-    clone = pickle.loads(data)
-    assert clone == task and hash(clone) == hash(task)
-    assert clone.core_values(x).tobytes() == task.core_values(x).tobytes()
+    x = np.random.default_rng(53).standard_normal((70, task.dim))
+    fresh = pickle.dumps(task)
+    expected = task.core_values(x)
+    for data in (fresh, pickle.dumps(task)):
+        assert len(data) < 1024              # no dataset, no buffers
+        clone = pickle.loads(data)
+        assert clone == task and hash(clone) == hash(task)
+        assert clone.core_values(x).tobytes() == expected.tobytes()
