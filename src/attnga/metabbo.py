@@ -26,8 +26,8 @@ import numpy as np
 
 from . import engine
 from .bbob import TaskFamily, sample_task
-from .features import z_score
-from .metaes import OpenAiEs, check_step_sizes
+from .features import rows_z_score
+from .metaes import OpenAiEs, check_settings
 from .params import FeatureConfig, LgaParams
 from .tasks import make_task
 
@@ -53,6 +53,12 @@ HELD_OUT = (("eval_sphere", "sphere", 10, 11),
 META_LOG_COLUMNS = ("meta_gen", "mf_mean", "mf_median", "mf_best",
                     "sigma_meta", "lr", *(column for column, *_ in HELD_OUT))
 
+# OpenAiEs parameter -> the MetaConfig field that sets it, named in errors.
+_ES_FIELDS = {"popsize": "meta_popsize", "lr": "lr", "lr_decay": "lr_decay",
+              "lr_final": "lr_final", "sigma": "sigma_meta",
+              "sigma_decay": "sigma_decay", "sigma_final": "sigma_final",
+              "mean_decay": "mean_decay"}
+
 
 @dataclass
 class MetaConfig:
@@ -77,16 +83,10 @@ class MetaConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.meta_popsize < 2 or self.meta_popsize % 2 != 0:
-            raise ValueError("meta_popsize must be even and at least 2")
+        check_settings(self._es_settings(), names=_ES_FIELDS)
         for name in ("meta_generations", "eval_every", "checkpoint_every"):
             if getattr(self, name) < 0:     # 0 runs none / turns it off
                 raise ValueError(f"{name} must be non-negative")
-        if not 0.0 <= self.mean_decay < 1.0:
-            raise ValueError("mean_decay must lie in [0, 1)")
-        check_step_sizes(lr=self.lr, lr_final=self.lr_final,
-                         sigma_meta=self.sigma_meta,
-                         sigma_final=self.sigma_final)
         if self.n_tasks < 1:
             raise ValueError("need at least one task per meta-generation")
         if self.objective not in OBJECTIVES:
@@ -97,6 +97,9 @@ class MetaConfig:
         # Each task brings its own sigma0; any valid one checks the rest.
         _inner_config(self.inner_popsize, self.inner_generations, 1.0,
                       self.seed)
+
+    def _es_settings(self):
+        return {p: getattr(self, name) for p, name in _ES_FIELDS.items()}
 
 
 @dataclass
@@ -132,8 +135,7 @@ def meta_fitness(scores):
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("meta_fitness requires finite scores")
-    normalized = np.column_stack([z_score(col) for col in scores.T])
-    return np.median(normalized, axis=1)
+    return np.median(rows_z_score(scores.T), axis=0)
 
 
 # -- candidate sweep ---------------------------------------------------------
@@ -192,10 +194,7 @@ def meta_train(cfg, out_dir=None, progress=None):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     n_params = LgaParams.zeros(cfg.feature_cfg).n_params
-    es = OpenAiEs(n_params, cfg.meta_popsize, lr=cfg.lr,
-                  lr_decay=cfg.lr_decay, lr_final=cfg.lr_final,
-                  sigma=cfg.sigma_meta, sigma_decay=cfg.sigma_decay,
-                  sigma_final=cfg.sigma_final, mean_decay=cfg.mean_decay)
+    es = OpenAiEs(n_params, **cfg._es_settings())
     es_rng = np.random.default_rng([cfg.seed, 0x0E5])
     log = []
     mean_history = np.empty((cfg.meta_generations, n_params))

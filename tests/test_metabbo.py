@@ -92,20 +92,26 @@ def test_meta_config_validation():
     with pytest.raises(ValueError):
         metabbo.MetaConfig(objective="bestN")
     metabbo.MetaConfig(meta_popsize=2, meta_generations=0, eval_every=0,
-                       checkpoint_every=0, mean_decay=0.0)
+                       checkpoint_every=0, mean_decay=0.0, lr_decay=1.0,
+                       sigma_decay=1.0)
 
 
 @pytest.mark.parametrize("name, value", [
     ("meta_popsize", 0), ("meta_generations", -1), ("eval_every", -1),
     ("checkpoint_every", -2), ("mean_decay", 2.0), ("mean_decay", -1.0),
     ("workers", 0), ("workers", -2), ("lr", -1.0), ("lr_final", 0.0),
-    ("sigma_meta", 0.0), ("sigma_meta", np.nan), ("sigma_final", np.inf)])
+    ("sigma_meta", 0.0), ("sigma_meta", np.nan), ("sigma_final", np.inf),
+    ("lr_decay", np.nan), ("lr_decay", -1.0), ("lr_decay", 0.0),
+    ("sigma_decay", 2.0), ("sigma_decay", np.inf)])
 def test_meta_config_rejects_settings_that_misbehave(name, value):
     """Each raises naming its field: a meta population of 0 crashes, a
     negative period fires every generation, a mean decay outside [0, 1)
     flips or grows the search mean, fewer than one worker ran serially,
-    a meta sigma of 0 or NaN ended in a non-finite meta-fitness and a
-    negative learning rate climbed the meta-loss."""
+    a meta sigma of 0 or NaN ended in a non-finite meta-fitness, a
+    negative learning rate climbed the meta-loss, a NaN learning-rate
+    decay ended in non-finite weights a meta-generation later, one of -1
+    dropped the rate to its floor after one step and a sigma decay of 2
+    doubled the meta sigma every meta-generation."""
     with pytest.raises(ValueError, match=f"^{name} "):
         metabbo.MetaConfig(**{name: value})
 

@@ -12,12 +12,26 @@ def test_popsize_must_be_even():
         OpenAiEs(4, popsize=5)
 
 
-@pytest.mark.parametrize("name", ["lr", "lr_final", "sigma", "sigma_final"])
+_STEP = ((0.0, -1.0, np.nan, np.inf), "positive and finite", 5e-324)
+_DECAY = ((np.nan, -1.0, 0.0, 2.0, np.inf), r"in \(0, 1\]", 1.0)
+
+# Setting -> (values it rejects, its rule, a value at the edge it accepts).
+_SETTINGS = {"lr": _STEP, "lr_final": _STEP, "sigma": _STEP,
+             "sigma_final": _STEP, "lr_decay": _DECAY, "sigma_decay": _DECAY,
+             "mean_decay": ((-0.1, 1.0, np.nan), r"in \[0, 1\)", 0.0),
+             "popsize": ((0, -2, 3), "even and at least 2", 2)}
+
+
+@pytest.mark.parametrize("name", list(_SETTINGS))
 def test_step_sizes_must_be_positive_and_finite(name):
-    """sigma 0 made the gradient non-finite and a negative lr climbed."""
-    for value in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"^{name} must be positive"):
-            OpenAiEs(4, popsize=4, **{name: value})
+    """sigma 0 made the gradient non-finite and a negative lr climbed; a
+    decay above 1 grew its step size every step, one of 0 or below dropped
+    it to its floor at once and a NaN one ended in non-finite weights."""
+    rejected, rule, edge = _SETTINGS[name]
+    for value in rejected:
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
+            OpenAiEs(4, **{"popsize": 4, name: value})
+    assert getattr(OpenAiEs(4, **{"popsize": 4, name: edge}), name) == edge
 
 
 def test_ask_produces_antithetic_pairs():
