@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_integers
+
 __all__ = [
     "TaskSpec",
     "TaskFamily",
@@ -269,6 +271,7 @@ class TaskFamily:
         for name in self.functions:
             core_function(name)
         lo, hi = self.dim_range
+        check_integers(**{"dim_range[0]": lo, "dim_range[1]": hi})
         if not 1 <= lo <= hi:
             raise ValueError(f"dimension range ({lo}, {hi}) must satisfy "
                              f"1 <= low <= high")

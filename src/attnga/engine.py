@@ -47,6 +47,7 @@ import numpy as np
 
 from . import operators as ops
 from .attention import reduce_rows
+from .checks import check_integers
 from .draws import per_run
 from .features import (rows_crossover_features, rows_joint_features,
                        rows_parent_features, rows_sampling_features)
@@ -96,6 +97,7 @@ class GaConfig:
     seed: object = 0
 
     def __post_init__(self):
+        check_integers(n_pop=self.n_pop, generations=self.generations)
         if self.n_pop < 1:
             raise ValueError("population size must be positive")
         if not 0.0 <= self.elite_ratio <= 1.0:

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import engine
 from .bbob import TaskFamily, sample_task
+from .checks import check_integers
 from .features import rows_z_score
 from .metaes import OpenAiEs, check_settings
 from .params import FeatureConfig, LgaParams
@@ -59,6 +60,10 @@ _ES_FIELDS = {"popsize": "meta_popsize", "lr": "lr", "lr_decay": "lr_decay",
               "sigma_decay": "sigma_decay", "sigma_final": "sigma_final",
               "mean_decay": "mean_decay"}
 
+# The MetaConfig sizes and counts outside the ES settings.
+_COUNTS = ("n_tasks", "inner_popsize", "inner_generations",
+           "meta_generations", "eval_every", "checkpoint_every", "workers")
+
 
 @dataclass
 class MetaConfig:
@@ -84,6 +89,7 @@ class MetaConfig:
 
     def __post_init__(self):
         check_settings(self._es_settings(), names=_ES_FIELDS)
+        check_integers(**{name: getattr(self, name) for name in _COUNTS})
         for name in ("meta_generations", "eval_every", "checkpoint_every"):
             if getattr(self, name) < 0:     # 0 runs none / turns it off
                 raise ValueError(f"{name} must be non-negative")

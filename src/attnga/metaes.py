@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .checks import is_integer
 from .features import centered_ranks
 
 __all__ = ["OpenAiEs", "SETTING_RULES", "check_settings"]
@@ -24,7 +25,8 @@ _DECAY = (lambda v: 0 < v <= 1, "in (0, 1]")
 # checked by OpenAiEs and by every config that builds one. A decay above 1
 # grows its step size each step; one of 0 or below floors it at once.
 SETTING_RULES = {
-    "popsize": (lambda v: v >= 2 and v % 2 == 0, "even and at least 2"),
+    "popsize": (lambda v: is_integer(v) and v >= 2 and v % 2 == 0,
+                "an even integer, at least 2"),
     "lr": _STEP, "lr_final": _STEP, "sigma": _STEP, "sigma_final": _STEP,
     "lr_decay": _DECAY, "sigma_decay": _DECAY,
     "mean_decay": (lambda v: 0 <= v < 1, "in [0, 1)"),
@@ -47,12 +49,13 @@ def check_settings(settings, names=None):
 class OpenAiEs:
     """Antithetic, rank-shaped ES with an Adam step on its search mean.
 
-    ``popsize`` is even and at least 2. ``lr``, ``lr_final``, ``sigma`` and
-    ``sigma_final`` are positive and finite. After each step the learning
-    rate and sigma are multiplied by ``lr_decay`` and ``sigma_decay``, each
-    in (0, 1], and floored at ``lr_final`` and ``sigma_final``. The mean
-    is shrunk by the factor ``1 - mean_decay``, with ``mean_decay`` in
-    [0, 1). ``mean0`` (default zeros) is the initial search mean.
+    ``popsize`` is an even integer, at least 2. ``lr``, ``lr_final``,
+    ``sigma`` and ``sigma_final`` are positive and finite. After each step
+    the learning rate and sigma are multiplied by ``lr_decay`` and
+    ``sigma_decay``, each in (0, 1], and floored at ``lr_final`` and
+    ``sigma_final``. The mean is shrunk by the factor ``1 - mean_decay``,
+    with ``mean_decay`` in [0, 1). ``mean0`` (default zeros) is the initial
+    search mean.
     """
 
     def __init__(self, n_dim, popsize, lr=0.01, lr_decay=0.999,

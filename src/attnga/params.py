@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from .checks import check_integers
 from .features import CROSSOVER_DIM, FITNESS_DIM, SIGMA_DIM
 
 __all__ = ["FeatureConfig", "LgaParams", "unflatten", "weight_shapes"]
@@ -33,6 +34,7 @@ class FeatureConfig:
     with_crossover: bool = False
 
     def __post_init__(self):
+        check_integers(d_k=self.d_k, heads=self.heads)
         if self.heads < 1:
             raise ValueError("need at least one attention head")
         if self.d_k < 1:

@@ -11,13 +11,14 @@ from functools import cached_property
 import numpy as np
 
 from . import bbob
+from .checks import check_integers
 
 __all__ = ["MlpTask", "make_task", "task_names"]
 
 
-# Rows per block of MlpTask.core_values: bounds its work buffers (256 KiB
-# per (points, rows x hidden) array at the default sizes) for any batch
-# size.
+# Rows per block of MlpTask.core_values: bounds its work buffers (the
+# 256 KiB (points, rows x hidden) hidden layer at the default sizes) for
+# any batch size.
 _BLOCK_ROWS = 64
 
 
@@ -26,23 +27,23 @@ class MlpTask:
     """Fit a tiny tanh MLP to a fixed sample of sin(pi*x1) + x2^2.
 
     ``layers`` is (inputs, hidden units, outputs): at least the two inputs
-    the target reads, at least one hidden unit and one output, the
-    prediction. ``n_points`` is the size of the fixed dataset.
+    the target reads, at least two hidden units and one output, the
+    prediction. ``n_points``, at least 2, is the size of the fixed dataset.
 
-    :meth:`core_values` runs blocks of up to ``_BLOCK_ROWS`` networks. The
-    first layer of a block is laid out (points, rows x hidden), so each
-    numpy call in it is one contiguous pass over that block: every input
-    column is tiled once to that width, and a block's first-layer weights
-    and biases are copied into one (inputs + 1, rows x hidden) matrix. The
-    sums are those of ``einsum("pi,nih->nph")`` plus the bias, in the same
-    order (input 0's product, then input 1's and so on, then the bias), and
-    the second layer is the same einsum over a transposed view, so every
-    value is bit for bit that of the two-einsum forward pass.
+    :meth:`core_values` runs blocks of up to ``_BLOCK_ROWS`` networks as
+    two matmuls: the (points, inputs) dataset times the block's first-layer
+    weights, copied into one (inputs + 1, rows x hidden) matrix with the
+    biases as its last row, then one batched (points, hidden) times
+    (hidden, 1) product per network. Each value is bit for bit that of the
+    single-network forward pass ``tanh(inputs @ w1 + b1) @ w2 + b2`` on the
+    same BLAS, so outputs do not depend on the batch size, the block a row
+    falls in or the worker count. Across BLAS builds they may differ by
+    rounding, as BLAS kernels may or may not fuse multiply-adds.
 
-    The tiles and the other work buffers (about 1 MiB at the default
-    sizes) are built on the first evaluation, not with the task: a process
-    that only builds a task or pickles it to workers never holds them, and
-    a pickle carries only the fields.
+    The work buffers (about 0.3 MiB at the default sizes) are built on the
+    first evaluation, not with the task: a process that only builds a task
+    or pickles it to workers never holds them, and a pickle carries only
+    the fields.
     """
 
     layers: tuple = (2, 8, 1)
@@ -52,18 +53,21 @@ class MlpTask:
     def __post_init__(self):
         if len(self.layers) != 3:
             raise ValueError("expected (input, hidden, output) layer sizes")
+        check_integers(**{f"layers[{i}]": size
+                          for i, size in enumerate(self.layers)},
+                       n_points=self.n_points)
         d_in, d_h, d_out = self.layers
         if d_in < 2:
             raise ValueError(f"layers[0] must be at least 2 (the target "
                              f"reads two inputs), got {d_in}")
-        if d_h < 1:
-            raise ValueError(f"layers[1] must be at least 1, got {d_h}")
+        # One hidden unit or one point makes numpy run a block's first layer
+        # as a matrix-vector product, whose sums vary with the block width.
+        for name, size in (("layers[1]", d_h), ("n_points", self.n_points)):
+            if size < 2:
+                raise ValueError(f"{name} must be at least 2, got {size}")
         if d_out != 1:
             raise ValueError(f"layers[2] must be 1 (one prediction per "
                              f"point), got {d_out}")
-        if self.n_points < 1:
-            raise ValueError(f"n_points must be at least 1, "
-                             f"got {self.n_points}")
         rng = np.random.default_rng(self.seed)
         inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, d_in))
         targets = np.sin(np.pi * inputs[:, 0]) + inputs[:, 1] ** 2
@@ -77,17 +81,17 @@ class MlpTask:
 
     @cached_property
     def _buffers(self):
-        """(tiles, w1, hidden, term, pred): the work buffers of one block.
+        """(w1, hidden, pred): the work buffers of one block.
 
         Every call reuses them: freeing fresh 256 KiB temporaries each call
         makes glibc return them to the system and fault them back in on
         the next call.
         """
         d_in, d_h, _ = self.layers
-        p, width = self.n_points, _BLOCK_ROWS * d_h
-        return (np.repeat(self._inputs.T[:, :, None], width, axis=2),
-                np.empty((d_in + 1, width)), np.empty((p, width)),
-                np.empty((p, width)), np.empty((_BLOCK_ROWS, p, 1)))
+        width = _BLOCK_ROWS * d_h
+        return (np.empty((d_in + 1, width)),
+                np.empty((self.n_points, width)),
+                np.empty((_BLOCK_ROWS, self.n_points, 1)))
 
     @property
     def dim(self):
@@ -120,28 +124,20 @@ class MlpTask:
         """:meth:`core_values` of at most ``_BLOCK_ROWS`` rows into ``out``."""
         d_in, d_h, _ = self.layers
         n, p = x.shape[0], self.n_points
-        tiles, w1, hidden, term, pred = self._buffers
+        w1, hidden, pred = self._buffers
         width, split = n * d_h, (d_in + 1) * d_h
         w2 = x[:, split:split + d_h, None]
         b2 = x[:, split + d_h:]
 
         # First layer, (p, n*h): w1[k] holds row r's weights of input k at
-        # r*h..r*h+h-1, and w1[d_in] the biases. (einsum starts its sums
-        # from +0.0, so an all -0.0 sum may differ in sign; the squared
-        # error below cannot.)
+        # r*h..r*h+h-1, and w1[d_in] the biases.
         w1 = w1[:, :width]
         np.copyto(w1.reshape(d_in + 1, n, d_h),
                   x[:, :split].reshape(n, d_in + 1, d_h).swapaxes(0, 1))
-        hidden = hidden[:, :width]
-        term = term[:, :width]
-        np.multiply(tiles[0, :, :width], w1[0], out=hidden)
-        for k in range(1, d_in):
-            np.multiply(tiles[k, :, :width], w1[k], out=term)
-            hidden += term
+        hidden = np.matmul(self._inputs, w1[:d_in], out=hidden[:, :width])
         hidden += w1[d_in]
         np.tanh(hidden, out=hidden)
-        pred = np.einsum("nph,nho->npo",
-                         hidden.reshape(p, n, d_h).swapaxes(0, 1), w2,
+        pred = np.matmul(hidden.reshape(p, n, d_h).swapaxes(0, 1), w2,
                          out=pred[:n])[:, :, 0]
         pred += b2
         pred -= self._targets

@@ -19,7 +19,8 @@ _DECAY = ((np.nan, -1.0, 0.0, 2.0, np.inf), r"in \(0, 1\]", 1.0)
 _SETTINGS = {"lr": _STEP, "lr_final": _STEP, "sigma": _STEP,
              "sigma_final": _STEP, "lr_decay": _DECAY, "sigma_decay": _DECAY,
              "mean_decay": ((-0.1, 1.0, np.nan), r"in \[0, 1\)", 0.0),
-             "popsize": ((0, -2, 3), "even and at least 2", 2)}
+             "popsize": ((0, -2, 3, 4.0, True), "an even integer, at least 2",
+                         2)}
 
 
 @pytest.mark.parametrize("name", list(_SETTINGS))

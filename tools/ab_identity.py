@@ -12,10 +12,17 @@ Each output is labelled "sampling+cross-over" if it runs learned sampling
 and cross-over, "learned" if it runs a learned selection or MRA step, and
 "baseline" otherwise, and the report counts the differing outputs per
 label: a change to one learned step alone must leave every output of the
-other labels byte-identical. An output that only one checkout records (a
-checkout that cannot run it) counts as differing. The CSVs of
+other labels byte-identical. A second label, "mlp-sine", marks the outputs
+whose values pass through ``MlpTask.core_values``: the mlp-sine sweeps,
+CSV rows and trajectories, the kernel's own bytes and every
+``meta_log.csv`` (its ``eval_mlp`` column). The report counts the
+differing outputs outside that label on their own and lists each one
+inside it, so a change to the MLP fitness's rounding alone must leave
+every other output byte-identical. An output that only one checkout
+records (a checkout that cannot run it) counts as differing. The CSVs of
 ``evaluate``, ``sweep`` and ``transfer`` are split into one output per
-algorithm (or slot pair), so their baseline rows are compared on their own.
+task and algorithm (or slot pair), so their baseline rows, and the rows
+of their tasks other than mlp-sine, are compared on their own.
 
 - Sweep scores (``metabbo.evaluate_candidates_on_task``) of the first 64,
   3 and 1 candidates on the 32 desk tasks of meta-generations 0 and 1
@@ -123,7 +130,8 @@ def record(checkout, tmp):
             out[f"sweep {key} M={m}"] = scores.tobytes()
 
     def cli_csv(key, argv, by=()):
-        """The CSV's bytes, one output per value of the ``by`` columns.
+        """The CSV's bytes, one output per value of the ``by`` columns
+        (named after a colon: see :func:`evaluates_mlp`).
 
         What the run prints to stdout, if anything, is one output more.
         """
@@ -143,40 +151,40 @@ def record(checkout, tmp):
             name = "/".join(fields[i].decode() for i in by)
             parts[name] = parts.get(name, header) + row
         for name, data in parts.items():
-            out[f"attnga {key} {name}".rstrip()] = data
+            out[f"attnga {key}: {name}" if name else f"attnga {key}"] = data
 
     checkpoint = os.path.join(checkout, "bench", "lga_desk.txt")
     for tasks in ("mlp-sine", "sphere:10,rastrigin:10"):
         argv = evaluate_argv(0, 2, "unused")[:-2]     # drop its --out
         argv[argv.index("--tasks") + 1] = tasks
         argv[argv.index("--checkpoint") + 1] = checkpoint
-        cli_csv(f"evaluate {tasks}", argv, by=(1,))
+        cli_csv(f"evaluate {tasks}", argv, by=(0, 1))
     argv[argv.index("--tasks") + 1] = "sphere:10,mlp-sine"
     argv[argv.index("--n-pop") + 1] = "48"
     argv[argv.index("--repetitions") + 1] = "3"
-    cli_csv("evaluate N=48 sphere:10,mlp-sine", argv, by=(1,))
+    cli_csv("evaluate N=48 sphere:10,mlp-sine", argv, by=(0, 1))
     small = ["--n-pop", "12", "--generations", "20", "--seed", "3",
              "--checkpoint", checkpoint]
     rates = ["--rho", "0.5", "--sigma0", "0.25"]
     reps = ["--repetitions", "2"]
     cli_csv("analyze", ["analyze", "--tasks", "rastrigin:5"] + small + rates)
     cli_csv("transfer", ["transfer", "--tasks", "sphere:5,mlp-sine"] + small
-            + rates + reps, by=(1, 2))
+            + rates + reps, by=(0, 1, 2))
     cli_csv("transfer N=48", ["transfer", "--tasks", "sphere:10,mlp-sine",
                               "--n-pop", "48", "--generations", "40",
                               "--repetitions", "2", "--seed", "9",
-                              "--checkpoint", checkpoint], by=(1, 2))
+                              "--checkpoint", checkpoint], by=(0, 1, 2))
     cli_csv("sweep", ["sweep", "--tasks", "rosenbrock:4",
                       "--algorithms", "lga,gaussian",
                       "--rho-grid", "0.25,1.0", "--sigma0-grid", "0.1,0.5"]
-            + small + reps, by=(1,))
+            + small + reps, by=(0, 1))
     cli_csv("evaluate hidden gaussian", [
         "evaluate", "--tasks", "sphere:4,mlp-sine", "--algorithms",
-        "lga,samr"] + small + rates + reps, by=(1,))
+        "lga,samr"] + small + rates + reps, by=(0, 1))
     cli_csv("sweep sphere:3,mlp-sine", [
         "sweep", "--tasks", "sphere:3,mlp-sine", "--algorithms",
         "gaussian,lga", "--rho-grid", "0.5,0.25", "--sigma0-grid",
-        "0.25,0.1", "--workers", "2"] + small + reps, by=(1,))
+        "0.25,0.1", "--workers", "2"] + small + reps, by=(0, 1))
 
     wide = LgaParams.random(
         FeatureConfig(heads=2, with_sampling=True, with_crossover=True),
@@ -191,7 +199,7 @@ def record(checkout, tmp):
             out[f"checkpoint save {key}"] = fh.read()
     cli_csv("evaluate 2-head", ["evaluate", "--tasks", "sphere:6,mlp-sine",
                                 "--algorithms", "lga,gaussian"]
-            + small[:-1] + [wide_path] + rates + reps, by=(1,))
+            + small[:-1] + [wide_path] + rates + reps, by=(0, 1))
     config = engine.GaConfig(
         n_pop=16, elite_ratio=0.5, sigma0=0.2, selection="learned",
         mra="learned", sampling="learned", crossover="learned",
@@ -290,6 +298,17 @@ def label(key):
     return "learned" if learned else "baseline"
 
 
+def evaluates_mlp(key):
+    """Whether the output's values pass through ``MlpTask.core_values``.
+
+    A CSV part is judged by its own task column, after the colon, not by
+    the tasks its command ran.
+    """
+    if key.startswith("attnga ") and ": " in key:
+        key = key.rpartition(": ")[2]
+    return any(word in key for word in ("mlp-sine", "MlpTask", "meta_log"))
+
+
 def trajectory_bytes(trajectory):
     return b"".join(a.tobytes() for a in (trajectory.fitness,
                                           trajectory.best_so_far,
@@ -333,8 +352,14 @@ def main(argv):
         in_group = [key for key in keys if label(key) == group]
         changed = [key for key in differ if label(key) == group]
         print(f"{group}: {len(changed)} of {len(in_group)} differ")
+    mlp = [key for key in keys if evaluates_mlp(key)]
+    mlp_changed = [key for key in differ if evaluates_mlp(key)]
+    print(f"outside mlp-sine: {len(differ) - len(mlp_changed)} of "
+          f"{len(keys) - len(mlp)} differ; mlp-sine: {len(mlp_changed)} "
+          f"of {len(mlp)} differ")
     for key in differ:
-        print(f"DIFFERS ({label(key)}): {key}")
+        mlp_label = ", mlp-sine" if evaluates_mlp(key) else ""
+        print(f"DIFFERS ({label(key)}{mlp_label}): {key}")
     return 1 if differ else 0
 
 
