@@ -9,11 +9,14 @@ import math
 import numpy as np
 
 __all__ = ["row_softmax", "softmax_last", "last_axis_first", "many_short_rows",
-           "reduce_rows", "pairwise_sum_first", "PAIRWISE_BLOCK", "attend",
-           "sdpa", "multi_head_sdpa"]
+           "reduce_rows", "pairwise_sum_first", "PAIRWISE_BLOCK",
+           "REDUCE_COPY_CAP", "attend", "sdpa", "multi_head_sdpa"]
 
 # numpy sums a contiguous row pairwise, in blocks of at most this many values.
 PAIRWISE_BLOCK = 128
+# reduce_rows takes a transposed copy only while the array's size times its
+# row length is below this; from it on the copy costs more than the rows.
+REDUCE_COPY_CAP = 2 ** 23
 
 
 def last_axis_first(a):
@@ -34,9 +37,13 @@ def many_short_rows(a):
 def reduce_rows(ufunc, a):
     """Order-free reduction (max or min) along the rows.
 
-    Over many short rows it runs over the leading axis of a transposed copy.
+    Over many short rows it runs over the leading axis of a transposed copy,
+    below ``REDUCE_COPY_CAP``: the copy slows down as the array outgrows
+    the cache, the row loop speeds up as the rows grow, so a large array of
+    long rows, such as (64, 64, 64) logits, stays along its rows. Either
+    way the result is the same, as max and min do not depend on the order.
     """
-    if many_short_rows(a):
+    if many_short_rows(a) and a.size * a.shape[-1] < REDUCE_COPY_CAP:
         return ufunc.reduce(last_axis_first(a), axis=0)
     return ufunc.reduce(a, axis=-1)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check_integers
+from .draws import per_run
 
 __all__ = [
     "TaskSpec",
@@ -244,13 +245,17 @@ class TaskSpec:
     def evaluate(self, x, rng=None):
         """Fitness of (..., N, D) rows, with log-normal noise if enabled.
 
-        The noise is one (N,) draw, shared by any leading axes.
+        The noise follows ``draws.per_run``: one generator draws one (N,)
+        noise vector, shared by any leading axes, and a sequence of R
+        generators, one per run of an (R, N, D) batch, draws each run's
+        (N,) from that run's own generator, as the run draws it alone.
         """
         values = rows_values(self.core_values, x)
         if self.noise:
             if rng is None:
                 raise ValueError("noisy task needs an rng")
-            noise = rng.standard_normal(values.shape[-1])
+            noise = per_run(rng, lambda g, size: g.standard_normal(size),
+                            values.shape[-1:], values.shape[:-1])
             values = np.maximum(values, _NOISE_FLOOR) * np.exp(
                 NOISE_BETA * noise)
         return values

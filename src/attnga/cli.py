@@ -104,8 +104,8 @@ def _mlp_sine(dim):
 
 
 # One cell of an evaluate, sweep or transfer grid, its repetitions run as
-# one batched GA run: the runs' engine.GaConfig, seeds and built tasks and
-# the learned weights, if any.
+# one batched GA run: the runs' engine.GaConfig, seeds and built tasks (one
+# per run, or the one task they share) and the learned weights, if any.
 Job = namedtuple("Job", "config seeds tasks params")
 
 
@@ -130,9 +130,11 @@ def _run_grid(opts, params, cells):
     A cell is (CSV columns, slots, rho, sigma0, seed key). Each task's R
     run instances and each cell's config are built before any job runs,
     so a bad spec fails at once. A task's cells run as one job each, in
-    task-major order, and share the task's instances; repetition ``rep``
-    is seeded with ``[seed, task_idx, *key, rep]``. A row is [task,
-    *columns, rep, final best].
+    task-major order, and share the task's instances. R runs of one
+    instance (mlp-sine's) get it once, so ``engine.run`` evaluates their
+    children in one call per generation. Repetition ``rep`` is seeded
+    with ``[seed, task_idx, *key, rep]``. A row is [task, *columns, rep,
+    final best].
     """
     reps = range(opts["repetitions"])
     if not reps:
@@ -144,6 +146,8 @@ def _run_grid(opts, params, cells):
     for task_idx, (name, dim) in enumerate(parse_task_list(opts["tasks"])):
         tasks = [build_task(name, dim, _offset_seed(seed, task_idx, rep))
                  for rep in reps]
+        if all(each is tasks[0] for each in tasks):
+            tasks = tasks[0]  # mlp-sine's one instance: one call per gen
         for columns, slots, rho, sigma0, key in cells:
             config = engine.GaConfig(
                 n_pop=opts["n_pop"], generations=opts["generations"],

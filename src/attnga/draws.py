@@ -26,4 +26,4 @@ def per_run(rng, draw, shape, lead):
         raise ValueError(f"{len(rng)} generators for leading axes "
                          f"{tuple(lead)}; need one per run on the leading "
                          "axis")
-    return np.stack([draw(g, shape) for g in rng])
+    return np.array([draw(g, shape) for g in rng])

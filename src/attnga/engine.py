@@ -29,6 +29,12 @@ their bilinear forms (``operators.fold``) and on buffers built once per
 run or batch, over the leading axes. Debug records carry the leading
 axes too.
 
+``run`` calls the task once per generation with every child of the batch:
+R runs that share one task pass it their (R, N, D) children and their R
+generators, and M candidates their (M, N, D) children and the one shared
+generator. Only runs given one task each evaluate their children one run
+at a time.
+
 Validation follows the input. A run, or a batch of runs, is validated
 once, at the engine's boundary, and raises ``ValueError`` in the call
 that meets the fault: ``tell`` checks the child fitness; with learned MRA,
@@ -352,30 +358,31 @@ def run(config, task, params=None, debug=False, seeds=None):
     With ``seeds``, one run per seed advances at once (see
     :class:`GeneticAlgorithm`) and the trajectory's arrays lead with the
     run axis. ``task`` is then one task shared by every run, or a sequence
-    of one task per run; each run evaluates its own children on its task
-    with its own generator, as it does alone. With ``params`` of shape (M,)
-    the M candidates advance at once, their children evaluated in one call
-    with the shared generator, and the arrays lead with the candidate axis.
+    of one task per run. A shared task evaluates the R runs' (R, N, D)
+    children in one ``task.evaluate(x, rng)`` call per generation, ``rng``
+    the runs' R generators, and draws any noise of a run from that run's
+    generator (:meth:`bbob.TaskSpec.evaluate`); a sequence evaluates each
+    run's children on its own task with its own generator. Either way each
+    run sees what it sees alone. With ``params`` of shape (M,) the M
+    candidates advance at once, their children evaluated in one call with
+    the shared generator, and the arrays lead with the candidate axis.
     """
-    if isinstance(task, (list, tuple)):
-        if seeds is None or len(task) != len(seeds):
-            raise ValueError("a task sequence needs one seed per task")
-        tasks = task
-    else:
-        tasks = [task] * (1 if seeds is None else len(seeds))
-    ga = GeneticAlgorithm(config, tasks[0].dim, params=params, debug=debug,
-                          seeds=seeds)
+    per_task = isinstance(task, (list, tuple))
+    if per_task and (seeds is None or len(task) != len(seeds)):
+        raise ValueError("a task sequence needs one seed per task")
+    ga = GeneticAlgorithm(config, (task[0] if per_task else task).dim,
+                          params=params, debug=debug, seeds=seeds)
     t = config.generations
     fitness = np.empty(ga.shape + (t, config.n_pop))
     sigma_sum = np.empty(ga.shape + (t,))
     debug_records = []
     for gen in range(t):
         x_c, sigma_c = ga.ask()
-        if seeds is None:
-            f_c = task.evaluate(x_c, ga.rng)
-        else:
+        if per_task:
             f_c = np.stack([each.evaluate(x, g)
-                            for each, x, g in zip(tasks, x_c, ga.rng)])
+                            for each, x, g in zip(task, x_c, ga.rng)])
+        else:
+            f_c = task.evaluate(x_c, ga.rng)
         record = ga.tell(x_c, f_c, sigma_c)
         fitness[..., gen, :] = f_c
         sigma_sum[..., gen] = np.add.reduce(sigma_c, axis=-1)

@@ -385,11 +385,11 @@ def truncation_selection(child_x, child_f, child_sigma, archive):
     child_sigma = np.asarray(child_sigma, dtype=np.float64)
     pool_f = np.concatenate([child_f, archive.f], axis=-1)
     order = np.argsort(pool_f, axis=-1, kind="stable")[..., :archive.size]
+    pool_age = np.zeros(pool_f.shape, dtype=np.int64)
+    np.add(archive.age, 1, out=pool_age[..., child_f.shape[-1]:])
     return _archive(*take_rows(
         order, np.concatenate([child_x, archive.x], axis=-2), pool_f,
-        np.concatenate([child_sigma, archive.sigma], axis=-1),
-        np.concatenate([np.zeros(child_f.shape, dtype=np.int64),
-                        archive.age + 1], axis=-1)))
+        np.concatenate([child_sigma, archive.sigma], axis=-1), pool_age))
 
 
 def mr_one_fifth(sigma, successes, trials):

@@ -31,14 +31,19 @@ class MlpTask:
     prediction. ``n_points``, at least 2, is the size of the fixed dataset.
 
     :meth:`core_values` runs blocks of up to ``_BLOCK_ROWS`` networks as
-    two matmuls: the (points, inputs) dataset times the block's first-layer
-    weights, copied into one (inputs + 1, rows x hidden) matrix with the
-    biases as its last row, then one batched (points, hidden) times
-    (hidden, 1) product per network. Each value is bit for bit that of the
-    single-network forward pass ``tanh(inputs @ w1 + b1) @ w2 + b2`` on the
-    same BLAS, so outputs do not depend on the batch size, the block a row
-    falls in or the worker count. Across BLAS builds they may differ by
-    rounding, as BLAS kernels may or may not fuse multiply-adds.
+    two matmuls: the (points, inputs + 1) design matrix, the dataset with a
+    last column of ones, times the block's first-layer weights, copied into
+    one (inputs + 1, rows x hidden) matrix with the biases as its last row,
+    so the biases are the ones column's weights; then one batched (points,
+    hidden) times (hidden, 1) product per network. Each value is bit for
+    bit that of the single-network forward pass ``tanh(inputs @ w1 + b1)
+    @ w2 + b2`` on the same BLAS: a kernel that accumulates each dot
+    product in input order (OpenBLAS's SkylakeX, Haswell and Prescott
+    kernels were checked) adds the exact bias term 1 * b1 last, which
+    rounds as adding b1 after the matmul does. Outputs thus do not depend
+    on the batch size, the block a row falls in or the worker count. Across
+    BLAS builds they may differ by rounding, as BLAS kernels may or may not
+    fuse multiply-adds.
 
     The work buffers (about 0.3 MiB at the default sizes) are built on the
     first evaluation, not with the task: a process that only builds a task
@@ -72,6 +77,8 @@ class MlpTask:
         inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, d_in))
         targets = np.sin(np.pi * inputs[:, 0]) + inputs[:, 1] ** 2
         object.__setattr__(self, "_inputs", inputs)
+        object.__setattr__(self, "_design", np.hstack(
+            [inputs, np.ones((self.n_points, 1))]))
         object.__setattr__(self, "_targets", targets)
 
     def __reduce__(self):
@@ -118,10 +125,12 @@ class MlpTask:
         for start in range(0, x.shape[0], _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
             self._block_values(x[start:stop], mse[start:stop])
+        # np.mean's own steps: each block's sums, then one true division.
+        mse /= self.n_points
         return mse[0] if squeeze else mse
 
     def _block_values(self, x, out):
-        """:meth:`core_values` of at most ``_BLOCK_ROWS`` rows into ``out``."""
+        """Squared-error sums of at most ``_BLOCK_ROWS`` rows into ``out``."""
         d_in, d_h, _ = self.layers
         n, p = x.shape[0], self.n_points
         w1, hidden, pred = self._buffers
@@ -130,21 +139,18 @@ class MlpTask:
         b2 = x[:, split + d_h:]
 
         # First layer, (p, n*h): w1[k] holds row r's weights of input k at
-        # r*h..r*h+h-1, and w1[d_in] the biases.
+        # r*h..r*h+h-1, and w1[d_in] the biases, the ones column's weights.
         w1 = w1[:, :width]
         np.copyto(w1.reshape(d_in + 1, n, d_h),
                   x[:, :split].reshape(n, d_in + 1, d_h).swapaxes(0, 1))
-        hidden = np.matmul(self._inputs, w1[:d_in], out=hidden[:, :width])
-        hidden += w1[d_in]
+        hidden = np.matmul(self._design, w1, out=hidden[:, :width])
         np.tanh(hidden, out=hidden)
         pred = np.matmul(hidden.reshape(p, n, d_h).swapaxes(0, 1), w2,
                          out=pred[:n])[:, :, 0]
         pred += b2
         pred -= self._targets
         np.square(pred, out=pred)
-        # np.mean's own steps: the sum, then one true division.
         np.add.reduce(pred, axis=1, out=out)
-        out /= p
 
     def evaluate(self, x, rng=None):
         """Noiseless fitness of each row of an (..., N, D) batch."""

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attnga import attention
 from attnga.attention import (last_axis_first, multi_head_sdpa,
-                              pairwise_sum_first, row_softmax, sdpa,
-                              softmax_last)
+                              pairwise_sum_first, reduce_rows, row_softmax,
+                              sdpa, softmax_last)
 
 
 def _softmax_oracle(row):
@@ -128,6 +129,28 @@ def test_softmax_fast_path_equals_textbook_bit_for_bit(shape):
     logits[..., 0] = np.nan
     with np.errstate(invalid="ignore"):
         assert np.isnan(softmax_last(logits)).all()
+
+
+@pytest.mark.parametrize("shape, transposed", [
+    # The sweep's, the CLI's MRA and the paper's shapes, and two just below
+    # the cap: a transposed copy.
+    ((64, 16, 16), True), ((5, 64, 64), True), ((512, 16, 16), True),
+    ((24, 64, 64), True), ((1536, 16, 16), True),
+    # At and past the cap, and too few rows (the CLI's selection): along
+    # the rows.
+    ((32, 64, 64), False), ((64, 64, 64), False), ((2048, 16, 16), False),
+    ((5, 32, 65), False), ((5, 64), False)])
+def test_reduce_rows_is_the_row_reduction_on_both_sides_of_the_cap(
+        shape, transposed, monkeypatch):
+    copies = []
+    monkeypatch.setattr(attention, "last_axis_first",
+                        lambda a: copies.append(a.shape) or last_axis_first(a))
+    a = np.random.default_rng(len(shape)).standard_normal(shape)
+    for ufunc in (np.maximum, np.minimum):
+        assert reduce_rows(ufunc, a).tobytes() == ufunc.reduce(
+            a, axis=-1).tobytes()
+    assert softmax_last(a).tobytes() == _softmax_textbook(a).tobytes()
+    assert copies == ([shape] * 3 if transposed else [])
 
 
 def test_last_axis_first_is_a_contiguous_transpose():

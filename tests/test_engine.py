@@ -405,6 +405,29 @@ def test_batched_bbob_runs_match_single_runs(selection, mra, kind):
     _assert_runs_match(config, task, [[4, r] for r in range(3)], _params())
 
 
+class _CountingSphere:
+    """A sphere task that records the shape of each evaluation's input."""
+
+    def __init__(self):
+        self.dim, self.shapes = 3, []
+
+    def evaluate(self, x, rng=None):
+        self.shapes.append(np.shape(x))
+        return np.sum(np.square(x), axis=-1)
+
+
+def test_shared_task_is_evaluated_once_per_generation():
+    config = engine.GaConfig(n_pop=8, elite_ratio=0.5, generations=4)
+    seeds = [[6, r] for r in range(3)]
+    shared = _CountingSphere()
+    engine.run(config, shared, seeds=seeds)
+    assert shared.shapes == [(3, 8, 3)] * 4
+    distinct = [_CountingSphere() for _ in seeds]
+    engine.run(config, distinct, seeds=seeds)
+    for each in distinct:
+        assert each.shapes == [(8, 3)] * 4
+
+
 class _PoisonedSphere:
     """A sphere task whose ``at``-th evaluation scores one child NaN."""
 

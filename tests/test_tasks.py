@@ -13,8 +13,9 @@ from attnga.tasks import MlpTask, make_task, task_names
 def _mlp_oracle(task, w):
     """Single-network forward pass with explicit slicing.
 
-    The batched kernel makes the same BLAS calls per network, so it must
-    equal this bit for bit.
+    The biases are added after the first matmul, not folded into it as a
+    ones column the way the batched kernel folds them; the two must still
+    agree bit for bit.
     """
     d_in, d_h, d_out = task.layers
     i = 0
@@ -91,14 +92,16 @@ def test_make_task_registry():
             make_task("sphere", dim=dim)
 
 
-@pytest.mark.parametrize("layers", [(2, 8, 1), (3, 5, 1), (2, 3, 1)])
+@pytest.mark.parametrize("layers", [(2, 8, 1), (3, 5, 1), (2, 3, 1),
+                                    (5, 16, 1), (2, 2, 1)])
 def test_mlp_fast_path_equals_oracle_bit_for_bit(layers):
     # Row counts below, at and across the 64-row block, and many blocks;
-    # scale 1e3 saturates tanh, and 17 points leave a tail past a multiple
-    # of 8 in the pairwise mean.
+    # scale 1e3 saturates tanh. 17 and 200 points leave a tail past a
+    # multiple of 8 in the pairwise mean, and 200 sums past one 128-value
+    # block; 2 is the fewest points the task takes.
     cases = ((1, 1.0), (3, 1.0), (7, 0.1), (63, 1.0), (64, 1.0), (65, 1e3),
              (129, 1.0), (256, 5.0), (1000, 1.0))
-    for n_points in (64, 17):
+    for n_points in (64, 17, 2, 200):
         task = MlpTask(layers=layers, n_points=n_points, seed=4)
         rng = np.random.default_rng(51)
         for rows, scale in cases:
