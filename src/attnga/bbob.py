@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_integers
+from .checks import POSITIVE, at_least, check_fields, one_of
 from .draws import per_run
 
 __all__ = [
@@ -209,21 +209,21 @@ class TaskSpec:
     sigma0: float = 0.1         # suggested initial mutation rate
     noise: bool = False
 
+    RULES = {"function": one_of(FUNCTION_NAMES), "dim": at_least(1),
+             "sigma0": POSITIVE, "noise": one_of((False, True))}
+
     def __post_init__(self):
-        core_function(self.function)
-        if self.dim < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dim}")
+        check_fields(vars(self), self.RULES)
         if self.dim < 2 and self.function in _TWO_DIM_FUNCTIONS:
             raise ValueError(f"{self.function} needs at least two "
                              f"dimensions, got {self.dim}")
         offset = np.asarray(self.offset, dtype=np.float64)
         if offset.shape != (self.dim,):
-            raise ValueError("offset shape must match the dimension")
-        if np.any(np.abs(offset) > 5.0):
+            raise ValueError(f"offset must have shape ({self.dim},), got "
+                             f"{offset.shape}")
+        if not np.all(np.abs(offset) <= 5.0):   # NaN lies in no box
             raise ValueError("offset must lie within [-5, 5]^D")
         object.__setattr__(self, "offset", offset)
-        if self.sigma0 <= 0:
-            raise ValueError("invalid task spec")
 
     def core_values(self, x):
         """Noiseless fitness of each row of ``x``.
@@ -269,17 +269,19 @@ class TaskFamily:
     dim_range: tuple = (2, 10)
     noise: bool = False
 
+    # The range's entries are checked before the pair, so a bad entry is
+    # named by its index.
+    RULES = {"functions": (lambda f: f and set(f) <= set(FUNCTION_NAMES),
+                           f"one or more of {', '.join(FUNCTION_NAMES)}"),
+             "dim_range[0]": at_least(1), "dim_range[1]": at_least(1),
+             "dim_range": (lambda pair: pair[0] <= pair[1],
+                           "a (low, high) pair with low <= high"),
+             "noise": one_of((False, True))}
+
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(self.functions))
-        if len(self.functions) == 0:
-            raise ValueError("task family has no functions")
-        for name in self.functions:
-            core_function(name)
-        lo, hi = self.dim_range
-        check_integers(**{"dim_range[0]": lo, "dim_range[1]": hi})
-        if not 1 <= lo <= hi:
-            raise ValueError(f"dimension range ({lo}, {hi}) must satisfy "
-                             f"1 <= low <= high")
+        lo, _ = self.dim_range      # a pair, else a ValueError
+        check_fields(vars(self), self.RULES)
         for name in _TWO_DIM_FUNCTIONS:
             if lo < 2 and name in self.functions:
                 raise ValueError(f"{name} needs at least two dimensions, "

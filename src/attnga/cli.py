@@ -24,6 +24,7 @@ import numpy as np
 from . import engine
 from . import operators as ops
 from .bbob import TaskFamily, META_TRAIN_FUNCTIONS
+from .checks import at_least, check_fields
 from .engine import ALGORITHMS
 from .metabbo import MetaConfig, job_map, meta_train, write_csv
 from .params import FeatureConfig, LgaParams
@@ -136,11 +137,8 @@ def _run_grid(opts, params, cells):
     with ``[seed, task_idx, *key, rep]``. A row is [task, *columns, rep,
     final best].
     """
+    check_fields(opts, {"repetitions": at_least(1), "workers": at_least(1)})
     reps = range(opts["repetitions"])
-    if not reps:
-        raise ValueError("repetitions must be at least 1")
-    if opts["workers"] < 1:
-        raise ValueError("workers must be at least 1")
     seed = opts["seed"]
     heads, jobs = [], []
     for task_idx, (name, dim) in enumerate(parse_task_list(opts["tasks"])):
@@ -273,11 +271,12 @@ def cmd_analyze(opts):
 
 
 def cmd_meta_train(opts):
-    # TaskFamily rejects an unknown function by name.
+    # TaskFamily rejects an unknown function, naming the list, and a noise
+    # other than 0 and 1.
     functions = _comma_list(opts["functions"], "function", str)
     family = TaskFamily(functions=functions,
                         dim_range=(opts["dim_min"], opts["dim_max"]),
-                        noise=bool(opts["noise"]))
+                        noise=opts["noise"])
     cfg = MetaConfig(
         meta_popsize=opts["meta_popsize"], n_tasks=opts["n_tasks"],
         inner_popsize=opts["n_pop"], inner_generations=opts["generations"],

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import operators as ops
 from .attention import reduce_rows
-from .checks import check_integers
+from .checks import POSITIVE, at_least, check_fields, one_of
 from .draws import per_run
 from .features import (rows_crossover_features, rows_joint_features,
                        rows_parent_features, rows_sampling_features)
@@ -90,7 +90,11 @@ GESMR_GROUPS = 8
 
 @dataclass
 class GaConfig:
-    """Inner-loop settings; elite count is ceil(elite_ratio * n_pop)."""
+    """Inner-loop settings; elite count is ceil(elite_ratio * n_pop).
+
+    ``RULES`` states each field's range; with ``mra="gesmr"``, ``n_pop`` is
+    also a multiple of ``GESMR_GROUPS``.
+    """
 
     n_pop: int = 16
     elite_ratio: float = 1.0
@@ -102,27 +106,18 @@ class GaConfig:
     generations: int = 50
     seed: object = 0
 
+    RULES = {"n_pop": at_least(1),
+             "elite_ratio": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+             "sigma0": POSITIVE, "selection": one_of(SELECTION_SLOTS),
+             "mra": one_of(MRA_SLOTS), "sampling": one_of(SAMPLING_SLOTS),
+             "crossover": one_of(CROSSOVER_SLOTS),
+             "generations": at_least(1)}
+
     def __post_init__(self):
-        check_integers(n_pop=self.n_pop, generations=self.generations)
-        if self.n_pop < 1:
-            raise ValueError("population size must be positive")
-        if not 0.0 <= self.elite_ratio <= 1.0:
-            raise ValueError("elite ratio must lie in [0, 1]")
-        if not 0.0 < self.sigma0 < math.inf:
-            raise ValueError("initial mutation rate must be positive and "
-                             "finite")
-        if self.selection not in SELECTION_SLOTS:
-            raise ValueError(f"unknown selection slot {self.selection!r}")
-        if self.mra not in MRA_SLOTS:
-            raise ValueError(f"unknown MRA slot {self.mra!r}")
-        if self.sampling not in SAMPLING_SLOTS:
-            raise ValueError(f"unknown sampling slot {self.sampling!r}")
-        if self.crossover not in CROSSOVER_SLOTS:
-            raise ValueError(f"unknown cross-over slot {self.crossover!r}")
-        if self.generations < 1:
-            raise ValueError("generation count must be positive")
+        check_fields(vars(self), self.RULES)
         if self.mra == "gesmr" and self.n_pop % GESMR_GROUPS != 0:
-            raise ValueError("gesmr group count must divide the population")
+            raise ValueError(f"n_pop must be a multiple of {GESMR_GROUPS} "
+                             f"(the gesmr group count), got {self.n_pop}")
 
     @property
     def n_elite(self):

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import engine
 from .bbob import TaskFamily, sample_task
-from .checks import check_integers
+from .checks import at_least, check_fields, one_of
 from .features import rows_z_score
-from .metaes import OpenAiEs, check_settings
+from .metaes import OpenAiEs
 from .params import FeatureConfig, LgaParams
 from .tasks import make_task
 
@@ -54,15 +54,11 @@ HELD_OUT = (("eval_sphere", "sphere", 10, 11),
 META_LOG_COLUMNS = ("meta_gen", "mf_mean", "mf_median", "mf_best",
                     "sigma_meta", "lr", *(column for column, *_ in HELD_OUT))
 
-# OpenAiEs parameter -> the MetaConfig field that sets it, named in errors.
+# OpenAiEs parameter -> the MetaConfig field that sets it.
 _ES_FIELDS = {"popsize": "meta_popsize", "lr": "lr", "lr_decay": "lr_decay",
               "lr_final": "lr_final", "sigma": "sigma_meta",
               "sigma_decay": "sigma_decay", "sigma_final": "sigma_final",
               "mean_decay": "mean_decay"}
-
-# The MetaConfig sizes and counts outside the ES settings.
-_COUNTS = ("n_tasks", "inner_popsize", "inner_generations",
-           "meta_generations", "eval_every", "checkpoint_every", "workers")
 
 
 @dataclass
@@ -87,22 +83,18 @@ class MetaConfig:
     checkpoint_every: int = 50
     workers: int = 1
 
+    # The ES settings and the inner GA's sizes take the rules of OpenAiEs
+    # and GaConfig. A period of 0 turns it off; 0 meta-generations run none.
+    RULES = {
+        **{name: OpenAiEs.RULES[param] for param, name in _ES_FIELDS.items()},
+        "n_tasks": at_least(1), "inner_popsize": engine.GaConfig.RULES["n_pop"],
+        "inner_generations": engine.GaConfig.RULES["generations"],
+        "meta_generations": at_least(0), "eval_every": at_least(0),
+        "checkpoint_every": at_least(0), "objective": one_of(OBJECTIVES),
+        "workers": at_least(1)}
+
     def __post_init__(self):
-        check_settings(self._es_settings(), names=_ES_FIELDS)
-        check_integers(**{name: getattr(self, name) for name in _COUNTS})
-        for name in ("meta_generations", "eval_every", "checkpoint_every"):
-            if getattr(self, name) < 0:     # 0 runs none / turns it off
-                raise ValueError(f"{name} must be non-negative")
-        if self.n_tasks < 1:
-            raise ValueError("need at least one task per meta-generation")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}; one of "
-                             f"{OBJECTIVES}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        # Each task brings its own sigma0; any valid one checks the rest.
-        _inner_config(self.inner_popsize, self.inner_generations, 1.0,
-                      self.seed)
+        check_fields(vars(self), self.RULES)
 
     def _es_settings(self):
         return {p: getattr(self, name) for p, name in _ES_FIELDS.items()}

@@ -6,57 +6,39 @@ exponentially decayed-and-floored learning rate and perturbation scale.
 An optional mean decay shrinks the search mean toward zero each step.
 """
 
-import math
-
 import numpy as np
 
-from .checks import is_integer
+from .checks import POSITIVE, check_fields, is_integer
 from .features import centered_ranks
 
-__all__ = ["OpenAiEs", "SETTING_RULES", "check_settings"]
+__all__ = ["OpenAiEs"]
 
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-_STEP = (lambda v: math.isfinite(v) and v > 0, "positive and finite")
 _DECAY = (lambda v: 0 < v <= 1, "in (0, 1]")
-
-# OpenAiEs parameter -> (test, rule): each setting's range, stated once and
-# checked by OpenAiEs and by every config that builds one. A decay above 1
-# grows its step size each step; one of 0 or below floors it at once.
-SETTING_RULES = {
-    "popsize": (lambda v: is_integer(v) and v >= 2 and v % 2 == 0,
-                "an even integer, at least 2"),
-    "lr": _STEP, "lr_final": _STEP, "sigma": _STEP, "sigma_final": _STEP,
-    "lr_decay": _DECAY, "sigma_decay": _DECAY,
-    "mean_decay": (lambda v: 0 <= v < 1, "in [0, 1)"),
-}
-
-
-def check_settings(settings, names=None):
-    """Raise ``ValueError`` naming the first setting that breaks its rule.
-
-    ``settings`` maps ``OpenAiEs`` parameters to values; the error names a
-    parameter as ``names`` maps it (the caller's own field), else as is.
-    """
-    for param, value in settings.items():
-        holds, rule = SETTING_RULES[param]
-        if not holds(value):
-            name = names[param] if names else param
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class OpenAiEs:
     """Antithetic, rank-shaped ES with an Adam step on its search mean.
 
-    ``popsize`` is an even integer, at least 2. ``lr``, ``lr_final``,
-    ``sigma`` and ``sigma_final`` are positive and finite. After each step
-    the learning rate and sigma are multiplied by ``lr_decay`` and
-    ``sigma_decay``, each in (0, 1], and floored at ``lr_final`` and
-    ``sigma_final``. The mean is shrunk by the factor ``1 - mean_decay``,
-    with ``mean_decay`` in [0, 1). ``mean0`` (default zeros) is the initial
-    search mean.
+    After each step the learning rate and sigma are multiplied by
+    ``lr_decay`` and ``sigma_decay`` and floored at ``lr_final`` and
+    ``sigma_final``; the mean is shrunk by the factor ``1 - mean_decay``.
+    ``RULES`` states each setting's range. ``mean0`` (default zeros) is the
+    initial search mean.
     """
+
+    # Each setting's rule, checked here and by every config that builds
+    # one. A decay above 1 grows its step size each step; one of 0 or
+    # below floors it at once.
+    RULES = {
+        "popsize": (lambda v: is_integer(v) and v >= 2 and v % 2 == 0,
+                    "an even integer, at least 2"),
+        "lr": POSITIVE, "lr_final": POSITIVE, "sigma": POSITIVE,
+        "sigma_final": POSITIVE, "lr_decay": _DECAY, "sigma_decay": _DECAY,
+        "mean_decay": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    }
 
     def __init__(self, n_dim, popsize, lr=0.01, lr_decay=0.999,
                  lr_final=0.001, sigma=0.1, sigma_decay=0.999,
@@ -65,7 +47,7 @@ class OpenAiEs:
                         lr_final=lr_final, sigma=sigma,
                         sigma_decay=sigma_decay, sigma_final=sigma_final,
                         mean_decay=mean_decay)
-        check_settings(settings)
+        check_fields(settings, self.RULES)
         vars(self).update(settings)
         self.n_dim = n_dim
         self.mean = (np.zeros(n_dim) if mean0 is None

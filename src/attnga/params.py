@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .checks import check_integers
+from .checks import at_least, check_fields
 from .features import CROSSOVER_DIM, FITNESS_DIM, SIGMA_DIM
 
 __all__ = ["FeatureConfig", "LgaParams", "unflatten", "weight_shapes"]
@@ -33,12 +33,10 @@ class FeatureConfig:
     with_sampling: bool = False
     with_crossover: bool = False
 
+    RULES = {"d_k": at_least(1), "heads": at_least(1)}
+
     def __post_init__(self):
-        check_integers(d_k=self.d_k, heads=self.heads)
-        if self.heads < 1:
-            raise ValueError("need at least one attention head")
-        if self.d_k < 1:
-            raise ValueError("attention width must be positive")
+        check_fields(vars(self), self.RULES)
 
 
 def weight_shapes(cfg):

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bbob
-from .checks import check_integers
+from .checks import at_least, check_fields, is_integer
 
 __all__ = ["MlpTask", "make_task", "task_names"]
 
@@ -55,26 +55,20 @@ class MlpTask:
     n_points: int = 64
     seed: int = 0
 
+    # The target reads two inputs and the network makes one prediction per
+    # point. One hidden unit or one point makes numpy run a block's first
+    # layer as a matrix-vector product, whose sums vary with the block width.
+    RULES = {"layers[0]": at_least(2), "layers[1]": at_least(2),
+             "layers[2]": (lambda v: is_integer(v) and v == 1, "1"),
+             "n_points": at_least(2)}
+
     def __post_init__(self):
         if len(self.layers) != 3:
-            raise ValueError("expected (input, hidden, output) layer sizes")
-        check_integers(**{f"layers[{i}]": size
-                          for i, size in enumerate(self.layers)},
-                       n_points=self.n_points)
-        d_in, d_h, d_out = self.layers
-        if d_in < 2:
-            raise ValueError(f"layers[0] must be at least 2 (the target "
-                             f"reads two inputs), got {d_in}")
-        # One hidden unit or one point makes numpy run a block's first layer
-        # as a matrix-vector product, whose sums vary with the block width.
-        for name, size in (("layers[1]", d_h), ("n_points", self.n_points)):
-            if size < 2:
-                raise ValueError(f"{name} must be at least 2, got {size}")
-        if d_out != 1:
-            raise ValueError(f"layers[2] must be 1 (one prediction per "
-                             f"point), got {d_out}")
+            raise ValueError(f"layers must be (inputs, hidden units, "
+                             f"outputs), got {self.layers!r}")
+        check_fields(vars(self), self.RULES)
         rng = np.random.default_rng(self.seed)
-        inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, d_in))
+        inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, self.layers[0]))
         targets = np.sin(np.pi * inputs[:, 0]) + inputs[:, 1] ** 2
         object.__setattr__(self, "_inputs", inputs)
         object.__setattr__(self, "_design", np.hstack(

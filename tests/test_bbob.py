@@ -1,5 +1,6 @@
 """Unit tests for the benchmark function suite and task sampling."""
 
+import re
 import warnings
 
 import numpy as np
@@ -94,8 +95,8 @@ def test_task_spec_validation():
 
 
 @pytest.mark.parametrize("name, dim, match", [
-    ("sphere", 0, "dimension must be at least 1, got 0"),
-    ("sphere", -1, "dimension must be at least 1, got -1"),
+    ("sphere", 0, "^dim must be an integer, at least 1, got 0"),
+    ("sphere", -1, "^dim must be an integer, at least 1, got -1"),
     ("schaffers_f7", 1, "schaffers_f7 needs at least two dimensions, got 1"),
     ("griewank_rosenbrock", 1,
      "griewank_rosenbrock needs at least two dimensions, got 1"),
@@ -104,6 +105,26 @@ def test_task_spec_rejects_too_few_dimensions_when_built(name, dim, match):
     """The two pairing cores need two dimensions, every core one."""
     with pytest.raises(ValueError, match=match):
         bbob.TaskSpec(function=name, dim=dim, offset=np.zeros(max(dim, 0)))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"sigma0": np.nan}, "sigma0 must be positive and finite, got nan"),
+    ({"sigma0": np.inf}, "sigma0 must be positive and finite, got inf"),
+    ({"sigma0": -1}, "sigma0 must be positive and finite, got -1"),
+    ({"dim": True}, "dim must be an integer, at least 1, got True"),
+    ({"dim": 2.0}, "dim must be an integer, at least 1, got 2.0"),
+    ({"dim": 2.5}, "dim must be an integer, at least 1, got 2.5"),
+    ({"offset": np.array([0.0, np.nan])}, "offset must lie within [-5, 5]^D"),
+    ({"offset": np.zeros(3)}, "offset must have shape (2,), got (3,)"),
+    ({"noise": 2}, "noise must be one of False, True, got 2"),
+])
+def test_task_spec_rejects_bad_fields_naming_them(fields, message):
+    """A NaN or infinite sigma0 and a bool or float dimension used to be
+    accepted, -1 raised a message naming no field, 2.5 was reported as an
+    offset of the wrong shape and a NaN offset passed the box check."""
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        bbob.TaskSpec(**{"function": "sphere", "dim": 2,
+                         "offset": np.zeros(2), **fields})
 
 
 def test_noise_is_multiplicative_and_reproducible():
@@ -160,12 +181,12 @@ def test_sample_task_respects_family_ranges():
 
 
 @pytest.mark.parametrize("dim_range, match", [
-    ((0, 2), "must satisfy 1 <= low <= high"),
-    ((5, 2), "must satisfy 1 <= low <= high"),
+    ((0, 2), "dim_range[0] must be an integer, at least 1, got 0"),
+    ((5, 2), "dim_range must be a (low, high) pair with low <= high"),
     ((1, 1), "schaffers_f7 needs at least two dimensions"),
 ])
 def test_task_family_rejects_bad_dimension_ranges(dim_range, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         bbob.TaskFamily(dim_range=dim_range)
 
 

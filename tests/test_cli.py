@@ -184,7 +184,8 @@ def test_repetitions_below_one_exit_nonzero(tmp_path, capsys, checkpoint,
                    "--generations", "2", "--repetitions", reps,
                    "--out", str(out)])
     assert rc == 2
-    assert "repetitions must be at least 1" in capsys.readouterr().err
+    assert ("repetitions must be an integer, at least 1, got "
+            f"{reps}") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -199,7 +200,8 @@ def test_workers_below_one_exit_2(tmp_path, capsys, checkpoint, mode,
                    "--generations", "2", "--repetitions", "1",
                    "--workers", workers, "--out", str(out)])
     assert rc == 2
-    assert "workers must be at least 1" in capsys.readouterr().err
+    assert (f"workers must be an integer, at least 1, got {workers}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -277,7 +279,8 @@ def test_generations_below_one_exit_2(tmp_path, capsys, generations):
                    "gaussian", "--generations", generations,
                    "--out", str(out)])
     assert rc == 2
-    assert "generation count must be positive" in capsys.readouterr().err
+    assert (f"generations must be an integer, at least 1, got {generations}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -288,7 +291,7 @@ def test_non_finite_sigma0_exits_2(tmp_path, capsys, algorithm, sigma0):
     rc = cli.main(["evaluate", "--tasks", "sphere:2", "--algorithms",
                    algorithm, "--sigma0", sigma0, "--out", str(out)])
     assert rc == 2
-    assert "initial mutation rate must be positive and finite" in \
+    assert f"sigma0 must be positive and finite, got {sigma0}" in \
         capsys.readouterr().err
     assert not out.exists()
 
@@ -340,7 +343,8 @@ def test_bad_task_spec_fails_before_any_job(tmp_path, capsys, monkeypatch,
      "task 'griewank_rosenbrock:1': griewank_rosenbrock needs"),
     ("sweep", "--rho-grid", "0.1,x", "rho grid value 'x'"),
     ("sweep", "--sigma0-grid", "y,0.5", "sigma0 grid value 'y'"),
-    ("meta-train", "--functions", "sphere,bogus", "function 'bogus'"),
+    ("meta-train", "--functions", "sphere,bogus",
+     "got ('sphere', 'bogus')"),
 ])
 def test_bad_list_entry_exits_2_naming_it(tmp_path, capsys, monkeypatch,
                                           mode, flag, value, named):
@@ -388,10 +392,11 @@ def test_meta_train_bad_setting_exits_2_before_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--n-pop", "0", "population size must be positive"),
-    ("--generations", "0", "generation count must be positive"),
-    ("--workers", "0", "workers must be at least 1"),
-    ("--workers", "-2", "workers must be at least 1")])
+    ("--n-pop", "0", "inner_popsize must be an integer, at least 1, got 0"),
+    ("--generations", "0",
+     "inner_generations must be an integer, at least 1, got 0"),
+    ("--workers", "0", "workers must be an integer, at least 1, got 0"),
+    ("--workers", "-2", "workers must be an integer, at least 1, got -2")])
 def test_meta_train_bad_inner_ga_or_workers_exits_2_before_out(
         tmp_path, capsys, flag, value, message):
     out = tmp_path / "meta"
@@ -400,6 +405,20 @@ def test_meta_train_bad_inner_ga_or_workers_exits_2_before_out(
                    "--meta-generations", "1", flag, value, "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["2", "-1"])
+def test_meta_train_noise_other_than_0_or_1_exits_2(tmp_path, capsys, noise):
+    """Any non-zero --noise used to train on noisy tasks."""
+    out = tmp_path / "meta"
+    rc = cli.main(["meta-train", "--meta-popsize", "2", "--n-tasks", "1",
+                   "--n-pop", "2", "--generations", "1",
+                   "--meta-generations", "0", "--noise", noise,
+                   "--out", str(out)])
+    assert rc == 2
+    assert (f"noise must be one of False, True, got {noise}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

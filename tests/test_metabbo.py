@@ -117,10 +117,10 @@ def test_meta_config_rejects_settings_that_misbehave(name, value):
 
 
 @pytest.mark.parametrize("name, match", [
-    ("inner_popsize", "population size must be positive"),
-    ("inner_generations", "generation count must be positive")])
+    ("inner_popsize", "^inner_popsize must be an integer, at least 1"),
+    ("inner_generations", "^inner_generations must be an integer, at least 1")])
 def test_meta_config_checks_its_inner_ga(name, match):
-    """The inner GA's own checks run when the config is built."""
+    """The inner GA's own rules are checked when the config is built."""
     with pytest.raises(ValueError, match=match):
         metabbo.MetaConfig(**{name: 0})
 
