@@ -2,6 +2,11 @@
 
 Everything here is pure and works over any leading axes. The checked names
 validate their input, then run the unchecked core that the engine calls.
+The learned operators' own attention (``operators.FoldedAttention``) runs
+its softmax population-first, over the leading axis of logits laid out
+keys first, with the row sums' bits from :func:`pairwise_sum_first`;
+:func:`softmax_last` is the row form, which sampling, the checked names
+and the row fallback of ``operators.softmax_categorical`` take.
 """
 
 import math
@@ -51,13 +56,16 @@ def reduce_rows(ufunc, a):
 def pairwise_sum_first(cols):
     """``a.sum(axis=-1)`` bit for bit, given ``cols = last_axis_first(a)``.
 
-    Rows of k <= ``PAIRWISE_BLOCK`` values only. numpy adds a row of fewer
-    than 8 values in sequence, and a longer one into 8 accumulators,
-    r_j = a_j + a_j+8 + ..., then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), then the values past the last multiple of 8 in sequence.
-    This makes the same additions, each over every row at once.
+    numpy adds a row of k <= ``PAIRWISE_BLOCK`` values pairwise: fewer
+    than 8 in sequence, more into 8 accumulators, r_j = a_j + a_j+8 + ...,
+    then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    values past the last multiple of 8 in sequence. This makes the same
+    additions, each over every row at once. A longer row numpy splits
+    into halves first; such rows are summed as a contiguous copy instead.
     """
     k = len(cols)
+    if k > PAIRWISE_BLOCK:
+        return np.moveaxis(cols, 0, -1).copy().sum(axis=-1)
     if k < 8:
         return np.add.reduce(cols, axis=0)
     body = k - k % 8

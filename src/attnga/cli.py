@@ -270,7 +270,17 @@ def cmd_analyze(opts):
                "delta_sigma", "sigma_child"], rows)
 
 
+# meta-train options that set a config field of another name, each with
+# that field's rule, so that an error names the option, not the field.
+_META_TRAIN_RULES = {
+    "n_pop": MetaConfig.RULES["inner_popsize"],
+    "generations": MetaConfig.RULES["inner_generations"],
+    "dim_min": TaskFamily.RULES["dim_range[0]"],
+    "dim_max": TaskFamily.RULES["dim_range[1]"]}
+
+
 def cmd_meta_train(opts):
+    check_fields(opts, _META_TRAIN_RULES)
     # TaskFamily rejects an unknown function, naming the list, and a noise
     # other than 0 and 1.
     functions = _comma_list(opts["functions"], "function", str)

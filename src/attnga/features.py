@@ -128,20 +128,31 @@ def centered_ranks(f):
     return rows_centered_ranks(_finite(f, "centered_ranks").ravel())
 
 
-def _row_moments(values):
-    """Row mean, deviations and std in the steps of numpy's mean and std.
+def _sum_first(cols):
+    """Sum over the leading axis, (1, ...), the terms added in sequence.
 
-    Those are sum/n, deviations, squares, sum/n and sqrt, with the sums
-    added in sequence (an accumulate), so every memory layout gives one
-    result: numpy's own sum is pairwise along a contiguous row but
-    sequential along a strided one, which would make a row's z-score
-    depend on how a batch lays it out.
+    numpy reduces a leading axis one slab after another, every row at
+    once, except when the rest holds a single row, which it sums pairwise;
+    that row takes the accumulate.
     """
-    count = values.shape[-1]
-    mean = np.add.accumulate(values, axis=-1)[..., -1:]
+    if cols.size > len(cols):
+        return np.add.reduce(cols, axis=0, keepdims=True)
+    return np.add.accumulate(cols, axis=0)[-1:]
+
+
+def _moments_first(cols):
+    """Mean, deviations and std over the leading axis of ``cols``.
+
+    These are numpy's mean and std steps, sum/n, deviations, squares,
+    sum/n and sqrt, with the sums added in sequence, so a row's result
+    does not depend on how a batch lays it out. (numpy's own sum of a
+    contiguous row is pairwise.)
+    """
+    count = len(cols)
+    mean = _sum_first(cols)
     mean /= count
-    dev = values - mean
-    std = np.add.accumulate(np.square(dev), axis=-1)[..., -1:]
+    dev = cols - mean
+    std = _sum_first(np.square(dev))
     std /= count
     np.sqrt(std, out=std)
     return mean, dev, std
@@ -156,19 +167,25 @@ def rows_z_score(values, out=None):
     whose sum or squares overflow (values beyond ~1e154) are recomputed
     from the row scaled by an exact power of two, which the z-score does
     not see; rows holding inf or NaN are left to come out non-finite,
-    without floating-point warnings.
+    without floating-point warnings. The work runs population-first, over
+    the leading axis of one transposed copy (each numpy call covers every
+    row), and z goes into ``out`` through its transposed view.
     """
     values = np.asarray(values, dtype=np.float64)
-    mean, dev, std = _row_moments(values)
+    if out is None:
+        out = np.empty(values.shape)
+    first = (values.ndim - 1,) + tuple(range(values.ndim - 1))
+    cols = values.transpose(first).copy()
+    mean, dev, std = _moments_first(cols)
     unit = 1.0
     # A non-finite mean makes every deviation, hence the std, non-finite.
     if not np.isfinite(std).all():
         lost = ~np.isfinite(std)
-        top = np.abs(values).max(axis=-1, keepdims=True)
+        top = np.maximum.reduce(np.abs(cols), axis=0, keepdims=True)
         lost &= np.isfinite(top)    # rows holding inf or NaN stay lost
         _, exponent = np.frexp(top)
         exponent[~lost] = 0
-        rescued = _row_moments(np.ldexp(values, -exponent))
+        rescued = _moments_first(np.ldexp(cols, -exponent))
         for kept, new in zip((mean, dev, std), rescued):
             np.copyto(kept, new, where=lost)
         # The guard's floor of 1, in the units of the scaled rows.
@@ -176,9 +193,9 @@ def rows_z_score(values, out=None):
     floor = np.abs(mean)
     np.maximum(floor, unit, out=floor)
     floor *= _VAR_GUARD
-    z = np.divide(dev, std, out=dev if out is None else out)
+    z = np.divide(dev, std, out=out.transpose(first))
     np.copyto(z, 0.0, where=std < floor)
-    return z
+    return out
 
 
 def z_score(f):

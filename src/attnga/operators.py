@@ -103,8 +103,9 @@ class FoldedAttention:
     ``forms[h]`` = A_h, and everything after the attention is linear, so it
     folds into ``value``: the heads' value maps stacked along rows,
     (..., H * d, c). Leading candidate axes are allowed. The object also
-    keeps the logits and mixed-feature buffers of the last shape it ran
-    on, so a run or candidate batch that folds once allocates them once.
+    keeps the logits, probability and mixed-feature buffers of the last
+    shape it ran on, so a run or candidate batch that folds once allocates
+    them once.
     """
 
     def __init__(self, forms, value):
@@ -118,18 +119,36 @@ class FoldedAttention:
         return self.forms[0].shape[-1]
 
     def attend(self, feats_q, feats_kv):
-        """concat_h softmax((F_q A_h) F_kv^T) F_kv, into a reused buffer."""
+        """concat_h softmax((F_q A_h) F_kv^T) F_kv, into reused buffers.
+
+        Each head's logits are laid out keys first, (K, ..., Q): the
+        matmul writes F_kv (F_q A_h)^T through the (..., K, Q) view, and
+        the softmax's max, subtract, exp and divide run over the leading
+        axis, each one numpy call over every query row of the batch. The
+        probabilities go back to rows, (..., Q, K), for the value product.
+        The bits are those of the row softmax of (F_q A_h) F_kv^T: each
+        logit is the same dot product, the max does not depend on the
+        order, and ``attention.pairwise_sum_first`` makes numpy's row-sum
+        additions. The value product keeps the row layout because some
+        BLAS kernels (OpenBLAS SkylakeX) round a product with a transposed
+        operand differently.
+        """
         d = feats_kv.shape[-1]
         shape = feats_q.shape[:-1] + feats_kv.shape[-2:-1]
-        if self._scratch is None or self._scratch[0].shape != shape:
-            self._scratch = (np.empty(shape),
+        if self._scratch is None or self._scratch[1].shape != shape:
+            cols = np.empty(shape[-1:] + shape[:-1])
+            self._scratch = (cols, np.empty(shape), np.moveaxis(cols, 0, -2),
+                             np.moveaxis(cols, 0, -1),
                              np.empty(shape[:-1] + (d * len(self.forms),)))
-        logits, mixed = self._scratch
-        keys = feats_kv.swapaxes(-1, -2)
+        cols, probs, logits, rows, mixed = self._scratch
         for h, form in enumerate(self.forms):
-            np.matmul(feats_q @ form, keys, out=logits)
-            softmax_last(logits, out=logits)
-            np.matmul(logits, feats_kv, out=mixed[..., h * d:(h + 1) * d])
+            np.matmul(feats_kv, np.ascontiguousarray(
+                (feats_q @ form).swapaxes(-1, -2)), out=logits)
+            cols -= np.maximum.reduce(cols, axis=0)
+            np.exp(cols, out=cols)
+            cols /= pairwise_sum_first(cols)
+            np.copyto(probs, rows)
+            np.matmul(probs, feats_kv, out=mixed[..., h * d:(h + 1) * d])
         return mixed
 
 

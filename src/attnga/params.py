@@ -222,6 +222,10 @@ class LgaParams:
             if cfg_kv[key] != width:
                 raise ValueError(f"{path}: {key} is {cfg_kv[key]}, but the "
                                  f"operators' features have {width} columns")
+        for key in ("with_sampling", "with_crossover"):
+            if cfg_kv[key] not in (0, 1):
+                raise ValueError(f"{path}: {key} must be 0 or 1, got "
+                                 f"{cfg_kv[key]}")
         cfg = FeatureConfig(**{f.name: type(f.default)(cfg_kv[f.name])
                                for f in fields(FeatureConfig)})
         while i < len(lines):

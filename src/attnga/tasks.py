@@ -168,9 +168,10 @@ def make_task(name, dim=None, seed=0, sigma0=0.1, noise=False):
     if name not in bbob.FUNCTION_NAMES:
         raise ValueError(f"unknown task {name!r}; known: "
                          f"{', '.join(task_names())}")
-    if dim is None or dim < 1:
-        raise ValueError(f"{name} needs an explicit dimension of at least "
-                         f"1, got {dim}")
+    if dim is None:
+        raise ValueError(f"{name} needs an explicit dimension")
+    # Checked before the offset is drawn, which would fail inside numpy.
+    check_fields({"dim": dim}, {"dim": bbob.TaskSpec.RULES["dim"]})
     offset = np.random.default_rng([seed, 0xB0B]).uniform(-5.0, 5.0, dim)
     return bbob.TaskSpec(function=name, dim=dim, offset=offset,
                          sigma0=sigma0, noise=noise)

@@ -160,9 +160,11 @@ def test_last_axis_first_is_a_contiguous_transpose():
     np.testing.assert_array_equal(moved.max(axis=0), a.max(axis=-1))
 
 
-@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 33, 65, 128])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 33, 65, 128, 129, 200,
+                               300])
 def test_pairwise_sum_first_is_numpys_row_sum(k):
-    """The same additions as numpy's pairwise sum of contiguous rows."""
+    """The same additions as numpy's pairwise sum of contiguous rows; past
+    ``PAIRWISE_BLOCK`` values, the sum of a contiguous copy of the rows."""
     rng = np.random.default_rng(k)
     for a in (rng.standard_normal((64, 16, k)),
               np.exp(rng.standard_normal((5, k)) * 30.0),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from attnga import bbob
+from attnga.tasks import make_task
 
 
 ZERO_AT_OPTIMUM = tuple(n for n in bbob.FUNCTION_NAMES
@@ -125,6 +126,15 @@ def test_task_spec_rejects_bad_fields_naming_them(fields, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         bbob.TaskSpec(**{"function": "sphere", "dim": 2,
                          "offset": np.zeros(2), **fields})
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True])
+def test_make_task_rejects_a_non_integer_dimension_naming_it(dim):
+    """Checked before the offset is drawn, where numpy used to raise a
+    TypeError."""
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"dim must be an integer, at least 1, got {dim}")):
+        make_task("sphere", dim=dim)
 
 
 def test_noise_is_multiplicative_and_reproducible():

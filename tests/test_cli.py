@@ -335,8 +335,8 @@ def test_bad_task_spec_fails_before_any_job(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("mode, flag, value, named", [
     ("sweep", "--tasks", "sphere:x", "task 'sphere:x'"),
-    ("sweep", "--tasks", "sphere:-1", "task 'sphere:-1': sphere needs"),
-    ("sweep", "--tasks", "sphere:0", "task 'sphere:0': sphere needs"),
+    ("sweep", "--tasks", "sphere:-1", "task 'sphere:-1': dim must be"),
+    ("sweep", "--tasks", "sphere:0", "task 'sphere:0': dim must be"),
     ("sweep", "--tasks", "sphere:2,schaffers_f7:1",
      "task 'schaffers_f7:1': schaffers_f7 needs at least two dimensions"),
     ("sweep", "--tasks", "griewank_rosenbrock:1",
@@ -392,9 +392,11 @@ def test_meta_train_bad_setting_exits_2_before_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--n-pop", "0", "inner_popsize must be an integer, at least 1, got 0"),
-    ("--generations", "0",
-     "inner_generations must be an integer, at least 1, got 0"),
+    ("--n-pop", "0", "n_pop must be an integer, at least 1, got 0"),
+    ("--generations", "0", "generations must be an integer, at least 1, "
+     "got 0"),
+    ("--dim-min", "0", "dim_min must be an integer, at least 1, got 0"),
+    ("--dim-max", "-1", "dim_max must be an integer, at least 1, got -1"),
     ("--workers", "0", "workers must be an integer, at least 1, got 0"),
     ("--workers", "-2", "workers must be an integer, at least 1, got -2")])
 def test_meta_train_bad_inner_ga_or_workers_exits_2_before_out(
@@ -404,7 +406,7 @@ def test_meta_train_bad_inner_ga_or_workers_exits_2_before_out(
                    "--n-pop", "8", "--generations", "3",
                    "--meta-generations", "1", flag, value, "--out", str(out)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -251,9 +251,12 @@ def _z_pre_change(values):
     return z
 
 
-@pytest.mark.parametrize("n", [2, 16, 17, 33])
+@pytest.mark.parametrize("n", [2, 16, 17, 33, 7, 64])
 def test_rows_z_score_equals_pre_change_formula(n):
-    """Constant, sentinel, overflowing and non-finite rows, in one batch."""
+    """Constant, sentinel, overflowing and non-finite rows, in one batch,
+    as R runs, as M candidates, one by one and in the cross-over's
+    strided (D, M, N) layout: the moments over the leading axis make the
+    additions of the row form."""
     rng = np.random.default_rng(n)
     rows = [rng.standard_normal(n), np.full(n, 3.25), np.full(n, 1e30),
             np.where(rng.random(n) < 0.5, 1e30, rng.standard_normal(n)),
@@ -262,11 +265,15 @@ def test_rows_z_score_equals_pre_change_formula(n):
             np.concatenate([[np.inf], rng.standard_normal(n - 1)]),
             np.concatenate([[np.nan], rng.standard_normal(n - 1)]),
             np.concatenate([[-np.inf, np.inf], np.ones(n - 2)]),
-            1.0 + 1e-12 * rng.standard_normal(n)]
-    values = np.stack(rows * 6)             # 66 rows: many short ones
+            1.0 + 1e-12 * rng.standard_normal(n), np.full(n, -0.0),
+            np.where(rng.random(n) < 0.5, 1.7e300, -1e300)]
+    values = np.stack(rows * 6)             # 78 rows: many short ones
+    strided = np.moveaxis(values.reshape(6, 13, n).transpose(1, 2, 0).copy(),
+                          -1, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for batch in (values, values[:11], values[:, None, :], values[4]):
+        for batch in (values, values[:11], values[:, None, :], strided,
+                      *values[:13]):
             expected = _z_pre_change(batch)
             assert _same_bits(rows_z_score(batch), expected)
             out = np.empty(batch.shape + (3,))[..., 1]

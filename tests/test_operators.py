@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnga import operators as ops
-from attnga.attention import multi_head_sdpa, row_softmax, sdpa, softmax_last
+from attnga.attention import (PAIRWISE_BLOCK, multi_head_sdpa, row_softmax,
+                              sdpa, softmax_last)
 from attnga.features import FITNESS_DIM, rows_crossover_features
 from attnga.params import FeatureConfig, LgaParams, unflatten
 
@@ -103,6 +104,36 @@ def test_folded_mra_core_matches_unfolded_attention(heads, lead):
     np.testing.assert_allclose(ops.mra_core(folded, feats),
                                np.exp(np.clip(log_delta, -10.0, 10.0)),
                                rtol=1e-12, atol=0.0)
+
+
+def _attend_rows(forms, feats_q, feats_kv):
+    """The row form of ``FoldedAttention.attend``: a softmax along the rows
+    of each head's (..., Q, K) logits, then the value product."""
+    heads = []
+    for form in forms:
+        logits = (feats_q @ form) @ np.swapaxes(feats_kv, -1, -2)
+        heads.append(softmax_last(logits, out=logits) @ feats_kv)
+    return np.concatenate(heads, axis=-1)
+
+
+@pytest.mark.parametrize("keys", [1, 7, 16, 64, PAIRWISE_BLOCK + 1, 200])
+@pytest.mark.parametrize("lead", [(), (5,), (64,)])
+def test_attend_keys_first_equals_the_row_softmax_bit_for_bit(lead, keys):
+    """Past ``PAIRWISE_BLOCK`` keys the denominators are the row sums of a
+    contiguous copy; below it, numpy's pairwise additions over the leading
+    axis. Selection (3 columns, 2 heads, 16 queries) and self-attention
+    (5 columns, 1 head), each run twice to reuse the buffers."""
+    rng = np.random.default_rng(keys)
+    for width, heads, self_attention in ((3, 2, False), (5, 1, True)):
+        forms = tuple(rng.standard_normal(lead + (width, width)) * 2.0
+                      for _ in range(heads))
+        folded = ops.FoldedAttention(forms, None)
+        feats_kv = rng.standard_normal(lead + (keys, width))
+        feats_q = (feats_kv if self_attention
+                   else rng.standard_normal(lead + (16, width)))
+        expected = _attend_rows(forms, feats_q, feats_kv).tobytes()
+        for _ in range(2):
+            assert folded.attend(feats_q, feats_kv).tobytes() == expected
 
 
 def test_folded_forms_are_the_scaled_projection_products():

@@ -1,5 +1,7 @@
 """Unit tests for weight layout, flat-vector packing and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,24 @@ def test_checkpoint_rejects_other_feature_widths(tmp_path, key, value):
     lines[at] = f"{key}: {value}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"{key} is {value}"):
+        LgaParams.load(path)
+
+
+@pytest.mark.parametrize("key", ["with_sampling", "with_crossover"])
+@pytest.mark.parametrize("value", [2, -1])
+def test_checkpoint_rejects_operator_flags_other_than_0_or_1(tmp_path, key,
+                                                             value):
+    """A flag of 2 used to load as True through bool()."""
+    path = tmp_path / "ckpt.txt"
+    LgaParams.zeros(FeatureConfig(with_sampling=True,
+                                  with_crossover=True)).save(path)
+    lines = path.read_text().splitlines()
+    (at,) = [i for i, line in enumerate(lines) if line.startswith(key + ":")]
+    assert lines[at] == f"{key}: 1"
+    lines[at] = f"{key}: {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} "
+                       f"must be 0 or 1, got {value}$"):
         LgaParams.load(path)
 
 

@@ -86,9 +86,12 @@ def test_make_task_registry():
             make_task("mlp-sine", dim=dim)
     with pytest.raises(ValueError):
         make_task("unknown-task", dim=2)
-    for dim in (None, 0, -1):     # checked before the offset is drawn
-        with pytest.raises(ValueError, match="sphere needs an explicit "
-                           f"dimension of at least 1, got {dim}"):
+    with pytest.raises(ValueError, match="^sphere needs an explicit "
+                       "dimension$"):
+        make_task("sphere")
+    for dim in (0, -1):     # checked before the offset is drawn
+        with pytest.raises(ValueError, match="^dim must be an integer, at "
+                           f"least 1, got {dim}$"):
             make_task("sphere", dim=dim)
 
 
