@@ -2,70 +2,41 @@
 
 Everything here is pure and works over any leading axes. The checked names
 validate their input, then run the unchecked core that the engine calls.
-The learned operators' own attention (``operators.FoldedAttention``) runs
-its softmax population-first, over the leading axis of logits laid out
-keys first, with the row sums' bits from :func:`pairwise_sum_first`;
-:func:`softmax_last` is the row form, which sampling, the checked names
-and the row fallback of ``operators.softmax_categorical`` take.
+The learned operators lay their logits out keys first, (K, ..., Q), and
+take :func:`softmax_first` over the leading axis: the attention of
+``operators.FoldedAttention`` and the selection draw of
+``operators.softmax_categorical``. :func:`softmax_last` is the row form,
+which sampling and the checked names take. Both give the same bits.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["row_softmax", "softmax_last", "last_axis_first", "many_short_rows",
-           "reduce_rows", "pairwise_sum_first", "PAIRWISE_BLOCK",
-           "REDUCE_COPY_CAP", "attend", "sdpa", "multi_head_sdpa"]
+__all__ = ["row_softmax", "softmax_last", "softmax_first",
+           "pairwise_sum_first", "PAIRWISE_BLOCK", "attend", "sdpa",
+           "multi_head_sdpa"]
 
 # numpy sums a contiguous row pairwise, in blocks of at most this many values.
 PAIRWISE_BLOCK = 128
-# reduce_rows takes a transposed copy only while the array's size times its
-# row length is below this; from it on the copy costs more than the rows.
-REDUCE_COPY_CAP = 2 ** 23
-
-
-def last_axis_first(a):
-    """Contiguous copy of ``a`` with its last axis moved to the front."""
-    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))).copy()
-
-
-def many_short_rows(a):
-    """Whether ``a`` has at least four times as many rows as columns.
-
-    Work along such rows (the sweep's) runs faster over the leading axis of
-    a transposed copy (:func:`last_axis_first`), where each numpy call
-    covers every row, than along the rows, where numpy pays per row.
-    """
-    return a.size >= 4 * a.shape[-1] ** 2
-
-
-def reduce_rows(ufunc, a):
-    """Order-free reduction (max or min) along the rows.
-
-    Over many short rows it runs over the leading axis of a transposed copy,
-    below ``REDUCE_COPY_CAP``: the copy slows down as the array outgrows
-    the cache, the row loop speeds up as the rows grow, so a large array of
-    long rows, such as (64, 64, 64) logits, stays along its rows. Either
-    way the result is the same, as max and min do not depend on the order.
-    """
-    if many_short_rows(a) and a.size * a.shape[-1] < REDUCE_COPY_CAP:
-        return ufunc.reduce(last_axis_first(a), axis=0)
-    return ufunc.reduce(a, axis=-1)
 
 
 def pairwise_sum_first(cols):
-    """``a.sum(axis=-1)`` bit for bit, given ``cols = last_axis_first(a)``.
+    """``a.sum(axis=-1)`` bit for bit, given ``cols = np.moveaxis(a, -1, 0)``.
 
     numpy adds a row of k <= ``PAIRWISE_BLOCK`` values pairwise: fewer
     than 8 in sequence, more into 8 accumulators, r_j = a_j + a_j+8 + ...,
     then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
     values past the last multiple of 8 in sequence. This makes the same
-    additions, each over every row at once. A longer row numpy splits
-    into halves first; such rows are summed as a contiguous copy instead.
+    additions, each over every row at once. A longer row numpy sums as two
+    parts, the first half rounded down to a multiple of 8 values, and so
+    does this.
     """
     k = len(cols)
     if k > PAIRWISE_BLOCK:
-        return np.moveaxis(cols, 0, -1).copy().sum(axis=-1)
+        half = k // 2 - k // 2 % 8
+        return (pairwise_sum_first(cols[:half])
+                + pairwise_sum_first(cols[half:]))
     if k < 8:
         return np.add.reduce(cols, axis=0)
     body = k - k % 8
@@ -79,13 +50,26 @@ def pairwise_sum_first(cols):
     return total
 
 
+def softmax_first(cols):
+    """Unchecked softmax over the leading axis of ``cols``, in place.
+
+    The bits of :func:`softmax_last` of ``np.moveaxis(cols, 0, -1)``: the
+    max does not depend on the order, and :func:`pairwise_sum_first` makes
+    numpy's row-sum additions. Each step is one numpy call over every row.
+    """
+    cols -= np.maximum.reduce(cols, axis=0)
+    np.exp(cols, out=cols)
+    cols /= pairwise_sum_first(cols)
+    return cols
+
+
 def softmax_last(logits, out=None):
     """Unchecked softmax along the last axis; ``out`` may be ``logits``.
 
     The denominators are summed along the rows as they are laid out, which
     fixes their bits.
     """
-    top = reduce_rows(np.maximum, logits)[..., None]
+    top = np.maximum.reduce(logits, axis=-1, keepdims=True)
     shifted = np.subtract(logits, top, out=out)
     np.exp(shifted, out=shifted)
     return np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .attention import reduce_rows
 from .checks import POSITIVE, at_least, check_fields, one_of
 from .draws import per_run
 from .features import (rows_crossover_features, rows_joint_features,
@@ -204,7 +203,7 @@ class GeneticAlgorithm:
         if config.selection == "learned":
             self._sel = ops.fold(params.weights, "sel")
             self._joint = np.empty(self.shape + (n + e, self._sel.width))
-            self._logits = np.ones(self.shape + (e, n + 1))  # keep column
+            self._logits = np.empty((n + 1,) + self.shape + (e,))  # keys first
 
     # -- ask ---------------------------------------------------------------
 
@@ -248,8 +247,7 @@ class GeneticAlgorithm:
             np.minimum(arch.f, FITNESS_CLIP), arch.age,
             self.best_f[..., None], self._smp_feats))
         u = per_run(self.rng, lambda g, size: g.random(size), (n,), self.shape)
-        return ops.categorical_indices(np.broadcast_to(
-            probs[..., None, :], self.shape + (n, arch.size)), u)
+        return ops.categorical_indices(probs[..., None, :], u)
 
     def _mra_multiplier(self, f_s, sigma_s):
         """Learned MRA multipliers of the sampled parents, checked here.
@@ -311,7 +309,7 @@ class GeneticAlgorithm:
                                                  improvements, self.rng)
 
         self.best_f = np.minimum(self.best_f,
-                                 reduce_rows(np.minimum, f_child))
+                                 np.minimum.reduce(f_child, axis=-1))
         if record is not None:
             record["delta_sigma"] = self._pending["delta"]
             record["sigma_child"] = sigma_child.copy()
@@ -324,13 +322,16 @@ class GeneticAlgorithm:
         """Replace archive rows by one categorical draw per parent.
 
         Column N of the selection logits keeps the parent (its age grows);
-        any other column copies that child. Returns the debug record.
+        any other column copies that child. Returns the debug record, whose
+        logits and probabilities are rows, (..., E, N+1).
         """
         arch = self.archive
         feats_c, feats_p = rows_joint_features(
             f_child, np.minimum(arch.f, FITNESS_CLIP), self.best_f[..., None],
             self._joint)
         ops.selection_core(self._sel, feats_p, feats_c, self._logits)
+        logits = (np.moveaxis(self._logits, 0, -1).copy() if self.debug
+                  else None)
         chosen, probs = ops.softmax_categorical(
             self._logits, per_run(self.rng, lambda g, size: g.random(size),
                                   arch.f.shape[-1:], self.shape),
@@ -343,7 +344,7 @@ class GeneticAlgorithm:
             return None
         return {"child_features": feats_c.copy(),
                 "parent_features": feats_p.copy(),
-                "logits": self._logits.copy(), "probs": probs,
+                "logits": logits, "probs": probs,
                 "chosen": chosen}
 
 

@@ -6,12 +6,13 @@ with wildly different objective scales. Zero-variance guards keep converged
 populations from producing NaNs.
 
 Each learned operator reads one block of features, which a ``rows_*`` core
-builds over any leading axes; every z-score is :func:`rows_z_score`.
+builds over any leading axes; every z-score is :func:`rows_z_score`. The
+z-score's summed moments run over the leading axis of a transposed copy,
+one numpy call over every row; the ranks' sort and the min-max, which do
+not depend on the order, run along the rows.
 """
 
 import numpy as np
-
-from .attention import last_axis_first, many_short_rows
 
 __all__ = [
     "average_ranks",
@@ -218,10 +219,8 @@ def rows_fitness_features(f, best_so_far, out):
 def rows_sigma_features(sigma, out):
     """[z-score, min-max map to [-1, 1]] of the mutation rates ``sigma``."""
     rows_z_score(sigma, out=out[..., 0])
-    rows, axis = ((last_axis_first(sigma), 0) if many_short_rows(sigma)
-                  else (sigma, -1))
-    lo = np.minimum.reduce(rows, axis=axis)[..., None]
-    span = np.maximum.reduce(rows, axis=axis)[..., None] - lo
+    lo = np.minimum.reduce(sigma, axis=-1, keepdims=True)
+    span = np.maximum.reduce(sigma, axis=-1, keepdims=True) - lo
     flat = span < _VAR_GUARD
     span[flat] = 1.0
     minmax = np.subtract(sigma, lo, out=out[..., 1])

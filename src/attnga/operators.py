@@ -13,6 +13,13 @@ All four learned operators attend over a few features (3 to 5 columns)
 with d_k = 16, so :func:`fold` folds their projections into small bilinear
 forms, Q_h K_h^T = F A_h F^T, and the value path after the softmax into a
 small matrix. The engine folds them once per run or candidate batch.
+
+Their attention logits (:class:`FoldedAttention`) and the selection
+logits (:func:`selection_core`) are laid out keys first, (K, ..., Q),
+for every leading shape, and their softmax and the selection's
+categorical draw (:func:`softmax_categorical`) run over the leading
+axis, one numpy call per step over every query row of the batch. The
+bits are those of the row softmax and row-wise draw of the same logits.
 """
 
 import functools
@@ -21,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (PAIRWISE_BLOCK, last_axis_first, many_short_rows,
-                        pairwise_sum_first, row_softmax, softmax_last)
+from .attention import row_softmax, softmax_first, softmax_last
 from .draws import per_run
 
 __all__ = [
@@ -123,15 +129,12 @@ class FoldedAttention:
 
         Each head's logits are laid out keys first, (K, ..., Q): the
         matmul writes F_kv (F_q A_h)^T through the (..., K, Q) view, and
-        the softmax's max, subtract, exp and divide run over the leading
-        axis, each one numpy call over every query row of the batch. The
+        ``attention.softmax_first`` runs over the leading axis. The
         probabilities go back to rows, (..., Q, K), for the value product.
-        The bits are those of the row softmax of (F_q A_h) F_kv^T: each
-        logit is the same dot product, the max does not depend on the
-        order, and ``attention.pairwise_sum_first`` makes numpy's row-sum
-        additions. The value product keeps the row layout because some
-        BLAS kernels (OpenBLAS SkylakeX) round a product with a transposed
-        operand differently.
+        The bits are those of the row softmax of (F_q A_h) F_kv^T, as each
+        logit is the same dot product. The value product keeps the row
+        layout because some BLAS kernels (OpenBLAS SkylakeX) round a
+        product with a transposed operand differently.
         """
         d = feats_kv.shape[-1]
         shape = feats_q.shape[:-1] + feats_kv.shape[-2:-1]
@@ -144,9 +147,7 @@ class FoldedAttention:
         for h, form in enumerate(self.forms):
             np.matmul(feats_kv, np.ascontiguousarray(
                 (feats_q @ form).swapaxes(-1, -2)), out=logits)
-            cols -= np.maximum.reduce(cols, axis=0)
-            np.exp(cols, out=cols)
-            cols /= pairwise_sum_first(cols)
+            softmax_first(cols)
             np.copyto(probs, rows)
             np.matmul(probs, feats_kv, out=mixed[..., h * d:(h + 1) * d])
         return mixed
@@ -192,10 +193,18 @@ def fold(w, op):
 
 
 def selection_core(folded, feats_parents, feats_children, out):
-    """Unchecked :func:`selection_logits` into ``out``, keep column preset."""
+    """Unchecked :func:`selection_logits`, keys first, into ``out``.
+
+    ``out`` is (N+1, ..., E): row n < N holds child n's logit for each
+    parent, F_c (mixed B)^T written through the (..., N, E) view, the
+    same dot products as the rows of (mixed B) F_c^T; row N, the keep
+    logit, is 1.
+    """
     mixed = folded.attend(feats_parents, feats_children)
-    np.matmul(mixed @ folded.value, feats_children.swapaxes(-1, -2),
-              out=out[..., :-1])
+    children = np.moveaxis(out[:-1], 0, -2)
+    np.matmul(feats_children, np.ascontiguousarray(
+        (mixed @ folded.value).swapaxes(-1, -2)), out=children)
+    out[-1] = 1.0
     return out
 
 
@@ -234,8 +243,8 @@ def selection_logits(params, feats_parents, feats_children):
     folded = fold(params.weights, "sel")
     feats_parents = _checked_features(feats_parents, folded.width, "parent")
     feats_children = _checked_features(feats_children, folded.width, "child")
-    out = np.ones((feats_parents.shape[0], feats_children.shape[0] + 1))
-    return selection_core(folded, feats_parents, feats_children, out)
+    out = np.empty((feats_children.shape[0] + 1, feats_parents.shape[0]))
+    return selection_core(folded, feats_parents, feats_children, out).T.copy()
 
 
 def learned_selection_probs(params, feats_parents, feats_children):
@@ -247,39 +256,38 @@ def learned_selection_probs(params, feats_parents, feats_children):
 def categorical_indices(probs, u):
     """Row-wise inverse-CDF categorical draw from row-stochastic ``probs``.
 
-    ``u`` holds one uniform per row; leading candidate axes may share it.
-    The CDF is summed in sequence over the leading axis of a transposed
-    view, which gives the bits of a cumulative sum along each row.
+    ``probs`` is (..., K) and ``u`` broadcasts against its leading axes,
+    (...): one uniform per row, or, for ``probs`` (..., 1, K), a draw of
+    every uniform of ``u`` (..., Q) from one CDF. The CDF is summed in
+    sequence over the leading axis of a transposed view, (K, ...), which
+    gives the bits of a cumulative sum along each row.
     """
-    cdf = np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0)
-    return np.minimum(np.add.reduce(cdf < u, axis=0), probs.shape[-1] - 1)
+    return _inverse_cdf(np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0),
+                        u)
 
 
-def softmax_categorical(logits, u, keep_probs=False):
-    """``categorical_indices(softmax_last(logits), u)`` and the probabilities.
+def _inverse_cdf(cdf, u):
+    """Index of the first of the K keys-first CDF rows at or above ``u``."""
+    return np.minimum(np.add.reduce(cdf < u, axis=0), len(cdf) - 1)
 
-    Returns the indices, and with ``keep_probs`` the probabilities (else
-    None). Over many short rows of at most ``PAIRWISE_BLOCK`` columns the
-    softmax and the draw share one transposed copy of the logits: its max,
-    exp and denominators (``attention.pairwise_sum_first``, the bits of
-    the row sums ``softmax_last`` takes) run over the leading axis, the
-    probabilities go back to rows only when they are kept, and the CDF
-    overwrites the copy one column at a time: the additions of
-    :func:`categorical_indices` in its order, without a strided
-    accumulate. Other shapes take the softmax along the rows.
+
+def softmax_categorical(cols, u, keep_probs=False):
+    """One categorical draw per query from keys-first logits, in place.
+
+    ``cols`` is (K, ..., Q) and ``u`` broadcasts against (..., Q). Equals
+    ``categorical_indices(softmax_last(logits), u)`` of the row logits
+    ``logits = np.moveaxis(cols, 0, -1)``, bit for bit. Returns the
+    indices (..., Q), and with ``keep_probs`` the probabilities as rows,
+    (..., Q, K) (else None). ``cols`` takes ``attention.softmax_first``,
+    then the CDF, one row at a time: the additions of
+    :func:`categorical_indices` in its order, each one numpy call over
+    every query of the batch.
     """
-    if not (many_short_rows(logits) and logits.shape[-1] <= PAIRWISE_BLOCK):
-        probs = softmax_last(logits)
-        return categorical_indices(probs, u), probs if keep_probs else None
-    cols = last_axis_first(logits)
-    cols -= np.maximum.reduce(cols, axis=0)
-    np.exp(cols, out=cols)
-    cols /= pairwise_sum_first(cols)
+    softmax_first(cols)
     probs = np.moveaxis(cols, 0, -1).copy() if keep_probs else None
-    k = len(cols)
-    for j in range(1, k):
+    for j in range(1, len(cols)):
         np.add(cols[j - 1], cols[j], out=cols[j])
-    return np.minimum(np.add.reduce(cols < u, axis=0), k - 1), probs
+    return _inverse_cdf(cols, u), probs
 
 
 def sample_selection(probs, rng):

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnga import attention
-from attnga.attention import (last_axis_first, multi_head_sdpa,
-                              pairwise_sum_first, reduce_rows, row_softmax,
-                              sdpa, softmax_last)
+from attnga.attention import (multi_head_sdpa, pairwise_sum_first,
+                              row_softmax, sdpa, softmax_first, softmax_last)
 
 
 def _softmax_oracle(row):
@@ -125,50 +123,23 @@ def test_softmax_fast_path_equals_textbook_bit_for_bit(shape):
         expected = _softmax_textbook(logits).tobytes()
         assert row_softmax(logits).tobytes() == expected
         assert softmax_last(logits).tobytes() == expected
+        cols = softmax_first(np.moveaxis(logits, -1, 0).copy())
+        assert np.moveaxis(cols, 0, -1).tobytes() == expected
     # Order-free row max: a non-finite row behaves as in the formula.
     logits[..., 0] = np.nan
     with np.errstate(invalid="ignore"):
         assert np.isnan(softmax_last(logits)).all()
 
 
-@pytest.mark.parametrize("shape, transposed", [
-    # The sweep's, the CLI's MRA and the paper's shapes, and two just below
-    # the cap: a transposed copy.
-    ((64, 16, 16), True), ((5, 64, 64), True), ((512, 16, 16), True),
-    ((24, 64, 64), True), ((1536, 16, 16), True),
-    # At and past the cap, and too few rows (the CLI's selection): along
-    # the rows.
-    ((32, 64, 64), False), ((64, 64, 64), False), ((2048, 16, 16), False),
-    ((5, 32, 65), False), ((5, 64), False)])
-def test_reduce_rows_is_the_row_reduction_on_both_sides_of_the_cap(
-        shape, transposed, monkeypatch):
-    copies = []
-    monkeypatch.setattr(attention, "last_axis_first",
-                        lambda a: copies.append(a.shape) or last_axis_first(a))
-    a = np.random.default_rng(len(shape)).standard_normal(shape)
-    for ufunc in (np.maximum, np.minimum):
-        assert reduce_rows(ufunc, a).tobytes() == ufunc.reduce(
-            a, axis=-1).tobytes()
-    assert softmax_last(a).tobytes() == _softmax_textbook(a).tobytes()
-    assert copies == ([shape] * 3 if transposed else [])
-
-
-def test_last_axis_first_is_a_contiguous_transpose():
-    a = np.arange(24.0).reshape(2, 3, 4)
-    moved = last_axis_first(a)
-    assert moved.flags.c_contiguous and moved.shape == (4, 2, 3)
-    np.testing.assert_array_equal(moved.max(axis=0), a.max(axis=-1))
-
-
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 33, 65, 128, 129, 200,
                                300])
 def test_pairwise_sum_first_is_numpys_row_sum(k):
     """The same additions as numpy's pairwise sum of contiguous rows; past
-    ``PAIRWISE_BLOCK`` values, the sum of a contiguous copy of the rows."""
+    ``PAIRWISE_BLOCK`` values, after numpy's split into two parts."""
     rng = np.random.default_rng(k)
     for a in (rng.standard_normal((64, 16, k)),
               np.exp(rng.standard_normal((5, k)) * 30.0),
               rng.standard_normal((3, k)) * 10.0 ** rng.integers(
                   -200, 200, (3, k))):
-        assert pairwise_sum_first(last_axis_first(a)).tobytes() \
+        assert pairwise_sum_first(np.moveaxis(a, -1, 0).copy()).tobytes() \
             == a.sum(axis=-1).tobytes()

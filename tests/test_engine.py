@@ -1,5 +1,6 @@
 """Unit tests for the ask/tell genetic-algorithm engine."""
 
+import copy
 import math
 import warnings
 
@@ -8,10 +9,11 @@ import pytest
 
 from attnga import engine
 from attnga import operators as ops
-from attnga.attention import row_softmax
+from attnga.attention import row_softmax, softmax_last
 from attnga.bbob import TaskSpec
+from attnga.draws import per_run
 from attnga.features import (FITNESS_DIM, SIGMA_DIM, rows_joint_features,
-                             rows_parent_features)
+                             rows_parent_features, rows_sampling_features)
 from attnga.params import FeatureConfig, LgaParams
 from attnga.tasks import make_task
 
@@ -263,6 +265,57 @@ def test_debug_records_expose_selection_internals():
     # Each record holds its own generation's arrays, not a reused buffer.
     for key in ("child_features", "parent_features", "logits"):
         assert not np.array_equal(traj.debug[0][key], traj.debug[3][key])
+
+
+@pytest.mark.parametrize("seeds", [None, [[6, r] for r in range(3)]])
+def test_debug_records_keep_row_logits_and_probs(seeds):
+    """A record's (..., E, N+1) logits are (mixed B) F_c^T and the keep
+    column, and its probabilities their row softmax, bit for bit."""
+    params = _params(41)
+    config = engine.GaConfig(n_pop=10, elite_ratio=0.5, generations=5,
+                             selection="learned", mra="learned", seed=[6])
+    traj = engine.run(config, make_task("rastrigin", dim=4, seed=1),
+                      params=params, debug=True, seeds=seeds)
+    folded = ops.fold(params.weights, "sel")
+    for rec in traj.debug:
+        f_p, f_c = rec["parent_features"], rec["child_features"]
+        logits = np.ones(f_p.shape[:-1] + (f_c.shape[-2] + 1,))
+        np.matmul(folded.attend(f_p, f_c) @ folded.value,
+                  np.swapaxes(f_c, -1, -2), out=logits[..., :-1])
+        assert rec["logits"].tobytes() == logits.tobytes()
+        assert rec["probs"].tobytes() == softmax_last(logits).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (8,)])
+def test_learned_sampling_equals_the_broadcast_draw(lead):
+    """Each of the N parents is drawn from one (E, ..., 1) CDF, as from N
+    broadcast copies of the sampling probabilities: a run, a batch of
+    runs and a batch of candidates."""
+    cfg = FeatureConfig(with_sampling=True)
+    config = engine.GaConfig(n_pop=12, elite_ratio=0.5, sigma0=0.3,
+                             sampling="learned", generations=4, seed=[2])
+    rows = 0.5 * np.random.default_rng(7).standard_normal(
+        (8, LgaParams.zeros(cfg).n_params))
+    params = LgaParams.from_vector(cfg, rows if lead == (8,) else rows[0])
+    seeds = [[2, r] for r in range(3)] if lead == (3,) else None
+    task = make_task("rastrigin", dim=3, seed=4)
+    ga = engine.GeneticAlgorithm(config, task.dim, params=params,
+                                 seeds=seeds)
+    for _ in range(3):
+        x, sigma = ga.ask()
+        ga.tell(x, task.evaluate(x, ga.rng), sigma)
+    rng = copy.deepcopy(ga.rng)
+    got = ga._sampled_parents()
+    arch, n = ga.archive, config.n_pop
+    feats = rows_sampling_features(
+        np.minimum(arch.f, engine.FITNESS_CLIP), arch.age,
+        ga.best_f[..., None], np.empty(lead + (arch.size, FITNESS_DIM + 1)))
+    probs = ops.sampling_core(ops.fold(params.weights, "smp"), feats)
+    u = per_run(rng, lambda g, size: g.random(size), (n,), lead)
+    want = ops.categorical_indices(np.broadcast_to(
+        probs[..., None, :], lead + (n, arch.size)), u)
+    assert got.shape == lead + (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- errors: raised once, at the engine's boundary ---------------------------

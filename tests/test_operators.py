@@ -84,11 +84,12 @@ def test_folded_selection_core_matches_unfolded_attention(heads, lead):
     folded = ops.fold(w32, "sel")
     assert folded.width == 3
     assert folded.value.shape == lead + (3 * heads, 3)
-    out = np.ones(lead + (5, 8))
+    out = np.empty((8,) + lead + (5,))      # keys first
     assert ops.selection_core(folded, f_p, f_c, out) is out
-    np.testing.assert_allclose(out[..., :-1], expected, rtol=1e-12,
+    logits = np.moveaxis(out, 0, -1)
+    np.testing.assert_allclose(logits[..., :-1], expected, rtol=1e-12,
                                atol=1e-12)
-    assert np.all(out[..., -1] == 1.0)
+    assert np.all(logits[..., -1] == 1.0)
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -119,9 +120,9 @@ def _attend_rows(forms, feats_q, feats_kv):
 @pytest.mark.parametrize("keys", [1, 7, 16, 64, PAIRWISE_BLOCK + 1, 200])
 @pytest.mark.parametrize("lead", [(), (5,), (64,)])
 def test_attend_keys_first_equals_the_row_softmax_bit_for_bit(lead, keys):
-    """Past ``PAIRWISE_BLOCK`` keys the denominators are the row sums of a
-    contiguous copy; below it, numpy's pairwise additions over the leading
-    axis. Selection (3 columns, 2 heads, 16 queries) and self-attention
+    """The denominators are numpy's pairwise additions over the leading
+    axis, past ``PAIRWISE_BLOCK`` keys after its split into two parts.
+    Selection (3 columns, 2 heads, 16 queries) and self-attention
     (5 columns, 1 head), each run twice to reuse the buffers."""
     rng = np.random.default_rng(keys)
     for width, heads, self_attention in ((3, 2, False), (5, 1, True)):
@@ -206,14 +207,15 @@ def test_categorical_indices_match_searchsorted():
 
 
 @pytest.mark.parametrize("shape, u_shape", [
-    ((64, 16, 17), (16,)),        # a sweep: the draw on one transposed copy
-    ((32, 65), (32,)),            # an engine run: along the rows
+    ((64, 16, 17), (16,)),        # a sweep: one uniform per parent, shared
+    ((32, 65), (32,)),            # an engine run
     ((5, 32, 65), (5, 32)),       # a batch of runs, one generator each
     ((5, 32, 65), (32,)),
-    ((5, 64, 65), (5, 64)),       # evaluate-mlp's runs: one copy, k = 65
-    ((600, 130), (600,)),         # many rows, but beyond one numpy block
+    ((5, 64, 65), (5, 64)),       # evaluate-mlp's runs, k = 65
+    ((600, 130), (600,)),         # beyond one numpy block
 ])
 def test_softmax_categorical_equals_softmax_then_draw(shape, u_shape):
+    """The draw takes the row logits' keys-first copy."""
     rng = np.random.default_rng(sum(shape))
     for scale in (0.1, 3.0, 300.0):
         logits = scale * rng.standard_normal(shape)
@@ -221,11 +223,49 @@ def test_softmax_categorical_equals_softmax_then_draw(shape, u_shape):
         u = rng.random(u_shape)
         probs = softmax_last(logits)
         expected = ops.categorical_indices(probs, u)
-        idx, kept = ops.softmax_categorical(logits.copy(), u, True)
+        cols = np.moveaxis(logits, -1, 0).copy()
+        idx, kept = ops.softmax_categorical(cols.copy(), u, True)
         assert idx.tobytes() == expected.tobytes()
         assert kept.shape == shape and kept.tobytes() == probs.tobytes()
-        idx, kept = ops.softmax_categorical(logits, u)
+        idx, kept = ops.softmax_categorical(cols, u)
         assert idx.tobytes() == expected.tobytes() and kept is None
+
+
+def _row_selection_logits(folded, f_p, f_c):
+    """Selection logits laid out as rows, (..., E, N+1): (mixed B) F_c^T,
+    then the keep column."""
+    mixed = folded.attend(f_p, f_c)
+    logits = np.ones(f_p.shape[:-1] + (f_c.shape[-2] + 1,))
+    np.matmul(mixed @ folded.value, np.swapaxes(f_c, -1, -2),
+              out=logits[..., :-1])
+    return logits
+
+
+@pytest.mark.parametrize("e, n", [(16, 16), (12, PAIRWISE_BLOCK + 2)])
+@pytest.mark.parametrize("lead", [(), (5,), (64,)])
+def test_keys_first_selection_draw_equals_the_row_draw(lead, e, n):
+    """Keys-first logits, their draw and the kept probabilities equal
+    the row logits, ``softmax_last`` and ``categorical_indices`` bit for
+    bit, with one uniform per parent shared or per run; past
+    ``PAIRWISE_BLOCK`` children too. A second call reuses the buffers."""
+    w32, _, rng = _fold_case(2, lead, 60 + len(lead))
+    folded = ops.fold(w32, "sel")
+    out = np.empty((n + 1,) + lead + (e,))
+    for u_shape in ((e,), lead + (e,)):
+        f_p = rng.standard_normal(lead + (e, 3))
+        f_c = rng.standard_normal(lead + (n, 3)) * 3.0
+        u = rng.random(u_shape)
+        logits = _row_selection_logits(folded, f_p, f_c)
+        probs = softmax_last(logits.copy())
+        ops.selection_core(folded, f_p, f_c, out)
+        assert np.moveaxis(out, 0, -1).tobytes() == logits.tobytes()
+        idx, kept = ops.softmax_categorical(out, u, True)
+        assert idx.tobytes() == ops.categorical_indices(probs, u).tobytes()
+        assert kept.tobytes() == probs.tobytes()
+        if not lead:
+            params = LgaParams(FeatureConfig(heads=2), w32)
+            assert ops.selection_logits(params, f_p, f_c).tobytes() \
+                == logits.tobytes()
 
 
 def test_take_rows_for_several_leading_shapes():

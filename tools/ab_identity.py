@@ -46,7 +46,8 @@ of their tasks other than mlp-sine, are compared on their own.
 - The CSV bytes of an ``attnga evaluate`` run with that 2-head
   checkpoint, and the trajectories of an ``engine.run`` that uses those
   weights (learned sampling and cross-over), alone and as a batch of
-  three runs.
+  three runs; and of one ``engine.run`` of a batch of 8 random 2-head
+  candidates with all four learned slots on the noisy rastrigin-3D.
 - The trajectories (fitness, best-so-far and mean-sigma bytes) of
   ``engine.run`` for the five ``evaluate`` algorithms at the
   ``evaluate-mlp`` settings, for the four ``transfer`` slot compositions
@@ -215,6 +216,11 @@ def record(checkout, tmp):
             trajectory_bytes(trajectory)
     except ValueError:      # a checkout that runs these slots unbatched
         pass
+    batch = LgaParams.from_vector(wide.cfg, np.random.default_rng(11).normal(
+        0.0, 0.5, (8, wide.n_params)))
+    trajectory = engine.run(config, extra[0], params=batch)
+    out["engine.run learned sampling+cross-over M=8 rastrigin-3"] = \
+        trajectory_bytes(trajectory)
 
     desk = LgaParams.load(checkpoint)
     mlp = make_task("mlp-sine")
