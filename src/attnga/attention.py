@@ -4,9 +4,10 @@ Everything here is pure and works over any leading axes. The checked names
 validate their input, then run the unchecked core that the engine calls.
 The learned operators lay their logits out keys first, (K, ..., Q), and
 take :func:`softmax_first` over the leading axis: the attention of
-``operators.FoldedAttention`` and the selection draw of
+``operators.FoldedAttention`` and the selection and sampling draw of
 ``operators.softmax_categorical``. :func:`softmax_last` is the row form,
-which sampling and the checked names take. Both give the same bits.
+which the checked names and the engine's debug records take. Both give
+the same bits.
 """
 
 import math

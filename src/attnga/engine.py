@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
+from .attention import softmax_last
 from .checks import POSITIVE, at_least, check_fields, one_of
 from .draws import per_run
 from .features import (rows_crossover_features, rows_joint_features,
@@ -241,13 +242,17 @@ class GeneticAlgorithm:
         return x_c, sigma_c
 
     def _sampled_parents(self):
-        """Indices (..., N) of the parents that learned sampling draws."""
+        """Indices (..., N) of the parents that learned sampling draws.
+
+        Selection's categorical draw on the keys-first (E, ..., 1) logits:
+        the N uniforms, (..., N), all draw from one CDF.
+        """
         n, arch = self.config.n_pop, self.archive
-        probs = ops.sampling_core(self._smp, rows_sampling_features(
+        logits = ops.sampling_core(self._smp, rows_sampling_features(
             np.minimum(arch.f, FITNESS_CLIP), arch.age,
             self.best_f[..., None], self._smp_feats))
         u = per_run(self.rng, lambda g, size: g.random(size), (n,), self.shape)
-        return ops.categorical_indices(probs[..., None, :], u)
+        return ops.softmax_categorical(logits, u)
 
     def _mra_multiplier(self, f_s, sigma_s):
         """Learned MRA multipliers of the sampled parents, checked here.
@@ -332,10 +337,9 @@ class GeneticAlgorithm:
         ops.selection_core(self._sel, feats_p, feats_c, self._logits)
         logits = (np.moveaxis(self._logits, 0, -1).copy() if self.debug
                   else None)
-        chosen, probs = ops.softmax_categorical(
+        chosen = ops.softmax_categorical(
             self._logits, per_run(self.rng, lambda g, size: g.random(size),
-                                  arch.f.shape[-1:], self.shape),
-            self.debug)
+                                  arch.f.shape[-1:], self.shape))
         if self.config.mra == "learned" and self._checked:
             ops.ParentArchive.check_rates(arch.sigma)
         self.archive = ops.replacement_core(chosen, x_child, f_child,
@@ -344,7 +348,7 @@ class GeneticAlgorithm:
             return None
         return {"child_features": feats_c.copy(),
                 "parent_features": feats_p.copy(),
-                "logits": logits, "probs": probs,
+                "logits": logits, "probs": softmax_last(logits),
                 "chosen": chosen}
 
 

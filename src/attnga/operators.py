@@ -14,12 +14,13 @@ with d_k = 16, so :func:`fold` folds their projections into small bilinear
 forms, Q_h K_h^T = F A_h F^T, and the value path after the softmax into a
 small matrix. The engine folds them once per run or candidate batch.
 
-Their attention logits (:class:`FoldedAttention`) and the selection
-logits (:func:`selection_core`) are laid out keys first, (K, ..., Q),
-for every leading shape, and their softmax and the selection's
-categorical draw (:func:`softmax_categorical`) run over the leading
-axis, one numpy call per step over every query row of the batch. The
-bits are those of the row softmax and row-wise draw of the same logits.
+Their attention logits (:class:`FoldedAttention`), the selection logits
+(:func:`selection_core`) and the sampling logits (:func:`sampling_core`)
+are laid out keys first, (K, ..., Q), for every leading shape. Their
+softmax, and the one categorical draw of selection and sampling
+(:func:`softmax_categorical`), run over the leading axis, one numpy call
+per step over every query row of the batch. The bits are those of the
+row softmax and row-wise draw of the same logits.
 """
 
 import functools
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import row_softmax, softmax_first, softmax_last
+from .attention import row_softmax, softmax_first
 from .draws import per_run
 
 __all__ = [
@@ -218,9 +219,10 @@ def mra_core(folded, mra_feats):
 
 
 def sampling_core(folded, feats):
-    """Unchecked sampling probabilities (..., E) of the archive members."""
-    raw = (folded.attend(feats, feats) @ folded.value)[..., 0]
-    return softmax_last(raw, out=raw)
+    """Unchecked keys-first sampling logits (E, ..., 1) of the archive.
+
+    A moved view of the attention's (..., E, 1) output: one query."""
+    return np.moveaxis(folded.attend(feats, feats) @ folded.value, -2, 0)
 
 
 def crossover_core(folded, feats, x_parents):
@@ -257,10 +259,9 @@ def categorical_indices(probs, u):
     """Row-wise inverse-CDF categorical draw from row-stochastic ``probs``.
 
     ``probs`` is (..., K) and ``u`` broadcasts against its leading axes,
-    (...): one uniform per row, or, for ``probs`` (..., 1, K), a draw of
-    every uniform of ``u`` (..., Q) from one CDF. The CDF is summed in
-    sequence over the leading axis of a transposed view, (K, ...), which
-    gives the bits of a cumulative sum along each row.
+    (...): one uniform per row. The CDF is summed in sequence over the
+    leading axis of a transposed view, (K, ...), which gives the bits of
+    a cumulative sum along each row.
     """
     return _inverse_cdf(np.add.accumulate(np.moveaxis(probs, -1, 0), axis=0),
                         u)
@@ -271,23 +272,22 @@ def _inverse_cdf(cdf, u):
     return np.minimum(np.add.reduce(cdf < u, axis=0), len(cdf) - 1)
 
 
-def softmax_categorical(cols, u, keep_probs=False):
+def softmax_categorical(cols, u):
     """One categorical draw per query from keys-first logits, in place.
 
-    ``cols`` is (K, ..., Q) and ``u`` broadcasts against (..., Q). Equals
+    ``cols`` is (K, ..., Q) and ``u`` broadcasts against (..., Q): one
+    uniform per query, or, for Q = 1, a draw of every uniform of ``u``
+    (..., N) from one CDF. Returns the indices, bit for bit
     ``categorical_indices(softmax_last(logits), u)`` of the row logits
-    ``logits = np.moveaxis(cols, 0, -1)``, bit for bit. Returns the
-    indices (..., Q), and with ``keep_probs`` the probabilities as rows,
-    (..., Q, K) (else None). ``cols`` takes ``attention.softmax_first``,
-    then the CDF, one row at a time: the additions of
-    :func:`categorical_indices` in its order, each one numpy call over
-    every query of the batch.
+    ``logits = np.moveaxis(cols, 0, -1)``. ``cols`` takes
+    ``attention.softmax_first``, then the CDF, one row at a time: the
+    additions of :func:`categorical_indices` in its order, each one numpy
+    call over every query of the batch.
     """
     softmax_first(cols)
-    probs = np.moveaxis(cols, 0, -1).copy() if keep_probs else None
     for j in range(1, len(cols)):
         np.add(cols[j - 1], cols[j], out=cols[j])
-    return _inverse_cdf(cols, u), probs
+    return _inverse_cdf(cols, u)
 
 
 def sample_selection(probs, rng):

@@ -1,8 +1,9 @@
 """Task registry: BBOB-style functions plus a synthetic MLP-fitting task.
 
-The MLP task stands in for large neuroevolution problems at desk scale: the
-search space (33 weights by default) exceeds the meta-training dimensions
-while a fitness evaluation stays in the microsecond range.
+The MLP task, mlp-sine, stands in for large neuroevolution problems at desk
+scale: a fixed 2-8-1 network fitted on 64 points has 33 weights, more than
+the meta-training dimensions, while a fitness evaluation stays in the
+microsecond range.
 """
 
 from dataclasses import dataclass
@@ -11,14 +12,17 @@ from functools import cached_property
 import numpy as np
 
 from . import bbob
-from .checks import at_least, check_fields, is_integer
+from .checks import check_fields
 
 __all__ = ["MlpTask", "make_task", "task_names"]
 
 
+# The network, (inputs, hidden units, outputs), and the size of its fixed
+# dataset.
+LAYERS = (2, 8, 1)
+N_POINTS = 64
 # Rows per block of MlpTask.core_values: bounds its work buffers (the
-# 256 KiB (points, rows x hidden) hidden layer at the default sizes) for
-# any batch size.
+# 256 KiB (points, rows x hidden) hidden layer) for any batch size.
 _BLOCK_ROWS = 64
 
 
@@ -26,9 +30,9 @@ _BLOCK_ROWS = 64
 class MlpTask:
     """Fit a tiny tanh MLP to a fixed sample of sin(pi*x1) + x2^2.
 
-    ``layers`` is (inputs, hidden units, outputs): at least the two inputs
-    the target reads, at least two hidden units and one output, the
-    prediction. ``n_points``, at least 2, is the size of the fixed dataset.
+    The network is ``LAYERS``, 2-8-1: the two inputs the target reads,
+    eight hidden units and one output, the prediction. ``seed`` draws the
+    ``N_POINTS`` (64) inputs of the dataset.
 
     :meth:`core_values` runs blocks of up to ``_BLOCK_ROWS`` networks as
     two matmuls: the (points, inputs + 1) design matrix, the dataset with a
@@ -45,40 +49,26 @@ class MlpTask:
     BLAS builds they may differ by rounding, as BLAS kernels may or may not
     fuse multiply-adds.
 
-    The work buffers (about 0.3 MiB at the default sizes) are built on the
-    first evaluation, not with the task: a process that only builds a task
-    or pickles it to workers never holds them, and a pickle carries only
-    the fields.
+    The work buffers (about 0.3 MiB) are built on the first evaluation,
+    not with the task: a process that only builds a task or pickles it to
+    workers never holds them, and a pickle carries only the seed.
     """
 
-    layers: tuple = (2, 8, 1)
-    n_points: int = 64
     seed: int = 0
 
-    # The target reads two inputs and the network makes one prediction per
-    # point. One hidden unit or one point makes numpy run a block's first
-    # layer as a matrix-vector product, whose sums vary with the block width.
-    RULES = {"layers[0]": at_least(2), "layers[1]": at_least(2),
-             "layers[2]": (lambda v: is_integer(v) and v == 1, "1"),
-             "n_points": at_least(2)}
-
     def __post_init__(self):
-        if len(self.layers) != 3:
-            raise ValueError(f"layers must be (inputs, hidden units, "
-                             f"outputs), got {self.layers!r}")
-        check_fields(vars(self), self.RULES)
         rng = np.random.default_rng(self.seed)
-        inputs = rng.uniform(-1.0, 1.0, size=(self.n_points, self.layers[0]))
+        inputs = rng.uniform(-1.0, 1.0, size=(N_POINTS, LAYERS[0]))
         targets = np.sin(np.pi * inputs[:, 0]) + inputs[:, 1] ** 2
         object.__setattr__(self, "_inputs", inputs)
         object.__setattr__(self, "_design", np.hstack(
-            [inputs, np.ones((self.n_points, 1))]))
+            [inputs, np.ones((N_POINTS, 1))]))
         object.__setattr__(self, "_targets", targets)
 
     def __reduce__(self):
-        # The dataset is rebuilt from the fields, the buffers when the copy
+        # The dataset is rebuilt from the seed, the buffers when the copy
         # first evaluates.
-        return type(self), (self.layers, self.n_points, self.seed)
+        return type(self), (self.seed,)
 
     @cached_property
     def _buffers(self):
@@ -88,15 +78,14 @@ class MlpTask:
         makes glibc return them to the system and fault them back in on
         the next call.
         """
-        d_in, d_h, _ = self.layers
+        d_in, d_h, _ = LAYERS
         width = _BLOCK_ROWS * d_h
-        return (np.empty((d_in + 1, width)),
-                np.empty((self.n_points, width)),
-                np.empty((_BLOCK_ROWS, self.n_points, 1)))
+        return (np.empty((d_in + 1, width)), np.empty((N_POINTS, width)),
+                np.empty((_BLOCK_ROWS, N_POINTS, 1)))
 
     @property
     def dim(self):
-        d_in, d_h, d_out = self.layers
+        d_in, d_h, d_out = LAYERS
         return d_in * d_h + d_h + d_h * d_out + d_out
 
     @property
@@ -120,13 +109,13 @@ class MlpTask:
             stop = start + _BLOCK_ROWS
             self._block_values(x[start:stop], mse[start:stop])
         # np.mean's own steps: each block's sums, then one true division.
-        mse /= self.n_points
+        mse /= N_POINTS
         return mse[0] if squeeze else mse
 
     def _block_values(self, x, out):
         """Squared-error sums of at most ``_BLOCK_ROWS`` rows into ``out``."""
-        d_in, d_h, _ = self.layers
-        n, p = x.shape[0], self.n_points
+        d_in, d_h, _ = LAYERS
+        n, p = x.shape[0], N_POINTS
         w1, hidden, pred = self._buffers
         width, split = n * d_h, (d_in + 1) * d_h
         w2 = x[:, split:split + d_h, None]
@@ -155,11 +144,15 @@ def task_names():
     return bbob.FUNCTION_NAMES + ("mlp-sine",)
 
 
-def make_task(name, dim=None, seed=0, sigma0=0.1, noise=False):
+def make_task(name, dim=None, seed=0):
     """Build a task by string id; BBOB offsets are drawn from ``seed``.
 
-    mlp-sine has a fixed dimension: ``dim`` is None or that dimension.
+    mlp-sine has a fixed dimension: ``dim`` is None or that dimension. A
+    BBOB task has ``TaskSpec``'s default sigma0 and no noise; build a
+    ``TaskSpec``, or ``dataclasses.replace`` one, for others.
     """
+    if dim is not None:     # before the offset draw, which would fail in numpy
+        check_fields({"dim": dim}, {"dim": bbob.TaskSpec.RULES["dim"]})
     if name == "mlp-sine":
         task = MlpTask(seed=seed)
         if dim not in (None, task.dim):
@@ -170,8 +163,5 @@ def make_task(name, dim=None, seed=0, sigma0=0.1, noise=False):
                          f"{', '.join(task_names())}")
     if dim is None:
         raise ValueError(f"{name} needs an explicit dimension")
-    # Checked before the offset is drawn, which would fail inside numpy.
-    check_fields({"dim": dim}, {"dim": bbob.TaskSpec.RULES["dim"]})
     offset = np.random.default_rng([seed, 0xB0B]).uniform(-5.0, 5.0, dim)
-    return bbob.TaskSpec(function=name, dim=dim, offset=offset,
-                         sigma0=sigma0, noise=noise)
+    return bbob.TaskSpec(function=name, dim=dim, offset=offset)

@@ -128,13 +128,15 @@ def test_task_spec_rejects_bad_fields_naming_them(fields, message):
                          "offset": np.zeros(2), **fields})
 
 
-@pytest.mark.parametrize("dim", [2.5, 2.0, True])
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, 33.0])
 def test_make_task_rejects_a_non_integer_dimension_naming_it(dim):
     """Checked before the offset is drawn, where numpy used to raise a
-    TypeError."""
-    with pytest.raises(ValueError, match="^" + re.escape(
-            f"dim must be an integer, at least 1, got {dim}")):
-        make_task("sphere", dim=dim)
+    TypeError; mlp-sine used to take 33.0 and to reject True as "not
+    True"."""
+    for name in ("sphere", "mlp-sine"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"dim must be an integer, at least 1, got {dim}")):
+            make_task(name, dim=dim)
 
 
 def test_noise_is_multiplicative_and_reproducible():

@@ -3,6 +3,7 @@
 import copy
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,9 +289,9 @@ def test_debug_records_keep_row_logits_and_probs(seeds):
 
 @pytest.mark.parametrize("lead", [(), (3,), (8,)])
 def test_learned_sampling_equals_the_broadcast_draw(lead):
-    """Each of the N parents is drawn from one (E, ..., 1) CDF, as from N
-    broadcast copies of the sampling probabilities: a run, a batch of
-    runs and a batch of candidates."""
+    """Each of the N parents is drawn from one keys-first (E, ..., 1) CDF,
+    as from N broadcast copies of the row sampling probabilities: a run, a
+    batch of runs and a batch of candidates."""
     cfg = FeatureConfig(with_sampling=True)
     config = engine.GaConfig(n_pop=12, elite_ratio=0.5, sigma0=0.3,
                              sampling="learned", generations=4, seed=[2])
@@ -310,7 +311,8 @@ def test_learned_sampling_equals_the_broadcast_draw(lead):
     feats = rows_sampling_features(
         np.minimum(arch.f, engine.FITNESS_CLIP), arch.age,
         ga.best_f[..., None], np.empty(lead + (arch.size, FITNESS_DIM + 1)))
-    probs = ops.sampling_core(ops.fold(params.weights, "smp"), feats)
+    logits = ops.sampling_core(ops.fold(params.weights, "smp"), feats)
+    probs = softmax_last(np.moveaxis(logits[..., 0], 0, -1))
     u = per_run(rng, lambda g, size: g.random(size), (n,), lead)
     want = ops.categorical_indices(np.broadcast_to(
         probs[..., None, :], lead + (n, arch.size)), u)
@@ -378,7 +380,7 @@ def test_learned_mra_rate_underflow_raises_in_the_same_call(
     config = engine.GaConfig(n_pop=n_pop, elite_ratio=elite_ratio,
                              sigma0=1e-320, selection=selection,
                              mra="learned", seed=seed)
-    task = make_task("sphere", dim=3, seed=0, noise=True)
+    task = replace(make_task("sphere", dim=3, seed=0), noise=True)
     ga = engine.GeneticAlgorithm(config, task.dim, params=params)
     assert _first_error(ga, task, 30) == expected
 
@@ -534,7 +536,7 @@ def test_learned_sampling_crossover_and_debug_run_as_a_batch(settings, debug):
     """A batch of runs and one of M candidates: each row is its own run."""
     cfg = FeatureConfig(with_sampling=True, with_crossover=True)
     params = LgaParams.random(cfg, np.random.default_rng(3), scale=0.5)
-    task = make_task("rastrigin", dim=4, seed=2, noise=True)
+    task = replace(make_task("rastrigin", dim=4, seed=2), noise=True)
     config = engine.GaConfig(n_pop=12, elite_ratio=0.5, sigma0=0.3,
                              selection="learned", mra="learned",
                              generations=15, seed=[4, 1], **settings)
@@ -610,7 +612,7 @@ def test_diverging_candidate_runs_on_in_its_own_row():
     config = engine.GaConfig(n_pop=8, elite_ratio=0.5, sigma0=1e-320,
                              selection="learned", mra="learned",
                              generations=30, seed=2)
-    task = make_task("sphere", dim=3, seed=0, noise=True)
+    task = replace(make_task("sphere", dim=3, seed=0), noise=True)
     singles, batch = _candidates(cfg, rows)
     with pytest.raises(ValueError, match="positive and finite"):
         engine.run(config, task, params=singles[1])

@@ -11,7 +11,6 @@ from attnga.engine import GaConfig
 from attnga.metabbo import MetaConfig
 from attnga.metaes import OpenAiEs
 from attnga.params import FeatureConfig
-from attnga.tasks import MlpTask
 
 
 @pytest.mark.parametrize("build, size, named", [
@@ -23,8 +22,6 @@ from attnga.tasks import MlpTask
     (lambda v: GaConfig(generations=v), 2, "generations"),
     (lambda v: FeatureConfig(heads=v), 1, "heads"),
     (lambda v: FeatureConfig(d_k=v), 16, "d_k"),
-    (lambda v: MlpTask(n_points=v), 64, "n_points"),
-    (lambda v: MlpTask(layers=(2, v, 1)), 8, "layers[1]"),
     (lambda v: TaskFamily(dim_range=(2, v)), 4, "dim_range[1]"),
 ])
 def test_integer_sizes_reject_floats_and_bools(build, size, named):
@@ -79,9 +76,6 @@ _TABLES = [
         "functions": (((), ("sphere", "bogus")), ("different_powers",)),
         "dim_range[0]": _size(1), "dim_range[1]": _size(1),
         "dim_range": (((2, 1),), (2, 2)), "noise": ((2, -1), 1)}),
-    (partial(MlpTask, layers=(2, 8, 1)), {
-        "layers[0]": _size(2), "layers[1]": _size(2),
-        "layers[2]": ((0, 2, 1.0, True), 1), "n_points": _size(2)}),
 ]
 
 

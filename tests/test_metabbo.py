@@ -2,6 +2,7 @@
 
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_batched_sweep_equals_per_candidate_engine_run(case):
         task, n, t = make_task("mlp-sine"), 8, 12
     else:
         cfg, n, t = FeatureConfig(heads=2), 12, 20
-        task = make_task("rastrigin", dim=3, seed=4, noise=True)
+        task = replace(make_task("rastrigin", dim=3, seed=4), noise=True)
     theta = _theta(64, seed=13, scale=0.5, cfg=cfg)
     seed = [0, 0, 0x1AEA, 3]
     refs = [_engine_fitness(cfg, row, task, seed, n, t).tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from attnga import operators as ops
 from attnga.attention import (PAIRWISE_BLOCK, multi_head_sdpa, row_softmax,
-                              sdpa, softmax_last)
+                              sdpa, softmax_first, softmax_last)
 from attnga.features import FITNESS_DIM, rows_crossover_features
 from attnga.params import FeatureConfig, LgaParams, unflatten
 
@@ -213,22 +213,30 @@ def test_categorical_indices_match_searchsorted():
     ((5, 32, 65), (32,)),
     ((5, 64, 65), (5, 64)),       # evaluate-mlp's runs, k = 65
     ((600, 130), (600,)),         # beyond one numpy block
+    # Learned sampling: one query, N = 12 uniforms from its one CDF.
+    ((1, 6), (12,)),
+    ((3, 1, 64), (3, 12)),
+    ((8, 1, PAIRWISE_BLOCK + 2), (12,)),
+    ((8, 1, 300), (8, 12)),
 ])
 def test_softmax_categorical_equals_softmax_then_draw(shape, u_shape):
-    """The draw takes the row logits' keys-first copy."""
+    """The draw takes the row logits' keys-first copy, as selection's
+    buffer holds them, or their moved view, as sampling's do; its softmax
+    step is that of the rows too."""
     rng = np.random.default_rng(sum(shape))
     for scale in (0.1, 3.0, 300.0):
         logits = scale * rng.standard_normal(shape)
-        logits[..., -1] = 1.0                      # the keep column
+        logits[..., -1] = 1.0                      # selection's keep column
         u = rng.random(u_shape)
         probs = softmax_last(logits)
         expected = ops.categorical_indices(probs, u)
         cols = np.moveaxis(logits, -1, 0).copy()
-        idx, kept = ops.softmax_categorical(cols.copy(), u, True)
-        assert idx.tobytes() == expected.tobytes()
+        kept = np.moveaxis(softmax_first(cols.copy()), 0, -1)
         assert kept.shape == shape and kept.tobytes() == probs.tobytes()
-        idx, kept = ops.softmax_categorical(cols, u)
-        assert idx.tobytes() == expected.tobytes() and kept is None
+        idx = ops.softmax_categorical(cols, u)
+        assert idx.tobytes() == expected.tobytes()
+        idx = ops.softmax_categorical(np.moveaxis(logits, -1, 0), u)
+        assert idx.tobytes() == expected.tobytes()
 
 
 def _row_selection_logits(folded, f_p, f_c):
@@ -244,10 +252,10 @@ def _row_selection_logits(folded, f_p, f_c):
 @pytest.mark.parametrize("e, n", [(16, 16), (12, PAIRWISE_BLOCK + 2)])
 @pytest.mark.parametrize("lead", [(), (5,), (64,)])
 def test_keys_first_selection_draw_equals_the_row_draw(lead, e, n):
-    """Keys-first logits, their draw and the kept probabilities equal
-    the row logits, ``softmax_last`` and ``categorical_indices`` bit for
-    bit, with one uniform per parent shared or per run; past
-    ``PAIRWISE_BLOCK`` children too. A second call reuses the buffers."""
+    """Keys-first logits, their softmax and their draw equal the row
+    logits, ``softmax_last`` and ``categorical_indices`` bit for bit, with
+    one uniform per parent shared or per run; past ``PAIRWISE_BLOCK``
+    children too. A second call reuses the buffers."""
     w32, _, rng = _fold_case(2, lead, 60 + len(lead))
     folded = ops.fold(w32, "sel")
     out = np.empty((n + 1,) + lead + (e,))
@@ -259,9 +267,10 @@ def test_keys_first_selection_draw_equals_the_row_draw(lead, e, n):
         probs = softmax_last(logits.copy())
         ops.selection_core(folded, f_p, f_c, out)
         assert np.moveaxis(out, 0, -1).tobytes() == logits.tobytes()
-        idx, kept = ops.softmax_categorical(out, u, True)
-        assert idx.tobytes() == ops.categorical_indices(probs, u).tobytes()
+        kept = np.moveaxis(softmax_first(out.copy()), 0, -1)
         assert kept.tobytes() == probs.tobytes()
+        idx = ops.softmax_categorical(out, u)
+        assert idx.tobytes() == ops.categorical_indices(probs, u).tobytes()
         if not lead:
             params = LgaParams(FeatureConfig(heads=2), w32)
             assert ops.selection_logits(params, f_p, f_c).tobytes() \
@@ -379,7 +388,9 @@ def test_folded_sampling_core_matches_unfolded_attention(lead):
     assert folded.width == 4
     assert folded.forms[0].shape == lead + (4, 4)
     assert folded.value.shape == lead + (4, 1)
-    np.testing.assert_allclose(ops.sampling_core(folded, feats),
+    cols = ops.sampling_core(folded, feats)
+    assert cols.shape == (6,) + lead + (1,)
+    np.testing.assert_allclose(softmax_last(np.moveaxis(cols[..., 0], 0, -1)),
                                row_softmax(raw.reshape(-1, 6))
                                .reshape(raw.shape), rtol=1e-12, atol=0.0)
 
@@ -400,15 +411,19 @@ def test_folded_crossover_core_matches_unfolded_attention(lead):
 
 
 def test_learned_sampling_probs_is_distribution():
-    """Positive probabilities over the archive members, summing to one."""
+    """Positive probabilities over the archive members, summing to one:
+    the softmax step of the draw, whose indices are archive rows."""
     params = _params(22, with_sampling=True)
     rng = np.random.default_rng(23)
     feats = np.column_stack([rng.standard_normal((6, 3)),
                              np.tanh(rng.integers(0, 40, 6) / 20.0)])
-    probs = ops.sampling_core(ops.fold(params.weights, "smp"), feats)
-    assert probs.shape == (6,)
+    cols = ops.sampling_core(ops.fold(params.weights, "smp"), feats)
+    assert cols.shape == (6, 1)
+    probs = softmax_first(cols.copy())[:, 0]
     assert np.all(probs > 0.0)
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
+    idx = ops.softmax_categorical(cols, rng.random(1000))
+    assert idx.shape == (1000,) and idx.min() >= 0 and idx.max() < 6
 
 
 def _crossover_oracle(params, feats, x):
